@@ -14,34 +14,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from typing import Sequence
 
-from .belief import TotalConflictError
 from .evaluate import EvaluationError, compare_configs
-from .fusion import (
-    FusionError,
-    ReliabilityConfig,
-    edge_bba_sets,
-    fuse_all,
-    fuse_edge,
-)
-from .graph import INDICATOR_NAMES, ParseError, UnknownUserError, load_graph, write_graph
-from .maximize import InvalidKError, select_celf
+from .fusion import FusionError, ReliabilityConfig, fuse_all
+from .graph import INDICATOR_NAMES, load_graph, write_graph
+from .maximize import select_celf
 from .spread import InfluenceField
-from .synthetic import InvalidParametersError, generate_synthetic
+from .synthetic import generate_synthetic
 
-_CONFIG_ERRORS = (
-    ParseError,
-    FusionError,
-    EvaluationError,
-    InvalidKError,
-    InvalidParametersError,
-    UnknownUserError,
-    ValueError,
-    OSError,
-)
+# Input errors (ParseError, UnknownUserError, InvalidKError, ...) are all
+# ValueError subclasses.
+_CONFIG_ERRORS = (FusionError, EvaluationError, ValueError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,8 +57,6 @@ def _build_parser() -> _Parser:
 
     def add_common(p: _Parser) -> None:
         p.add_argument("--config", default=None, help="JSON file with option defaults")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (default: available parallelism)")
         p.add_argument("--out", default=None, help="output file path")
 
     p_gen = sub.add_parser("generate", help="emit a synthetic four-file dataset")
@@ -109,7 +92,7 @@ def _build_parser() -> _Parser:
 
 _KEY_ALIASES = {"lambda": "lam"}
 _KNOWN_KEYS = {
-    "edges", "mentions", "retweets", "activity", "out", "threads",
+    "edges", "mentions", "retweets", "activity", "out",
     "lam", "alpha", "k", "seed", "users", "n_edges", "intensity", "configs",
 }
 
@@ -139,13 +122,6 @@ def _opt(args: argparse.Namespace, file_cfg: dict, key: str, default=None):
     if key in file_cfg:
         return file_cfg[key]
     return default
-
-
-def _threads(args: argparse.Namespace, file_cfg: dict) -> int:
-    threads = int(_opt(args, file_cfg, "threads", os.cpu_count() or 1))
-    if threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {threads}")
-    return threads
 
 
 def _reliability_config(args: argparse.Namespace, file_cfg: dict) -> ReliabilityConfig:
@@ -179,7 +155,6 @@ def _open_out(path: str):
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     file_cfg = _load_file_config(args.config)
-    _threads(args, file_cfg)
     g, activities = generate_synthetic(
         seed=int(_opt(args, file_cfg, "seed", 42)),
         n_users=int(_opt(args, file_cfg, "users", 1000)),
@@ -199,7 +174,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_select(args: argparse.Namespace) -> int:
     file_cfg = _load_file_config(args.config)
-    _threads(args, file_cfg)
     g, _ = _load_inputs(args, file_cfg)
     cfg = _reliability_config(args, file_cfg)
     k = int(_opt(args, file_cfg, "k", 50))
@@ -218,7 +192,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     file_cfg = _load_file_config(args.config)
-    _threads(args, file_cfg)
     g, activities = _load_inputs(args, file_cfg)
     lam = float(_opt(args, file_cfg, "lam", 5.0))
     tokens = [
@@ -248,7 +221,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_dump_edges(args: argparse.Namespace) -> int:
     file_cfg = _load_file_config(args.config)
-    _threads(args, file_cfg)
     g, _ = _load_inputs(args, file_cfg)
     cfg = _reliability_config(args, file_cfg)
     n = len(INDICATOR_NAMES)
@@ -260,15 +232,11 @@ def _cmd_dump_edges(args: argparse.Namespace) -> int:
             + tuple(f"alpha_{j + 1}" for j in range(n))
             + ("inf",)
         )
-        for edge, ebs in edge_bba_sets(g, cfg).items():
-            try:
-                result = fuse_edge(ebs)
-            except TotalConflictError as exc:
-                raise FusionError(f"edge {edge[0]!r} -> {edge[1]!r}: {exc}") from exc
+        for edge, result in fuse_all(g, cfg).items():
             writer.writerow(
                 edge
-                + tuple(f"{w:.6f}" for w in ebs.weights)
-                + tuple(f"{a:.6f}" for a in ebs.reliabilities)
+                + tuple(f"{w:.6f}" for w in result.weights)
+                + tuple(f"{a:.6f}" for a in result.reliabilities)
                 + (f"{result.inf:.6f}",)
             )
     return 0

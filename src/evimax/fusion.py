@@ -14,8 +14,10 @@ reliable": with ``c`` the average distance, reliability is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
+from typing import Iterator
 
 from .belief import (
     MassFunction,
@@ -24,7 +26,7 @@ from .belief import (
     discount,
     jousselme_distance,
 )
-from .graph import INDICATOR_NAMES, SocialGraph, raw_indicators
+from .graph import SocialGraph, raw_indicators
 
 
 class OutOfRangeError(ValueError):
@@ -86,8 +88,8 @@ class ReliabilityConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("estimated", "fixed"):
             raise ValueError(f"mode must be 'estimated' or 'fixed', got {self.mode!r}")
-        if self.lam <= 0:
-            raise ValueError(f"lambda must be positive, got {self.lam!r}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be finite and positive, got {self.lam!r}")
         if self.mode == "fixed":
             if self.alpha is None:
                 raise ValueError("fixed mode requires an alpha")
@@ -137,11 +139,18 @@ class EdgeBBASet:
 
 @dataclass(frozen=True)
 class EdgeInfluence:
-    """The fused belief state of one edge and its scalar influence value."""
+    """The fused belief state of one edge, its influence, and its inputs.
+
+    ``inf`` is the fused mass on {influencer}; ``weights`` and
+    ``reliabilities`` are the edge's normalized indicator values and the
+    alphas their BBAs were discounted by.
+    """
 
     edge: tuple[str, str]
     fused: MassFunction
     inf: float
+    weights: tuple[float, ...]
+    reliabilities: tuple[float, ...]
 
 
 def indicator_bba(value: float, low: float, high: float) -> MassFunction:
@@ -220,47 +229,41 @@ def fuse_edge(ebs: EdgeBBASet) -> EdgeInfluence:
         discount(m, alpha) for m, alpha in zip(ebs.bbas, ebs.reliabilities)
     ]
     fused = reduce(combine_dempster, discounted)
-    return EdgeInfluence(ebs.edge, fused, fused.influencer)
+    return EdgeInfluence(
+        ebs.edge, fused, fused.influencer, ebs.weights, ebs.reliabilities
+    )
 
 
-def edge_bba_sets(
-    g: SocialGraph, cfg: ReliabilityConfig
-) -> dict[tuple[str, str], EdgeBBASet]:
-    """Normalized weights, BBAs, and reliabilities for every edge."""
+def edge_bba_sets(g: SocialGraph, cfg: ReliabilityConfig) -> Iterator[EdgeBBASet]:
+    """Normalized weights, BBAs, and reliabilities of each edge, in edge order.
+
+    Records are yielded one at a time, so the edge set is never held twice.
+    A weight is its BBA's mass on {influencer}, 0 for a constant indicator.
+    Global reliability averages the distances over every edge in a pre-pass.
+    """
     values = raw_indicators(g)
     stats = NormalizationStats.from_values(values)
-    n = len(INDICATOR_NAMES)
+    bounds = tuple(zip(stats.lows, stats.highs))
 
-    raw_sets: dict[tuple[str, str], tuple[tuple[float, ...], tuple[MassFunction, ...]]] = {}
-    for edge, vec in values.items():
-        bbas = tuple(
-            indicator_bba(vec[j], stats.lows[j], stats.highs[j]) for j in range(n)
-        )
-        weights = tuple(
-            (vec[j] - stats.lows[j]) / (stats.highs[j] - stats.lows[j])
-            if stats.highs[j] > stats.lows[j]
-            else 0.0
-            for j in range(n)
-        )
-        raw_sets[edge] = (weights, bbas)
+    def bbas_of(vec: tuple[float, ...]) -> tuple[MassFunction, ...]:
+        return tuple(indicator_bba(x, low, high) for x, (low, high) in zip(vec, bounds))
 
-    if cfg.mode == "estimated" and cfg.global_reliability and raw_sets:
-        sums = [0.0] * n
-        for _, bbas in raw_sets.values():
-            for j, c in enumerate(average_distances(bbas)):
+    shared = None
+    if cfg.mode == "estimated" and cfg.global_reliability and values:
+        sums = [0.0] * len(bounds)
+        for vec in values.values():
+            for j, c in enumerate(average_distances(bbas_of(vec))):
                 sums[j] += c
-        shared = tuple(
-            reliability_from_distance(s / len(raw_sets), cfg.lam) for s in sums
-        )
-        return {
-            edge: EdgeBBASet(edge, weights, bbas, shared)
-            for edge, (weights, bbas) in raw_sets.items()
-        }
+        shared = tuple(reliability_from_distance(s / len(values), cfg.lam) for s in sums)
 
-    return {
-        edge: EdgeBBASet(edge, weights, bbas, estimate_reliabilities(bbas, cfg))
-        for edge, (weights, bbas) in raw_sets.items()
-    }
+    for edge, vec in values.items():
+        bbas = bbas_of(vec)
+        yield EdgeBBASet(
+            edge,
+            tuple(m.influencer for m in bbas),
+            bbas,
+            shared if shared is not None else estimate_reliabilities(bbas, cfg),
+        )
 
 
 def fuse_all(
@@ -268,9 +271,9 @@ def fuse_all(
 ) -> dict[tuple[str, str], EdgeInfluence]:
     """Fused influence for every edge of the graph; deterministic."""
     out: dict[tuple[str, str], EdgeInfluence] = {}
-    for edge, ebs in edge_bba_sets(g, cfg).items():
+    for ebs in edge_bba_sets(g, cfg):
         try:
-            out[edge] = fuse_edge(ebs)
+            out[ebs.edge] = fuse_edge(ebs)
         except TotalConflictError as exc:
-            raise FusionError(f"edge {edge[0]!r} -> {edge[1]!r}: {exc}") from exc
+            raise FusionError(f"edge {ebs.edge[0]!r} -> {ebs.edge[1]!r}: {exc}") from exc
     return out

@@ -10,13 +10,15 @@ exceed 1, and the objective is maximized exactly as defined.
 ``sigma`` evaluates the double sum by accumulating each seed's contribution
 field over its two-hop out-frontier, which is an exact restructuring (all
 terms outside the frontier are zero).  ``influence_on`` keeps the literal
-per-user form so the two routes can check each other.
+per-user form, reading v's in-edges off the out-adjacency, so the two routes
+can check each other.  The field stores the graph once, as out-adjacency.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from .fusion import EdgeInfluence
 from .graph import SocialGraph, UnknownUserError
 
 
@@ -27,7 +29,7 @@ class AlreadyInSetError(ValueError):
 class InfluenceField:
     """Immutable per-edge influence values over a fixed user set.
 
-    Stores weighted out- and in-adjacency in insertion order.  Construction
+    Stores each user's weighted out-edges in insertion order.  Construction
     validates that every weight lies in [0, 1] and that edges connect known,
     distinct users; after that the field is read-only and safe to share.
     """
@@ -39,8 +41,6 @@ class InfluenceField:
     ) -> None:
         self._users: dict[str, None] = dict.fromkeys(users)
         self._out: dict[str, list[tuple[str, float]]] = {u: [] for u in self._users}
-        self._in: dict[str, list[tuple[str, float]]] = {u: [] for u in self._users}
-        self._weights: dict[tuple[str, str], float] = {}
         for (u, v), w in weights.items():
             if u not in self._users or v not in self._users:
                 raise UnknownUserError(f"edge ({u!r}, {v!r}) references unknown user")
@@ -48,26 +48,17 @@ class InfluenceField:
                 raise ValueError(f"self-loop weight for {u!r}")
             if not 0.0 <= w <= 1.0:
                 raise ValueError(f"influence weight must lie in [0, 1], got {w!r}")
-            if (u, v) in self._weights:
-                raise ValueError(f"duplicate edge ({u!r}, {v!r})")
-            self._weights[(u, v)] = w
             self._out[u].append((v, w))
-            self._in[v].append((u, w))
 
     @classmethod
     def from_graph(
-        cls, g: SocialGraph, influences: Mapping[tuple[str, str], object]
+        cls, g: SocialGraph, influences: Mapping[tuple[str, str], EdgeInfluence]
     ) -> "InfluenceField":
-        """Build a field from a graph and fuse_all-style results.
+        """Build a field from a graph and ``fuse_all``'s per-edge records.
 
-        ``influences`` maps each edge either to a plain float or to any
-        object with an ``inf`` attribute (such as EdgeInfluence).
+        Each edge's weight is its record's ``inf``.
         """
-        weights = {
-            edge: (value.inf if hasattr(value, "inf") else float(value))
-            for edge, value in influences.items()
-        }
-        return cls(g.users, weights)
+        return cls(g.users, {edge: record.inf for edge, record in influences.items()})
 
     @property
     def users(self) -> Iterable[str]:
@@ -76,22 +67,14 @@ class InfluenceField:
     def num_users(self) -> int:
         return len(self._users)
 
-    def has_user(self, user: str) -> bool:
-        return user in self._users
-
     def influence(self, a: str, b: str) -> float:
         """Pairwise influence: 1 on the diagonal, edge weight or 0 elsewhere."""
         if a == b:
             return 1.0
-        return self._weights.get((a, b), 0.0)
-
-    def out_edges(self, user: str) -> list[tuple[str, float]]:
-        self._require(user)
-        return self._out[user]
-
-    def in_edges(self, user: str) -> list[tuple[str, float]]:
-        self._require(user)
-        return self._in[user]
+        for v, w in self._out.get(a, ()):
+            if v == b:
+                return w
+        return 0.0
 
     def seed_contributions(self, u: str) -> dict[str, float]:
         """Influence of the single seed u on every reachable other user.
@@ -126,11 +109,12 @@ def influence_on(field: InfluenceField, seeds: set[str], v: str) -> float:
     field._require(v)
     if v in seeds:
         return 1.0
+    in_edges = [(x, w) for x, out in field._out.items() for y, w in out if y == v]
     total = 0.0
     # Sorted seed order keeps float accumulation reproducible across
     # processes (set iteration order is hash-randomized).
     for u in sorted(seeds):
-        for x, w_xv in field.in_edges(v):
+        for x, w_xv in in_edges:
             total += field.influence(u, x) * w_xv
         total += field.influence(u, v)  # x = v term, self-influence is 1
     return total

@@ -156,12 +156,13 @@ class TestSelect:
     def test_config_file_rejects_unknown_keys(self, paths, capsys):
         generate(paths)
         cfg = paths["dir"] / "run.json"
-        cfg.write_text(json.dumps({"kay": 2}))
-        code = run(
-            "select", *input_flags(paths), "--config", str(cfg), "--out", paths["out"]
-        )
-        assert code == 1
-        assert "kay" in capsys.readouterr().err
+        for key in ("kay", "threads"):
+            cfg.write_text(json.dumps({key: 2}))
+            code = run(
+                "select", *input_flags(paths), "--config", str(cfg), "--out", paths["out"]
+            )
+            assert code == 1
+            assert key in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -219,6 +220,13 @@ class TestDumpEdges:
         for cell in sample[2:]:
             whole, frac = cell.split(".")
             assert len(frac) == 6
+
+    def test_byte_identical_reruns(self, paths):
+        generate(paths, users="40", edges="90")
+        run("dump-edges", *input_flags(paths), "--out", paths["out"])
+        first = open(paths["out"], "rb").read()
+        run("dump-edges", *input_flags(paths), "--out", paths["out"])
+        assert open(paths["out"], "rb").read() == first
 
 
 class TestUsage:

@@ -25,7 +25,7 @@ from evimax.fusion import (
     indicator_bba,
     reliability_from_distance,
 )
-from evimax.graph import SocialGraph
+from evimax.graph import INDICATOR_NAMES, SocialGraph, raw_indicators
 from evimax.synthetic import generate_synthetic
 from tests.helpers import bbas
 
@@ -57,6 +57,8 @@ class TestReliabilityConfig:
             dict(mode="fixed", alpha=1.5),
             dict(mode="fixed", alpha=-0.1),
             dict(mode="estimated", alpha=0.5),
+            dict(mode="estimated", lam=float("nan")),
+            dict(mode="estimated", lam=float("inf")),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -298,8 +300,7 @@ class TestFuseAll:
     def test_global_reliability_shares_alphas(self):
         g, _ = generate_synthetic(seed=16, n_users=50, n_edges=140)
         cfg = ReliabilityConfig.estimated(lam=5.0, global_reliability=True)
-        sets = edge_bba_sets(g, cfg)
-        alphas = {ebs.reliabilities for ebs in sets.values()}
+        alphas = {ebs.reliabilities for ebs in edge_bba_sets(g, cfg)}
         assert len(alphas) == 1
         for r in fuse_all(g, cfg).values():
             assert -TOL <= r.inf <= 1.0 + TOL
@@ -311,9 +312,60 @@ class TestFuseAll:
 class TestDiagnosticsRecords:
     def test_edge_bba_sets_expose_normalized_weights(self):
         g = two_edge_graph()
-        sets = edge_bba_sets(g, ESTIMATED)
+        sets = {ebs.edge: ebs for ebs in edge_bba_sets(g, ESTIMATED)}
         # Mentions: 5 on (a,b) and 0 on (c,d) normalize to 1 and 0.
         assert sets[("a", "b")].weights[1] == pytest.approx(1.0)
         assert sets[("c", "d")].weights[1] == pytest.approx(0.0)
         # Degenerate common-neighbors indicator reports weight 0.
         assert sets[("a", "b")].weights[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "graph_args",
+        [
+            dict(seed=21, n_users=80, n_edges=240),
+            # No activity: mentions and retweets are constant over the edges.
+            dict(seed=22, n_users=60, n_edges=70, activity_intensity=0.0),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ReliabilityConfig.fixed(0.2),
+            ESTIMATED,
+            ReliabilityConfig.estimated(lam=5.0, global_reliability=True),
+        ],
+        ids=lambda cfg: cfg.name,
+    )
+    def test_fuse_all_records_match_per_edge_reference(self, graph_args, cfg):
+        g, _ = generate_synthetic(**graph_args)
+        values = raw_indicators(g)
+        n = len(INDICATOR_NAMES)
+        lows = [min(vec[j] for vec in values.values()) for j in range(n)]
+        highs = [max(vec[j] for vec in values.values()) for j in range(n)]
+        bbas = {
+            edge: tuple(indicator_bba(vec[j], lows[j], highs[j]) for j in range(n))
+            for edge, vec in values.items()
+        }
+        sums = [0.0] * n
+        for edge_bbas in bbas.values():
+            for j, c in enumerate(average_distances(edge_bbas)):
+                sums[j] += c
+        shared = tuple(reliability_from_distance(s / len(bbas), cfg.lam) for s in sums)
+
+        records = fuse_all(g, cfg)
+        assert list(records) == list(values)
+        for edge, vec in values.items():
+            record = records[edge]
+            assert record.edge == edge
+            assert record.weights == tuple(
+                (vec[j] - lows[j]) / (highs[j] - lows[j]) if highs[j] > lows[j] else 0.0
+                for j in range(n)
+            )
+            alphas = (
+                shared if cfg.global_reliability
+                else estimate_reliabilities(bbas[edge], cfg)
+            )
+            assert record.reliabilities == alphas
+            reference = fuse_edge(EdgeBBASet(edge, record.weights, bbas[edge], alphas))
+            assert record.fused == reference.fused
+            assert record.inf == reference.inf

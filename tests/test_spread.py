@@ -51,16 +51,17 @@ class TestInfluenceField:
         with pytest.raises(ValueError):
             InfluenceField("ab", {("a", "a"): 0.5})
 
-    def test_from_graph_accepts_floats_and_records(self):
+    def test_from_graph_reads_record_inf(self):
         class Rec:
-            inf = 0.25
+            def __init__(self, inf: float) -> None:
+                self.inf = inf
 
         from evimax.graph import SocialGraph
 
         g = SocialGraph()
         g.add_edge("a", "b")
         g.add_edge("b", "c")
-        field = InfluenceField.from_graph(g, {("a", "b"): 0.5, ("b", "c"): Rec()})
+        field = InfluenceField.from_graph(g, {("a", "b"): Rec(0.5), ("b", "c"): Rec(0.25)})
         assert field.influence("a", "b") == 0.5
         assert field.influence("b", "c") == 0.25
 
