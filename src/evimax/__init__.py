@@ -36,6 +36,7 @@ from .fusion import (
     TooFewIndicatorsError,
     estimate_reliabilities,
     fuse_all,
+    fuse_configs,
     fuse_edge,
     indicator_bba,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "estimate_reliabilities",
     "fuse_edge",
     "fuse_all",
+    "fuse_configs",
     "InfluenceField",
     "AlreadyInSetError",
     "influence_on",

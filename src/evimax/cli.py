@@ -53,7 +53,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="reliability shape parameter (default 5)")
         p.add_argument("--alpha", type=float, default=None,
-                       help="fixed reliability; omit for estimated mode")
+                       help="fixed reliability in [0, 1]; omit for estimated mode. "
+                            "At 1 no indicator is discounted, so an edge whose "
+                            "indicators fully contradict (conflict K >= 1 - 1e-12) "
+                            "stops the run with exit 1 naming that edge")
 
     def add_common(p: _Parser) -> None:
         p.add_argument("--config", default=None, help="JSON file with option defaults")

@@ -2,16 +2,17 @@
 
 A selection is judged by four accumulated statistics along its ranking:
 followers, mentions received, retweets received, and tweets authored.  The
-comparison runner executes the full pipeline (fusion, influence field, CELF)
-once per reliability configuration on the same graph and aligns the
-resulting curves, mirroring the fixed-alpha versus estimated-alpha protocol.
+comparison runner computes the raw indicators and their normalization once,
+then runs fusion, the influence field and CELF per reliability configuration
+on the same graph and aligns the resulting curves, mirroring the fixed-alpha
+versus estimated-alpha protocol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fusion import ReliabilityConfig, fuse_all
+from .fusion import ReliabilityConfig, fuse_configs
 from .graph import SocialGraph, UserActivity
 from .maximize import SeedSelection, select_celf
 from .spread import InfluenceField
@@ -83,17 +84,20 @@ def compare_configs(
     configs: list[ReliabilityConfig],
     k: int,
 ) -> ComparisonReport:
-    """Run the full pipeline once per configuration and align the curves."""
+    """Select k seeds under each configuration and align their curves.
+
+    The indicator prefix is shared through ``fuse_configs``; each config's
+    per-edge influences are dropped once its seeds are selected.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not configs:
         raise ValueError("at least one configuration is required")
     entries: list[ReportEntry] = []
+    fused = fuse_configs(g, configs)
     for cfg in configs:
         try:
-            influences = fuse_all(g, cfg)
-            influence_field = InfluenceField.from_graph(g, influences)
-            selection = select_celf(influence_field, k)
+            selection = select_celf(InfluenceField.from_graph(g, next(fused)), k)
         except Exception as exc:
             raise EvaluationError(f"config {cfg.name}: {exc}") from exc
         entries.append(

@@ -10,6 +10,15 @@ The influence of u over v is then the combined mass on {influencer}.
 Reliability estimation follows "the farther from the others, the less
 reliable": with ``c`` the average distance, reliability is
 ``(1 - c**lam) ** (1/lam)``, a decreasing map of c for any ``lam > 0``.
+
+Two implementations of the pipeline live here.  ``fuse_configs`` and
+``fuse_all`` run an inline kernel on plain float triples: it computes the raw
+indicators and their bounds once for any number of configs and returns
+slotted ``EdgeInfluence`` records that hold the fused masses as floats.
+``indicator_bba``, ``average_distances``, ``estimate_reliabilities``,
+``edge_bba_sets`` and ``fuse_edge`` build the same records from validated
+``MassFunction`` values with the generic operators of ``belief``; they are
+the reference the kernel is tested against, equal to it bit for bit.
 """
 
 from __future__ import annotations
@@ -17,11 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .belief import (
+    _CONFLICT_EPSILON,
+    SUM_TOLERANCE,
     MassFunction,
-    TotalConflictError,
     combine_dempster,
     discount,
     jousselme_distance,
@@ -39,6 +49,9 @@ class TooFewIndicatorsError(ValueError):
 
 class FusionError(RuntimeError):
     """A per-edge fusion failure, annotated with the offending edge."""
+
+
+_CONFLICT_LIMIT = 1.0 - _CONFLICT_EPSILON
 
 
 @dataclass(frozen=True)
@@ -137,20 +150,27 @@ class EdgeBBASet:
     reliabilities: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeInfluence:
     """The fused belief state of one edge, its influence, and its inputs.
 
-    ``inf`` is the fused mass on {influencer}; ``weights`` and
-    ``reliabilities`` are the edge's normalized indicator values and the
-    alphas their BBAs were discounted by.
+    ``inf``, ``passive`` and ``omega`` are the fused masses on {influencer},
+    {passive} and the whole frame; ``weights`` and ``reliabilities`` are the
+    edge's normalized indicator values and the alphas their BBAs were
+    discounted by.
     """
 
     edge: tuple[str, str]
-    fused: MassFunction
     inf: float
+    passive: float
+    omega: float
     weights: tuple[float, ...]
     reliabilities: tuple[float, ...]
+
+    @property
+    def fused(self) -> MassFunction:
+        """The fused BBA, built on demand from the stored masses."""
+        return MassFunction(self.inf, self.passive, self.omega)
 
 
 def indicator_bba(value: float, low: float, high: float) -> MassFunction:
@@ -222,15 +242,16 @@ def fuse_edge(ebs: EdgeBBASet) -> EdgeInfluence:
     """Discount each indicator BBA by its reliability and fuse them all.
 
     Raises:
-        TotalConflictError: only reachable when every reliability is 1 and
-            the indicators fully contradict each other.
+        TotalConflictError: only reachable when the reliabilities are at or
+            very near 1 and the indicators contradict each other.
     """
     discounted = [
         discount(m, alpha) for m, alpha in zip(ebs.bbas, ebs.reliabilities)
     ]
     fused = reduce(combine_dempster, discounted)
     return EdgeInfluence(
-        ebs.edge, fused, fused.influencer, ebs.weights, ebs.reliabilities
+        ebs.edge, fused.influencer, fused.passive, fused.omega,
+        ebs.weights, ebs.reliabilities,
     )
 
 
@@ -266,14 +287,128 @@ def edge_bba_sets(g: SocialGraph, cfg: ReliabilityConfig) -> Iterator[EdgeBBASet
         )
 
 
+def fuse_configs(
+    g: SocialGraph, configs: Iterable[ReliabilityConfig]
+) -> Iterator[dict[tuple[str, str], EdgeInfluence]]:
+    """Fused influence for every edge, one dict per config, in config order.
+
+    The raw indicators and their normalization bounds are computed once and
+    shared by every config; each dict is built only when the next one is
+    requested, so a caller that drops it first holds one at a time.
+
+    Raises:
+        FusionError: naming the first edge whose sources totally conflict,
+            or whose combined masses no longer sum to 1 after a near-total
+            conflict (where ``fuse_edge`` raises a ``ValueError``).
+    """
+    values = raw_indicators(g)
+    stats = NormalizationStats.from_values(values)
+    bounds = tuple(zip(stats.lows, stats.highs))
+    for cfg in configs:
+        yield _fuse_values(values, bounds, cfg)
+
+
 def fuse_all(
     g: SocialGraph, cfg: ReliabilityConfig
 ) -> dict[tuple[str, str], EdgeInfluence]:
-    """Fused influence for every edge of the graph; deterministic."""
+    """Fused influence for every edge of the graph; deterministic.
+
+    The one-config case of ``fuse_configs``.
+    """
+    return next(fuse_configs(g, (cfg,)))
+
+
+# The kernel below repeats, on plain float triples (influencer, passive,
+# omega), the float operations of indicator_bba, average_distances,
+# estimate_reliabilities and fuse_edge in the same order, so its records
+# equal theirs bit for bit (tests/test_fusion.py checks this).
+
+
+def _edge_error(edge: tuple[str, str], message: str) -> FusionError:
+    return FusionError(f"edge {edge[0]!r} -> {edge[1]!r}: {message}")
+
+
+def _bba_triples(
+    vec: tuple[float, ...], bounds: tuple[tuple[float, float], ...]
+) -> list[tuple[float, float, float]]:
+    """``indicator_bba`` of each value, as triples."""
+    return [
+        ((x - low) / (high - low), (high - x) / (high - low), 0.0)
+        if high != low else (0.0, 0.0, 1.0)
+        for x, (low, high) in zip(vec, bounds)
+    ]
+
+
+def _triple_distances(bbas: list[tuple[float, float, float]]) -> list[float]:
+    """``average_distances`` of triples.
+
+    Each pair's Jousselme distance is computed once: it is bitwise symmetric,
+    since swapping the arguments only negates every difference.  Each total
+    still receives its terms in increasing index order.
+    """
+    n = len(bbas)
+    totals = [0.0] * n
+    for j in range(n):
+        ij, pj, oj = bbas[j]
+        for i in range(j + 1, n):
+            ii, pi, oi = bbas[i]
+            di, dp, do = ij - ii, pj - pi, oj - oi
+            quad = di * di + dp * dp + do * do + di * do + dp * do
+            d = (0.5 * quad) ** 0.5 if quad > 0.0 else 0.0
+            totals[j] += d
+            totals[i] += d
+    return [total / (n - 1) for total in totals]
+
+
+def _fuse_values(
+    values: dict[tuple[str, str], tuple[float, ...]],
+    bounds: tuple[tuple[float, float], ...],
+    cfg: ReliabilityConfig,
+) -> dict[tuple[str, str], EdgeInfluence]:
+    lam = cfg.lam
+    shared = None
+    if cfg.mode == "fixed":
+        shared = (cfg.alpha,) * len(bounds)
+    elif cfg.global_reliability and values:
+        sums = [0.0] * len(bounds)
+        for vec in values.values():
+            for j, c in enumerate(_triple_distances(_bba_triples(vec, bounds))):
+                sums[j] += c
+        shared = tuple(reliability_from_distance(s / len(values), lam) for s in sums)
+
     out: dict[tuple[str, str], EdgeInfluence] = {}
-    for ebs in edge_bba_sets(g, cfg):
-        try:
-            out[ebs.edge] = fuse_edge(ebs)
-        except TotalConflictError as exc:
-            raise FusionError(f"edge {ebs.edge[0]!r} -> {ebs.edge[1]!r}: {exc}") from exc
+    for edge, vec in values.items():
+        bbas = _bba_triples(vec, bounds)
+        alphas = shared if shared is not None else tuple(
+            [reliability_from_distance(c, lam) for c in _triple_distances(bbas)]
+        )
+        # The fold starts from the vacuous BBA and skips vacuous terms
+        # (constant indicator or alpha 0): the vacuous BBA is Dempster's
+        # neutral element, and combining with it returns the other BBA exactly.
+        inf, passive, omega = 0.0, 0.0, 1.0
+        for (i, p, o), alpha in zip(bbas, alphas):
+            if o or not alpha:
+                continue
+            # discount(); at alpha 1 this returns the BBA itself exactly.
+            i, p, o = alpha * i, alpha * p, 1.0 - alpha
+            # combine_dempster(), with its conflict and mass-sum checks.
+            conflict = inf * p + passive * i
+            if conflict >= _CONFLICT_LIMIT:
+                raise _edge_error(
+                    edge, f"total conflict between sources (K={conflict!r})"
+                )
+            norm = 1.0 - conflict
+            inf, passive, omega = (
+                (inf * i + inf * o + omega * i) / norm,
+                (passive * p + passive * o + omega * p) / norm,
+                (omega * o) / norm,
+            )
+            # Near-total conflict leaves too few digits in norm for the
+            # masses to still sum to 1.
+            total = inf + passive + omega
+            if abs(total - 1.0) > SUM_TOLERANCE:
+                raise _edge_error(edge, f"masses must sum to 1, got {total!r}")
+        out[edge] = EdgeInfluence(
+            edge, inf, passive, omega, tuple([m[0] for m in bbas]), alphas
+        )
     return out

@@ -5,7 +5,8 @@ carry two activity counters: how often v mentions u and how often v retweets
 from u.  Activity observed on pairs that are not follow edges still creates
 the edge, so no interaction evidence is dropped during normalization.
 
-File formats (UTF-8 CSV, exact headers, blank lines ignored):
+File formats (UTF-8 CSV, an optional leading byte-order mark, exact headers,
+blank lines ignored):
 
 * edges      -- ``src,dst``                        (src influences dst)
 * mentions   -- ``mentioner,mentioned,count``      (edge: mentioned -> mentioner)
@@ -181,7 +182,9 @@ def raw_indicators(g: SocialGraph) -> dict[tuple[str, str], tuple[float, float, 
 
 def _rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """Yield (line_number, fields) for every non-blank data row."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise be
+    # read into the first header cell.
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             first = next(reader)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from evimax.belief import MassFunction
 from evimax.spread import InfluenceField
+from evimax.synthetic import generate_synthetic
 
 
 # -- belief oracles ----------------------------------------------------------
@@ -65,6 +66,23 @@ def bbas(draw, max_commitment: float = 1.0):
     room = max(0.0, max_commitment - i)
     p = draw(st.floats(0.0, room, allow_nan=False, allow_infinity=False))
     return MassFunction(i, p, (1.0 - i) - p)
+
+
+@st.composite
+def synthetic_graphs(draw):
+    """Small ``generate_synthetic`` graphs with their activity records.
+
+    Zero activity intensity makes mentions and retweets constant over the
+    edges, so constant (vacuous) indicators are drawn too.
+    """
+    n_users = draw(st.integers(2, 30))
+    n_edges = draw(st.integers(0, min(60, n_users * (n_users - 1))))
+    return generate_synthetic(
+        seed=draw(st.integers(0, 2**16)),
+        n_users=n_users,
+        n_edges=n_edges,
+        activity_intensity=draw(st.sampled_from([0.0, 0.3, 1.0, 4.0])),
+    )
 
 
 # -- influence-field generators and oracles ---------------------------------

@@ -125,6 +125,22 @@ class TestSelect:
         assert code == 1
         assert "alpha" in capsys.readouterr().err
 
+    def test_alpha_1_total_conflict_exits_1_naming_edge(self, paths, capsys):
+        # a->b carries the most mentions and no retweets, c->d the reverse:
+        # undiscounted at alpha 1, their indicators fully contradict.
+        for key, text in (
+            ("edges", "src,dst\na,b\nc,d\n"),
+            ("mentions", "mentioner,mentioned,count\nb,a,5\n"),
+            ("retweets", "retweeter,original_author,count\nd,c,3\n"),
+            ("activity", "user,tweets,followers\n"),
+        ):
+            with open(paths[key], "w", encoding="utf-8") as handle:
+                handle.write(text)
+        code = run("select", *input_flags(paths), "--alpha", "1", "--out", paths["out"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "edge 'a' -> 'b': total conflict between sources (K=1.0)" in err
+
     def test_bad_threads_exits_1(self, paths, capsys):
         generate(paths)
         code = run(

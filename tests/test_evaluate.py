@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from evimax.evaluate import (
     EvaluationError,
@@ -14,6 +15,7 @@ from evimax.fusion import ReliabilityConfig
 from evimax.graph import SocialGraph, UserActivity
 from evimax.maximize import SeedChoice, SeedSelection
 from evimax.synthetic import generate_synthetic
+from tests.helpers import synthetic_graphs
 
 
 def selection_of(*users: str) -> SeedSelection:
@@ -127,6 +129,21 @@ class TestCompareConfigs:
                 g, {}, [ReliabilityConfig.fixed(1.0)], k=2
             )
         assert "fixed:1" in str(err.value)
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph=synthetic_graphs())
+    def test_sweep_equals_single_config_runs(self, graph):
+        # The sweep shares one indicator prefix across configs; each entry
+        # must still equal a run of its config alone.
+        g, activities = graph
+        cfgs = [
+            ReliabilityConfig.fixed(0.2),
+            ReliabilityConfig.estimated(lam=5.0),
+            ReliabilityConfig.estimated(lam=2.0, global_reliability=True),
+        ]
+        report = compare_configs(g, activities, cfgs, k=4)
+        singles = [compare_configs(g, activities, [cfg], k=4).entries[0] for cfg in cfgs]
+        assert report.entries == singles
 
     def test_deterministic(self):
         g, activities = generate_synthetic(seed=26, n_users=40, n_edges=100)

@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evimax.belief import MassFunction, combine_dempster, jousselme_distance
@@ -27,7 +27,7 @@ from evimax.fusion import (
 )
 from evimax.graph import INDICATOR_NAMES, SocialGraph, raw_indicators
 from evimax.synthetic import generate_synthetic
-from tests.helpers import bbas
+from tests.helpers import bbas, synthetic_graphs
 
 TOL = 1e-9
 ESTIMATED = ReliabilityConfig.estimated(lam=5.0)
@@ -367,5 +367,66 @@ class TestDiagnosticsRecords:
             )
             assert record.reliabilities == alphas
             reference = fuse_edge(EdgeBBASet(edge, record.weights, bbas[edge], alphas))
+            assert record.fused == reference.fused
+            assert record.inf == reference.inf
+
+
+@st.composite
+def reliability_configs(draw):
+    """Fixed alphas at and near the endpoints, and estimated modes with random lambda."""
+    mode = draw(st.sampled_from(["fixed", "estimated", "estimated-global"]))
+    if mode == "fixed":
+        alpha = draw(
+            st.sampled_from([0.0, 1.0, 1.0 - 1e-13]) | st.floats(0.0, 1.0)
+        )
+        return ReliabilityConfig.fixed(alpha)
+    return ReliabilityConfig.estimated(
+        lam=draw(st.floats(0.1, 20.0)),
+        global_reliability=mode == "estimated-global",
+    )
+
+
+def reference_fusion(g, cfg):
+    """``edge_bba_sets`` + ``fuse_edge``: the records, or the edge's error message.
+
+    Besides total conflict, a combination can fail ``MassFunction``'s sum
+    check when near-total conflict leaves too few digits in its normalizer.
+    """
+    records = {}
+    for ebs in edge_bba_sets(g, cfg):
+        try:
+            records[ebs.edge] = fuse_edge(ebs)
+        except ValueError as exc:  # TotalConflictError is a ValueError too
+            return None, f"edge {ebs.edge[0]!r} -> {ebs.edge[1]!r}: {exc}"
+    return records, None
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=synthetic_graphs(), cfg=reliability_configs())
+    # Total conflict at alpha 1 and just below it, and a mass-sum failure
+    # after a near-total conflict under estimated-global at lambda 12.
+    @example(graph=generate_synthetic(0, 5, 15, 0.3), cfg=ReliabilityConfig.fixed(1.0))
+    @example(
+        graph=generate_synthetic(0, 5, 15, 0.3), cfg=ReliabilityConfig.fixed(1.0 - 1e-13)
+    )
+    @example(
+        graph=generate_synthetic(0, 5, 15, 0.3),
+        cfg=ReliabilityConfig.estimated(lam=12.0, global_reliability=True),
+    )
+    def test_fuse_all_equals_reference_exactly(self, graph, cfg):
+        g, _ = graph
+        expected, error = reference_fusion(g, cfg)
+        if error is not None:
+            with pytest.raises(FusionError) as err:
+                fuse_all(g, cfg)
+            assert str(err.value) == error
+            return
+        records = fuse_all(g, cfg)
+        assert list(records) == list(expected)
+        for edge, record in records.items():
+            reference = expected[edge]
+            assert record.weights == reference.weights
+            assert record.reliabilities == reference.reliabilities
             assert record.fused == reference.fused
             assert record.inf == reference.inf

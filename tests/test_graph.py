@@ -115,6 +115,14 @@ class TestLoadGraph:
         with pytest.raises(ParseError):
             load_graph(edges, retweets_path=retweets)
 
+    @pytest.mark.parametrize("kind", range(4), ids=("edges", "mentions", "retweets", "activity"))
+    def test_utf8_bom_accepted(self, dataset, tmp_path, kind):
+        paths = list(dataset)
+        with open(paths[kind], encoding="utf-8") as handle:
+            text = handle.read()
+        paths[kind] = write(tmp_path / "bom.csv", "\ufeff" + text)
+        assert load_graph(*paths) == load_graph(*dataset)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_graph(tmp_path / "nope.csv")
