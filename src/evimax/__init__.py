@@ -30,7 +30,6 @@ from .fusion import (
     EdgeBBASet,
     EdgeInfluence,
     FusionError,
-    NormalizationStats,
     OutOfRangeError,
     ReliabilityConfig,
     TooFewIndicatorsError,
@@ -80,7 +79,6 @@ __all__ = [
     "write_graph",
     "generate_synthetic",
     "InvalidParametersError",
-    "NormalizationStats",
     "ReliabilityConfig",
     "EdgeBBASet",
     "EdgeInfluence",

@@ -132,17 +132,6 @@ def discount(m: MassFunction, alpha: float) -> MassFunction:
     )
 
 
-# Jaccard similarity of subset pairs over the 4-slot index space, with the
-# empty-set rows fixed by convention (D(empty, empty) = 1, D(empty, X) = 0)
-# so that the quadratic form is total even though empty mass is always zero.
-_JACCARD = (
-    (1.0, 0.0, 0.0, 0.0),
-    (0.0, 1.0, 0.0, 0.5),
-    (0.0, 0.0, 1.0, 0.5),
-    (0.0, 0.5, 0.5, 1.0),
-)
-
-
 def jousselme_distance(a: MassFunction, b: MassFunction) -> float:
     """Jousselme distance between two BBAs: sqrt(0.5 * d^T J d).
 
@@ -153,8 +142,9 @@ def jousselme_distance(a: MassFunction, b: MassFunction) -> float:
     di = a.influencer - b.influencer
     dp = a.passive - b.passive
     do = a.omega - b.omega
-    # Quadratic form with the similarity matrix above; the empty slot of the
-    # difference vector is identically zero, and J(influencer, passive) = 0.
+    # Quadratic form d^T J d with J the Jaccard similarity of subset pairs:
+    # 1 on the diagonal, J(I, Omega) = J(P, Omega) = 1/2 and J(I, P) = 0.  The
+    # empty-set slot of the difference vector is identically zero.
     quad = di * di + dp * dp + do * do + di * do + dp * do
     if quad < 0.0:  # numeric noise around zero
         quad = 0.0

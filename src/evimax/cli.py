@@ -17,7 +17,7 @@ import json
 import sys
 from typing import Sequence
 
-from .evaluate import EvaluationError, compare_configs
+from .evaluate import EvaluationError, compare_configs, default_configs
 from .fusion import FusionError, ReliabilityConfig, fuse_all
 from .graph import INDICATOR_NAMES, load_graph, write_graph
 from .maximize import select_celf
@@ -70,7 +70,7 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--intensity", type=float, default=None,
                        help="activity volume multiplier")
     p_gen.add_argument("--seed", type=int, default=None, help="RNG seed")
-    add_common(p_gen)
+    p_gen.add_argument("--config", default=None, help="JSON file with option defaults")
 
     p_sel = sub.add_parser("select", help="select a top-k influencer seed set")
     add_io(p_sel)
@@ -197,13 +197,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     file_cfg = _load_file_config(args.config)
     g, activities = _load_inputs(args, file_cfg)
     lam = float(_opt(args, file_cfg, "lam", 5.0))
-    tokens = [
-        t for t in str(_opt(args, file_cfg, "configs", "fixed:0,fixed:0.2,estimated")).split(",")
-        if t.strip()
-    ]
-    if not tokens:
-        raise ValueError("--configs: empty sweep")
-    configs = [ReliabilityConfig.parse(token, lam=lam) for token in tokens]
+    sweep = _opt(args, file_cfg, "configs")
+    if sweep is None:
+        configs = default_configs(lam)
+    else:
+        tokens = [t for t in str(sweep).split(",") if t.strip()]
+        if not tokens:
+            raise ValueError("--configs: empty sweep")
+        configs = [ReliabilityConfig.parse(token, lam=lam) for token in tokens]
     k = int(_opt(args, file_cfg, "k", 50))
     report = compare_configs(g, activities, configs, k)
     with _open_out(_require(args, file_cfg, "out")) as handle:

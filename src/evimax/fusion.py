@@ -55,33 +55,6 @@ _CONFLICT_LIMIT = 1.0 - _CONFLICT_EPSILON
 
 
 @dataclass(frozen=True)
-class NormalizationStats:
-    """Per-indicator minima and maxima over the full edge set."""
-
-    lows: tuple[float, ...]
-    highs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.lows) != len(self.highs):
-            raise ValueError("lows and highs must have equal length")
-        for j, (low, high) in enumerate(zip(self.lows, self.highs)):
-            if low > high:
-                raise ValueError(f"indicator {j}: min {low} exceeds max {high}")
-
-    @classmethod
-    def from_values(
-        cls, values: dict[tuple[str, str], tuple[float, ...]]
-    ) -> "NormalizationStats":
-        vectors = list(values.values())
-        if not vectors:
-            return cls((), ())
-        n = len(vectors[0])
-        lows = tuple(min(vec[j] for vec in vectors) for j in range(n))
-        highs = tuple(max(vec[j] for vec in vectors) for j in range(n))
-        return cls(lows, highs)
-
-
-@dataclass(frozen=True)
 class ReliabilityConfig:
     """How per-indicator reliabilities are obtained.
 
@@ -150,7 +123,7 @@ class EdgeBBASet:
     reliabilities: tuple[float, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class EdgeInfluence:
     """The fused belief state of one edge, its influence, and its inputs.
 
@@ -171,6 +144,13 @@ class EdgeInfluence:
     def fused(self) -> MassFunction:
         """The fused BBA, built on demand from the stored masses."""
         return MassFunction(self.inf, self.passive, self.omega)
+
+
+def _bounds(
+    values: dict[tuple[str, str], tuple[float, ...]]
+) -> tuple[tuple[float, float], ...]:
+    """Each indicator's (min, max) over the edge set; ``()`` for no edges."""
+    return tuple((min(col), max(col)) for col in zip(*values.values()))
 
 
 def indicator_bba(value: float, low: float, high: float) -> MassFunction:
@@ -263,8 +243,7 @@ def edge_bba_sets(g: SocialGraph, cfg: ReliabilityConfig) -> Iterator[EdgeBBASet
     Global reliability averages the distances over every edge in a pre-pass.
     """
     values = raw_indicators(g)
-    stats = NormalizationStats.from_values(values)
-    bounds = tuple(zip(stats.lows, stats.highs))
+    bounds = _bounds(values)
 
     def bbas_of(vec: tuple[float, ...]) -> tuple[MassFunction, ...]:
         return tuple(indicator_bba(x, low, high) for x, (low, high) in zip(vec, bounds))
@@ -302,8 +281,7 @@ def fuse_configs(
             conflict (where ``fuse_edge`` raises a ``ValueError``).
     """
     values = raw_indicators(g)
-    stats = NormalizationStats.from_values(values)
-    bounds = tuple(zip(stats.lows, stats.highs))
+    bounds = _bounds(values)
     for cfg in configs:
         yield _fuse_values(values, bounds, cfg)
 

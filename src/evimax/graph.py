@@ -52,36 +52,35 @@ class UserActivity:
 class SocialGraph:
     """Directed graph with per-edge mention/retweet counters.
 
-    Users and edges keep insertion order so that derived outputs are
+    The graph is held once: ``_edges`` keeps the directed edges and
+    ``_neighbors`` maps each user to its undirected neighbour set, the only
+    adjacency the indicators need.  Users and edges keep insertion order
+    (``_neighbors``' keys are the user list) so that derived outputs are
     byte-stable across runs.  No self-loops, no duplicate edges.
     """
 
     def __init__(self) -> None:
-        self._users: dict[str, None] = {}
+        self._neighbors: dict[str, set[str]] = {}
         self._edges: dict[tuple[str, str], None] = {}
-        self._out: dict[str, dict[str, None]] = {}
-        self._in: dict[str, dict[str, None]] = {}
         self.mentions: dict[tuple[str, str], int] = {}
         self.retweets: dict[tuple[str, str], int] = {}
 
     # -- construction ------------------------------------------------------
 
     def add_user(self, user: str) -> None:
-        if user not in self._users:
-            self._users[user] = None
-            self._out[user] = {}
-            self._in[user] = {}
+        if user not in self._neighbors:
+            self._neighbors[user] = set()
 
     def add_edge(self, src: str, dst: str) -> None:
         """Insert the edge src -> dst, creating endpoints; duplicates are no-ops."""
         if src == dst:
             raise ValueError(f"self-loop rejected: {src!r}")
-        self.add_user(src)
-        self.add_user(dst)
         if (src, dst) not in self._edges:
             self._edges[(src, dst)] = None
-            self._out[src][dst] = None
-            self._in[dst][src] = None
+            self.add_user(src)
+            self.add_user(dst)
+            self._neighbors[src].add(dst)
+            self._neighbors[dst].add(src)
 
     def add_mentions(self, src: str, dst: str, count: int) -> None:
         """Record that dst mentioned src ``count`` more times on edge (src, dst)."""
@@ -99,10 +98,7 @@ class SocialGraph:
 
     @property
     def users(self) -> Iterable[str]:
-        return self._users.keys()
-
-    def has_user(self, user: str) -> bool:
-        return user in self._users
+        return self._neighbors.keys()
 
     def edges(self) -> Iterator[tuple[str, str]]:
         return iter(self._edges)
@@ -110,34 +106,22 @@ class SocialGraph:
     def has_edge(self, src: str, dst: str) -> bool:
         return (src, dst) in self._edges
 
-    def out_neighbors(self, user: str) -> Iterable[str]:
-        self._require(user)
-        return self._out[user].keys()
-
-    def in_neighbors(self, user: str) -> Iterable[str]:
-        self._require(user)
-        return self._in[user].keys()
-
     def num_users(self) -> int:
-        return len(self._users)
+        return len(self._neighbors)
 
     def num_edges(self) -> int:
         return len(self._edges)
 
-    def out_degree(self, user: str) -> int:
-        self._require(user)
-        return len(self._out[user])
-
     def _require(self, user: str) -> None:
-        if user not in self._users:
+        if user not in self._neighbors:
             raise UnknownUserError(f"unknown user: {user!r}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SocialGraph):
             return NotImplemented
         return (
-            set(self._users) == set(other._users)
-            and set(self._edges) == set(other._edges)
+            self._neighbors.keys() == other._neighbors.keys()
+            and self._edges.keys() == other._edges.keys()
             and self.mentions == other.mentions
             and self.retweets == other.retweets
         )
@@ -147,9 +131,7 @@ def common_neighbors(g: SocialGraph, u: str, v: str) -> int:
     """Number of users adjacent (in either direction) to both u and v."""
     g._require(u)
     g._require(v)
-    nu = set(g._out[u]) | set(g._in[u])
-    nv = set(g._out[v]) | set(g._in[v])
-    return len(nu & nv)
+    return len(g._neighbors[u] & g._neighbors[v])
 
 
 INDICATOR_NAMES = ("common_neighbors", "mentions", "retweets")
@@ -161,16 +143,11 @@ def raw_indicators(g: SocialGraph) -> dict[tuple[str, str], tuple[float, float, 
     For edge (u, v): common neighbors of u and v, mentions of u by v, and
     retweets of u's content by v.
     """
-    neighborhoods = {
-        user: set(g._out[user]) | set(g._in[user]) for user in g._users
-    }
+    neighbors = g._neighbors
     out: dict[tuple[str, str], tuple[float, float, float]] = {}
     for (u, v) in g.edges():
-        nu, nv = neighborhoods[u], neighborhoods[v]
-        if len(nv) < len(nu):
-            nu, nv = nv, nu
         out[(u, v)] = (
-            float(len(nu & nv)),
+            float(len(neighbors[u] & neighbors[v])),
             float(g.mentions.get((u, v), 0)),
             float(g.retweets.get((u, v), 0)),
         )

@@ -11,7 +11,8 @@ exceed 1, and the objective is maximized exactly as defined.
 field over its two-hop out-frontier, which is an exact restructuring (all
 terms outside the frontier are zero).  ``influence_on`` keeps the literal
 per-user form, reading v's in-edges off the out-adjacency, so the two routes
-can check each other.  The field stores the graph once, as out-adjacency.
+can check each other.  The field stores the graph once, as out-adjacency
+keyed by user, which also serves as its user list.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ class AlreadyInSetError(ValueError):
 class InfluenceField:
     """Immutable per-edge influence values over a fixed user set.
 
-    Stores each user's weighted out-edges in insertion order.  Construction
-    validates that every weight lies in [0, 1] and that edges connect known,
-    distinct users; after that the field is read-only and safe to share.
+    One dict maps each user to its weighted out-edges in insertion order;
+    its keys are the user set.  Construction validates that every weight
+    lies in [0, 1] and that edges connect known, distinct users; after that
+    the field is read-only and safe to share.
     """
 
     def __init__(
@@ -39,10 +41,9 @@ class InfluenceField:
         users: Iterable[str],
         weights: Mapping[tuple[str, str], float],
     ) -> None:
-        self._users: dict[str, None] = dict.fromkeys(users)
-        self._out: dict[str, list[tuple[str, float]]] = {u: [] for u in self._users}
+        self._out: dict[str, list[tuple[str, float]]] = {u: [] for u in users}
         for (u, v), w in weights.items():
-            if u not in self._users or v not in self._users:
+            if u not in self._out or v not in self._out:
                 raise UnknownUserError(f"edge ({u!r}, {v!r}) references unknown user")
             if u == v:
                 raise ValueError(f"self-loop weight for {u!r}")
@@ -62,10 +63,10 @@ class InfluenceField:
 
     @property
     def users(self) -> Iterable[str]:
-        return self._users.keys()
+        return self._out.keys()
 
     def num_users(self) -> int:
-        return len(self._users)
+        return len(self._out)
 
     def influence(self, a: str, b: str) -> float:
         """Pairwise influence: 1 on the diagonal, edge weight or 0 elsewhere."""
@@ -95,7 +96,7 @@ class InfluenceField:
         return con
 
     def _require(self, user: str) -> None:
-        if user not in self._users:
+        if user not in self._out:
             raise UnknownUserError(f"unknown user: {user!r}")
 
     def _require_seeds(self, seeds: Iterable[str]) -> None:

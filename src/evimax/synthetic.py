@@ -11,6 +11,7 @@ to 71027 : 20300 : 9789), scaled by ``activity_intensity``.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from .graph import SocialGraph, UserActivity
 
@@ -32,8 +33,8 @@ def generate_synthetic(
     """Build a deterministic random graph plus matching per-user activity.
 
     The same seed always produces the same graph, byte for byte.  Follower
-    counts in the activity records equal each user's out-degree (its number
-    of followers under the followee -> follower edge convention).
+    counts in the activity records equal the number of edges each user is
+    the source of (its followers under the followee -> follower convention).
     """
     if n_users < 1:
         raise InvalidParametersError(f"n_users must be >= 1, got {n_users}")
@@ -106,13 +107,12 @@ def generate_synthetic(
         for _ in range(retweet_total):
             g.add_retweets(*edge_list[rng.randrange(len(edge_list))], 1)
 
+    followers = Counter(src for src, _ in edge_list)
     mean_tweets = TWEETS_PER_USER * activity_intensity
     activities: dict[str, UserActivity] = {}
     for user in ids:
         tweets = int(rng.expovariate(1.0 / mean_tweets)) if mean_tweets > 0 else 0
-        activities[user] = UserActivity(
-            user, tweets=tweets, followers=g.out_degree(user)
-        )
+        activities[user] = UserActivity(user, tweets=tweets, followers=followers[user])
     for (u, _), count in g.mentions.items():
         activities[u].mentions_received += count
     for (u, _), count in g.retweets.items():

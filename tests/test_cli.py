@@ -73,6 +73,16 @@ class TestGenerate:
         assert code == 1
         assert "n_users" in capsys.readouterr().err
 
+    def test_out_flag_rejected(self, paths, capsys):
+        code = run(
+            "generate", "--users", "10", "--n-edges", "12",
+            "--edges", paths["edges"], "--mentions", paths["mentions"],
+            "--retweets", paths["retweets"], "--activity", paths["activity"],
+            "--out", paths["out"],
+        )
+        assert code == 1
+        assert "--out" in capsys.readouterr().err
+
 
 class TestSelect:
     def test_default_k_is_50(self, paths):

@@ -13,10 +13,10 @@ from evimax.belief import MassFunction, combine_dempster, jousselme_distance
 from evimax.fusion import (
     EdgeBBASet,
     FusionError,
-    NormalizationStats,
     OutOfRangeError,
     ReliabilityConfig,
     TooFewIndicatorsError,
+    _bounds,
     average_distances,
     edge_bba_sets,
     estimate_reliabilities,
@@ -101,20 +101,14 @@ class TestIndicatorBBA:
 
 
 class TestNormalizationStats:
+    """Per-indicator normalization bounds, as built by ``_bounds``."""
+
     def test_from_values(self):
-        stats = NormalizationStats.from_values(
-            {("a", "b"): (1.0, 5.0), ("b", "c"): (3.0, 2.0)}
-        )
-        assert stats.lows == (1.0, 2.0)
-        assert stats.highs == (3.0, 5.0)
+        bounds = _bounds({("a", "b"): (1.0, 5.0), ("b", "c"): (3.0, 2.0)})
+        assert bounds == ((1.0, 3.0), (2.0, 5.0))
 
     def test_empty(self):
-        stats = NormalizationStats.from_values({})
-        assert stats.lows == () and stats.highs == ()
-
-    def test_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            NormalizationStats((1.0,), (0.0,))
+        assert _bounds({}) == ()
 
 
 class TestEstimateReliabilities:

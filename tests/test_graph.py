@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -48,17 +49,19 @@ class TestSocialGraph:
 
     def test_adjacency_indexes_agree(self, dataset):
         g, _ = load_graph(*dataset)
+
+        def adjacent(a, b):
+            return g.has_edge(a, b) or g.has_edge(b, a)
+
         for (u, v) in g.edges():
-            assert v in g.out_neighbors(u)
-            assert u in g.in_neighbors(v)
-        for v in g.users:
-            for u in g.in_neighbors(v):
-                assert g.has_edge(u, v)
+            expected = sum(1 for w in g.users if adjacent(u, w) and adjacent(v, w))
+            assert common_neighbors(g, u, v) == expected
 
     def test_unknown_user_raises(self, dataset):
         g, _ = load_graph(*dataset)
+        u = next(iter(g.users))
         with pytest.raises(UnknownUserError):
-            g.out_neighbors("zz")
+            common_neighbors(g, "zz", u)
 
 
 class TestLoadGraph:
@@ -206,6 +209,13 @@ class TestRawIndicators:
         g, _ = load_graph(edges)
         assert raw_indicators(g)[("a", "b")] == (0.0, 0.0, 0.0)
 
+    def test_first_column_is_common_neighbors(self):
+        g, _ = generate_synthetic(seed=12, n_users=80, n_edges=400)
+        indicators = raw_indicators(g)
+        assert any(vec[0] for vec in indicators.values())
+        for (u, v), vec in indicators.items():
+            assert vec[0] == common_neighbors(g, u, v)
+
 
 class TestGenerateSynthetic:
     def test_deterministic(self):
@@ -240,8 +250,9 @@ class TestGenerateSynthetic:
 
     def test_followers_equal_out_degree(self):
         g, activities = generate_synthetic(seed=9, n_users=50, n_edges=120)
+        out_degree = Counter(u for u, _ in g.edges())
         for user, record in activities.items():
-            assert record.followers == g.out_degree(user)
+            assert record.followers == out_degree[user]
 
     def test_dense_corner_fills_exactly(self):
         g, _ = generate_synthetic(seed=2, n_users=5, n_edges=20)

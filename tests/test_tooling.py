@@ -1,0 +1,55 @@
+"""Repository tooling: the traced benchmark runner and the stdlib-only rule."""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from evimax.graph import write_graph
+from evimax.synthetic import generate_synthetic
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
+def test_traced_runner_records_layer_spans(tmp_path):
+    # perfbench/traced.py looks up every wrapped name in its module, so a
+    # renamed or deleted function stops the traced run.
+    g, activities = generate_synthetic(seed=3, n_users=30, n_edges=60)
+    csvs = [str(tmp_path / name) for name in ("e.csv", "m.csv", "r.csv", "a.csv")]
+    write_graph(g, activities, *csvs)
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
+    ))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(trace), "select",
+         "--edges", csvs[0], "--mentions", csvs[1], "--retweets", csvs[2],
+         "--activity", csvs[3], "--k", "5", "--out", str(tmp_path / "seeds.csv")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    names = {span["name"] for span in json.loads(trace.read_text())["spans"]}
+    assert {"cli.main", "graph.load_graph", "fusion.fuse_all",
+            "maximize.select_celf"} <= names
+
+
+def test_package_imports_only_the_standard_library():
+    foreign = []
+    for path in sorted((SRC / "evimax").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                if top != "evimax" and top not in sys.stdlib_module_names:
+                    foreign.append(f"{path.name}: {module}")
+    assert foreign == []
