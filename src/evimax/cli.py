@@ -5,8 +5,9 @@ naming the offending file or flag), 2 internal error.  All real-valued output
 is printed with 6 decimal places so repeated runs diff cleanly; given the
 same inputs and flags, output files are byte-identical.
 
-An optional JSON config file can supply any long-option value; explicit
-flags always win (precedence: flag > file > built-in default).
+An optional JSON config file can supply any long-option value of the
+command it is given to, and nothing else; explicit flags always win
+(precedence: flag > file > built-in default).
 """
 
 from __future__ import annotations
@@ -94,16 +95,18 @@ def _build_parser() -> _Parser:
 
 
 _KEY_ALIASES = {"lambda": "lam"}
-_KNOWN_KEYS = {
-    "edges", "mentions", "retweets", "activity", "out",
-    "lam", "alpha", "k", "seed", "users", "n_edges", "intensity", "configs",
-}
 
 
-def _load_file_config(path: str | None) -> dict:
-    """Read option defaults from a JSON object, normalizing flag spellings."""
+def _load_file_config(args: argparse.Namespace) -> dict:
+    """Read option defaults from a JSON object, normalizing flag spellings.
+
+    The keys allowed are the command's own options: every option the
+    command's parser defines (default ``None``) is an attribute of ``args``.
+    """
+    path = args.config
     if path is None:
         return {}
+    known = vars(args).keys() - {"command", "config"}
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
@@ -111,7 +114,7 @@ def _load_file_config(path: str | None) -> dict:
     normalized = {}
     for key, value in data.items():
         name = _KEY_ALIASES.get(key.replace("-", "_"), key.replace("-", "_"))
-        if name not in _KNOWN_KEYS:
+        if name not in known:
             raise ValueError(f"--config {path}: unknown option {key!r}")
         normalized[name] = value
     return normalized
@@ -157,7 +160,7 @@ def _open_out(path: str):
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    file_cfg = _load_file_config(args.config)
+    file_cfg = _load_file_config(args)
     g, activities = generate_synthetic(
         seed=int(_opt(args, file_cfg, "seed", 42)),
         n_users=int(_opt(args, file_cfg, "users", 1000)),
@@ -176,7 +179,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    file_cfg = _load_file_config(args.config)
+    file_cfg = _load_file_config(args)
     g, _ = _load_inputs(args, file_cfg)
     cfg = _reliability_config(args, file_cfg)
     k = int(_opt(args, file_cfg, "k", 50))
@@ -194,7 +197,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    file_cfg = _load_file_config(args.config)
+    file_cfg = _load_file_config(args)
     g, activities = _load_inputs(args, file_cfg)
     lam = float(_opt(args, file_cfg, "lam", 5.0))
     sweep = _opt(args, file_cfg, "configs")
@@ -224,7 +227,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_edges(args: argparse.Namespace) -> int:
-    file_cfg = _load_file_config(args.config)
+    file_cfg = _load_file_config(args)
     g, _ = _load_inputs(args, file_cfg)
     cfg = _reliability_config(args, file_cfg)
     n = len(INDICATOR_NAMES)

@@ -15,6 +15,11 @@ Two implementations of the pipeline live here.  ``fuse_configs`` and
 ``fuse_all`` run an inline kernel on plain float triples: it computes the raw
 indicators and their bounds once for any number of configs and returns
 slotted ``EdgeInfluence`` records that hold the fused masses as floats.
+Within one config an edge's record depends only on its raw indicator vector,
+so the kernel fuses each distinct vector once, at its first edge in edge
+order, and every later edge with that vector shares the result (interaction
+counts repeat heavily: 32 distinct vectors among 71,027 edges at paper
+scale).
 ``indicator_bba``, ``average_distances``, ``estimate_reliabilities``,
 ``edge_bba_sets`` and ``fuse_edge`` build the same records from validated
 ``MassFunction`` values with the generic operators of ``belief``; they are
@@ -338,55 +343,82 @@ def _triple_distances(bbas: list[tuple[float, float, float]]) -> list[float]:
     return [total / (n - 1) for total in totals]
 
 
+def _fuse_vector(
+    edge: tuple[str, str],
+    vec: tuple[float, ...],
+    bounds: tuple[tuple[float, float], ...],
+    shared: tuple[float, ...] | None,
+    lam: float,
+) -> tuple[float, float, float, tuple[float, ...], tuple[float, ...]]:
+    """``(inf, passive, omega, weights, alphas)`` of one indicator vector.
+
+    ``edge`` only names the edge in a ``FusionError``.
+    """
+    bbas = _bba_triples(vec, bounds)
+    alphas = shared if shared is not None else tuple(
+        [reliability_from_distance(c, lam) for c in _triple_distances(bbas)]
+    )
+    # The fold starts from the vacuous BBA and skips vacuous terms
+    # (constant indicator or alpha 0): the vacuous BBA is Dempster's
+    # neutral element, and combining with it returns the other BBA exactly.
+    inf, passive, omega = 0.0, 0.0, 1.0
+    for (i, p, o), alpha in zip(bbas, alphas):
+        if o or not alpha:
+            continue
+        # discount(); at alpha 1 this returns the BBA itself exactly.
+        i, p, o = alpha * i, alpha * p, 1.0 - alpha
+        # combine_dempster(), with its conflict and mass-sum checks.
+        conflict = inf * p + passive * i
+        if conflict >= _CONFLICT_LIMIT:
+            raise _edge_error(
+                edge, f"total conflict between sources (K={conflict!r})"
+            )
+        norm = 1.0 - conflict
+        inf, passive, omega = (
+            (inf * i + inf * o + omega * i) / norm,
+            (passive * p + passive * o + omega * p) / norm,
+            (omega * o) / norm,
+        )
+        # Near-total conflict leaves too few digits in norm for the
+        # masses to still sum to 1.
+        total = inf + passive + omega
+        if abs(total - 1.0) > SUM_TOLERANCE:
+            raise _edge_error(edge, f"masses must sum to 1, got {total!r}")
+    return inf, passive, omega, tuple([m[0] for m in bbas]), alphas
+
+
 def _fuse_values(
     values: dict[tuple[str, str], tuple[float, ...]],
     bounds: tuple[tuple[float, float], ...],
     cfg: ReliabilityConfig,
 ) -> dict[tuple[str, str], EdgeInfluence]:
+    # Each distinct raw vector is fused once (see the module docstring).  Key
+    # equality implies identical kernel inputs: the raw values are float(int)
+    # of nonnegative counts, so there is no -0.0 (equal to 0.0 as a key but
+    # not bitwise) and no NaN (never equal to itself).  A vector's first edge
+    # in edge order computes it, so a FusionError names the same edge as a
+    # per-edge run would.
     lam = cfg.lam
     shared = None
     if cfg.mode == "fixed":
         shared = (cfg.alpha,) * len(bounds)
     elif cfg.global_reliability and values:
+        distances: dict[tuple[float, ...], list[float]] = {}
         sums = [0.0] * len(bounds)
         for vec in values.values():
-            for j, c in enumerate(_triple_distances(_bba_triples(vec, bounds))):
+            ds = distances.get(vec)
+            if ds is None:
+                ds = distances[vec] = _triple_distances(_bba_triples(vec, bounds))
+            # One addition per edge, in edge order, as the reference sums.
+            for j, c in enumerate(ds):
                 sums[j] += c
         shared = tuple(reliability_from_distance(s / len(values), lam) for s in sums)
 
+    fused: dict[tuple[float, ...], tuple] = {}
     out: dict[tuple[str, str], EdgeInfluence] = {}
     for edge, vec in values.items():
-        bbas = _bba_triples(vec, bounds)
-        alphas = shared if shared is not None else tuple(
-            [reliability_from_distance(c, lam) for c in _triple_distances(bbas)]
-        )
-        # The fold starts from the vacuous BBA and skips vacuous terms
-        # (constant indicator or alpha 0): the vacuous BBA is Dempster's
-        # neutral element, and combining with it returns the other BBA exactly.
-        inf, passive, omega = 0.0, 0.0, 1.0
-        for (i, p, o), alpha in zip(bbas, alphas):
-            if o or not alpha:
-                continue
-            # discount(); at alpha 1 this returns the BBA itself exactly.
-            i, p, o = alpha * i, alpha * p, 1.0 - alpha
-            # combine_dempster(), with its conflict and mass-sum checks.
-            conflict = inf * p + passive * i
-            if conflict >= _CONFLICT_LIMIT:
-                raise _edge_error(
-                    edge, f"total conflict between sources (K={conflict!r})"
-                )
-            norm = 1.0 - conflict
-            inf, passive, omega = (
-                (inf * i + inf * o + omega * i) / norm,
-                (passive * p + passive * o + omega * p) / norm,
-                (omega * o) / norm,
-            )
-            # Near-total conflict leaves too few digits in norm for the
-            # masses to still sum to 1.
-            total = inf + passive + omega
-            if abs(total - 1.0) > SUM_TOLERANCE:
-                raise _edge_error(edge, f"masses must sum to 1, got {total!r}")
-        out[edge] = EdgeInfluence(
-            edge, inf, passive, omega, tuple([m[0] for m in bbas]), alphas
-        )
+        result = fused.get(vec)
+        if result is None:
+            result = fused[vec] = _fuse_vector(edge, vec, bounds, shared, lam)
+        out[edge] = EdgeInfluence(edge, *result)
     return out

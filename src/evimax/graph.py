@@ -172,13 +172,14 @@ def _rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, list
                 path, 1, f"bad header {first!r}, expected {','.join(header)}"
             )
         for row in reader:
-            if not row or all(not cell.strip() for cell in row):
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
                 continue
-            if len(row) != len(header):
+            if len(cells) != len(header):
                 raise ParseError(
-                    path, reader.line_num, f"expected {len(header)} columns, got {len(row)}"
+                    path, reader.line_num, f"expected {len(header)} columns, got {len(cells)}"
                 )
-            yield reader.line_num, [cell.strip() for cell in row]
+            yield reader.line_num, cells
 
 
 def _count(path: str | Path, line: int, text: str, column: str) -> int:
@@ -250,6 +251,22 @@ def load_graph(
     return g, activities
 
 
+def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[tuple]) -> None:
+    """Write one CSV file in the format ``_rows`` reads back."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        # csv quotes a line break only when it is a character of the line
+        # terminator, so an id holding a bare "\r" is quoted here; unquoted,
+        # it would end the row on reading.
+        quote_all = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(header)
+        for row in rows:
+            if any("\r" in cell for cell in row if isinstance(cell, str)):
+                quote_all.writerow(row)
+            else:
+                writer.writerow(row)
+
+
 def write_graph(
     g: SocialGraph,
     activities: dict[str, UserActivity],
@@ -259,28 +276,21 @@ def write_graph(
     activity_path: str | Path,
 ) -> None:
     """Write a graph back to the four CSV formats accepted by load_graph."""
-    with open(edges_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("src", "dst"))
-        writer.writerows(g.edges())
 
-    with open(mentions_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("mentioner", "mentioned", "count"))
-        for (u, v), count in g.mentions.items():
-            if count > 0:
-                writer.writerow((v, u, count))
-
-    with open(retweets_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("retweeter", "original_author", "count"))
-        for (u, v), count in g.retweets.items():
-            if count > 0:
-                writer.writerow((v, u, count))
-
-    with open(activity_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("user", "tweets", "followers"))
+    def activity_rows() -> Iterator[tuple[str, int, int]]:
         for user in g.users:
             record = activities.get(user, UserActivity(user))
-            writer.writerow((user, record.tweets, record.followers))
+            yield user, record.tweets, record.followers
+
+    _write_csv(edges_path, ("src", "dst"), g.edges())
+    _write_csv(
+        mentions_path,
+        ("mentioner", "mentioned", "count"),
+        ((v, u, count) for (u, v), count in g.mentions.items() if count > 0),
+    )
+    _write_csv(
+        retweets_path,
+        ("retweeter", "original_author", "count"),
+        ((v, u, count) for (u, v), count in g.retweets.items() if count > 0),
+    )
+    _write_csv(activity_path, ("user", "tweets", "followers"), activity_rows())

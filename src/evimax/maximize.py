@@ -9,6 +9,11 @@ stamp is committed.  Under the shared deterministic tie-break (larger gain
 first, then smaller user id) this selects exactly the same seeds as the
 naive full-rescan greedy, while evaluating far fewer gains.
 
+A committed gain is fresh, computed against the current seed set, so
+sigma(S + w) = sigma(S) + gain: committing a seed costs one two-hop-frontier
+expansion into the accumulated field and one addition, not a rescan of every
+user (CELF's own bookkeeping, Leskovec et al., KDD 2007).
+
 ``select_greedy_naive`` (full rescan) and ``select_exhaustive`` (true argmax
 over all size-k subsets) exist as oracles for testing the lazy machinery.
 """
@@ -46,14 +51,6 @@ class SeedSelection:
     choices: list[SeedChoice]
     gain_evaluations: int = 0
 
-    def __post_init__(self) -> None:
-        users = [c.user for c in self.choices]
-        if len(set(users)) != len(users):
-            raise ValueError("selected users must be distinct")
-        for i, choice in enumerate(self.choices):
-            if choice.rank != i + 1:
-                raise ValueError(f"ranks must run 1..k, got {choice.rank} at {i}")
-
     def users(self) -> list[str]:
         return [c.user for c in self.choices]
 
@@ -90,17 +87,13 @@ class _SelectionState:
         # Adding w turns its own influence-received term into membership.
         return 1.0 - self.acc.get(w, 0.0) + spread_gain
 
-    def commit(self, w: str) -> float:
-        """Add w to the seed set and return the new spread value."""
+    def commit(self, w: str, gain: float) -> float:
+        """Add w, whose fresh gain is ``gain``, and return the new spread value."""
         for v, c in self.field.seed_contributions(w).items():
             self.acc[v] = self.acc.get(v, 0.0) + c
         self.seeds.add(w)
-        total = float(len(self.seeds))
-        for v, value in self.acc.items():
-            if v not in self.seeds:
-                total += value
-        self.sigma_value = total
-        return total
+        self.sigma_value += gain
+        return self.sigma_value
 
 
 def _effective_k(influence_field: InfluenceField, k: int) -> int:
@@ -123,7 +116,7 @@ def select_celf(influence_field: InfluenceField, k: int) -> SeedSelection:
     while len(choices) < k_eff:
         neg_gain, u, stamp = heapq.heappop(heap)
         if stamp == len(state.seeds):
-            cumulative = state.commit(u)
+            cumulative = state.commit(u, -neg_gain)
             choices.append(SeedChoice(len(choices) + 1, u, -neg_gain, cumulative))
         else:
             heapq.heappush(heap, (-state.gain(u), u, len(state.seeds)))
@@ -146,7 +139,7 @@ def select_greedy_naive(influence_field: InfluenceField, k: int) -> SeedSelectio
                 best = entry
         assert best is not None
         neg_gain, u = best
-        cumulative = state.commit(u)
+        cumulative = state.commit(u, -neg_gain)
         choices.append(SeedChoice(len(choices) + 1, u, -neg_gain, cumulative))
     return SeedSelection(choices, gain_evaluations=state.evaluations)
 

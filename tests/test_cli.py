@@ -264,3 +264,59 @@ class TestUsage:
 
     def test_no_command_exits_1(self):
         assert run() == 1
+
+
+class TestConfigFileKeys:
+    """A config file may set only the options of the command it is given to."""
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("generate", "out", "x.csv"),
+            ("generate", "k", 5),
+            ("generate", "configs", "estimated"),
+            ("select", "configs", "estimated"),
+            ("evaluate", "alpha", 0.2),
+            ("dump-edges", "k", 5),
+            ("dump-edges", "configs", "estimated"),
+        ],
+    )
+    def test_key_of_another_command_exits_1_naming_it(
+        self, paths, capsys, command, key, value
+    ):
+        generate(paths, users="30", edges="60")
+        cfg = paths["dir"] / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        extra = ["--users", "10", "--n-edges", "12"] if command == "generate" else [
+            "--out", paths["out"]
+        ]
+        code = run(command, *input_flags(paths), *extra, "--config", str(cfg))
+        assert code == 1
+        assert repr(key) in capsys.readouterr().err
+
+    def test_each_command_reads_its_own_keys(self, paths):
+        cfg = paths["dir"] / "run.json"
+        files = {key: paths[key] for key in ("edges", "mentions", "retweets", "activity")}
+        cfg.write_text(json.dumps(
+            {**files, "users": 30, "n-edges": 60, "intensity": 2.0, "seed": 3}
+        ))
+        assert run("generate", "--config", str(cfg)) == 0
+        assert run(
+            "generate", *input_flags(paths), "--users", "30", "--n-edges", "60",
+            "--intensity", "2.0", "--seed", "3",
+        ) == 0
+        flagged = open(paths["edges"], "rb").read()
+        assert run("generate", "--config", str(cfg)) == 0
+        assert open(paths["edges"], "rb").read() == flagged
+
+        cfg.write_text(json.dumps(
+            {**files, "out": paths["out"], "k": 3, "lambda": 4.0,
+             "configs": "fixed:0.2,estimated"}
+        ))
+        assert run("evaluate", "--config", str(cfg)) == 0
+        assert len(open(paths["out"]).read().splitlines()) == 1 + 2 * 3
+
+        cfg.write_text(json.dumps({**files, "out": paths["out"], "alpha": 0.2}))
+        assert run("dump-edges", "--config", str(cfg)) == 0
+        rows = open(paths["out"]).read().splitlines()[1:]
+        assert rows and all(row.split(",")[5] == "0.200000" for row in rows)

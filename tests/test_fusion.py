@@ -21,6 +21,7 @@ from evimax.fusion import (
     edge_bba_sets,
     estimate_reliabilities,
     fuse_all,
+    fuse_configs,
     fuse_edge,
     indicator_bba,
     reliability_from_distance,
@@ -424,3 +425,84 @@ class TestKernelMatchesReference:
             assert record.reliabilities == reference.reliabilities
             assert record.fused == reference.fused
             assert record.inf == reference.inf
+
+
+CACHE_CONFIGS = [
+    ReliabilityConfig.fixed(0.0),
+    ReliabilityConfig.fixed(0.2),
+    ReliabilityConfig.fixed(1.0),
+    ESTIMATED,
+    ReliabilityConfig.estimated(lam=5.0, global_reliability=True),
+]
+
+
+def assert_records_equal(records, expected):
+    assert list(records) == list(expected)
+    for edge, record in records.items():
+        reference = expected[edge]
+        assert record.edge == edge
+        assert record.weights == reference.weights
+        assert record.reliabilities == reference.reliabilities
+        assert record.fused == reference.fused
+        assert record.inf == reference.inf
+
+
+class TestPerVectorCache:
+    """Edges sharing an indicator vector are fused once and still match per edge."""
+
+    @pytest.mark.parametrize(
+        "graph_args",
+        [
+            (31, 300, 600, 1.0),
+            (32, 400, 800, 0.3),
+            # No activity: only common neighbours vary, so alpha 1 fuses too.
+            (35, 300, 700, 0.0),
+        ],
+    )
+    def test_repeated_vectors_match_per_edge_reference(self, graph_args):
+        g, _ = generate_synthetic(*graph_args)
+        values = raw_indicators(g)
+        distinct = set(values.values())
+        assert len(values) >= 20 * len(distinct)
+        swept = fuse_configs(g, CACHE_CONFIGS)
+        for i, cfg in enumerate(CACHE_CONFIGS):
+            expected, error = reference_fusion(g, cfg)
+            if error is None:
+                assert_records_equal(fuse_all(g, cfg), expected)
+                records = next(swept)
+                assert_records_equal(records, expected)
+                # Records of one vector share their tuples.
+                assert len({id(r.weights) for r in records.values()}) == len(distinct)
+            else:
+                with pytest.raises(FusionError) as err:
+                    fuse_all(g, cfg)
+                assert str(err.value) == error
+                with pytest.raises(FusionError) as err:
+                    next(swept)
+                assert str(err.value) == error
+                # A sweep that raised is finished; resume after this config.
+                swept = fuse_configs(g, CACHE_CONFIGS[i + 1:])
+
+    def test_conflict_names_first_edge_of_shared_vector(self):
+        # (a, b) and (e, f) share the vector (0, 5, 0), in total conflict at
+        # alpha 1 (most mentions, fewest retweets); (c, d) conflicts the other
+        # way and its vector sorts first.  The run stops at (a, b), the first
+        # conflicting edge in edge order.
+        g = SocialGraph()
+        g.add_edge("x", "y")
+        g.add_mentions("a", "b", 5)
+        g.add_retweets("c", "d", 3)
+        g.add_mentions("e", "f", 5)
+        values = raw_indicators(g)
+        assert values[("a", "b")] == values[("e", "f")] == (0.0, 5.0, 0.0)
+        cfg = ReliabilityConfig.fixed(1.0)
+        _, error = reference_fusion(g, cfg)
+        assert error == "edge 'a' -> 'b': total conflict between sources (K=1.0)"
+        with pytest.raises(FusionError) as err:
+            fuse_all(g, cfg)
+        assert str(err.value) == error
+        sweep = fuse_configs(g, [ReliabilityConfig.fixed(0.2), cfg])
+        assert len(next(sweep)) == 4
+        with pytest.raises(FusionError) as err:
+            next(sweep)
+        assert str(err.value) == error

@@ -6,11 +6,14 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evimax.graph import (
     ParseError,
     SocialGraph,
     UnknownUserError,
+    UserActivity,
     common_neighbors,
     load_graph,
     raw_indicators,
@@ -144,6 +147,73 @@ class TestLoadGraph:
         g2, activities2 = load_graph(*paths)
         assert g2 == g
         assert activities2 == activities
+
+
+# Ids mixing CSV specials (quotes, commas, line breaks) with any text UTF-8
+# can encode (the files are UTF-8, so lone surrogates cannot occur).  The
+# loader strips each cell and rejects empty ids by contract, so ids with
+# surrounding whitespace or none at all are left to a pinned test.
+user_ids = (
+    st.lists(st.sampled_from(['"', ",", "\r\n", "\n", "\r", "'"])
+             | st.characters(codec="utf-8"),
+             min_size=1, max_size=6)
+    .map("".join)
+    .filter(lambda s: s and s == s.strip())
+)
+counts = st.sampled_from([0, 1, 2**63]) | st.integers(0, 10**30)
+
+
+@st.composite
+def written_graphs(draw):
+    """A graph and its activity records, with every user given activity."""
+    users = draw(st.lists(user_ids, min_size=2, max_size=8, unique=True))
+    pairs = [(u, v) for u in users for v in users if u != v]
+    g = SocialGraph()
+    for user in users:
+        g.add_user(user)
+    for u, v in draw(st.lists(st.sampled_from(pairs), max_size=12)):
+        g.add_edge(u, v)
+        g.add_mentions(u, v, draw(counts))
+        g.add_retweets(u, v, draw(counts))
+    activities = {
+        user: UserActivity(user, tweets=draw(counts), followers=draw(counts))
+        for user in users
+    }
+    return g, activities
+
+
+class TestRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(data=written_graphs())
+    def test_write_then_load_is_identity(self, tmp_path_factory, data):
+        g, activities = data
+        directory = tmp_path_factory.mktemp("round_trip")
+        paths = [str(directory / name) for name in ("e.csv", "m.csv", "r.csv", "a.csv")]
+        write_graph(g, activities, *paths)
+        g2, activities2 = load_graph(*paths)
+        assert g2 == g
+        assert list(g2.edges()) == list(g.edges())
+        for user, record in activities.items():
+            assert (activities2[user].tweets, activities2[user].followers) == (
+                record.tweets, record.followers
+            )
+
+    def test_padded_ids_are_stripped_and_empty_ids_rejected(self, tmp_path):
+        paths = [str(tmp_path / name) for name in ("e.csv", "m.csv", "r.csv", "a.csv")]
+        g = SocialGraph()
+        g.add_edge(" a ", "b\t")
+        g.add_mentions(" a ", "b\t", 3)
+        write_graph(g, {}, *paths)
+        g2, _ = load_graph(*paths)
+        assert list(g2.edges()) == [("a", "b")]
+        assert g2.mentions == {("a", "b"): 3}
+
+        g = SocialGraph()
+        g.add_edge("", "b")
+        write_graph(g, {}, *paths)
+        with pytest.raises(ParseError) as err:
+            load_graph(*paths)
+        assert "empty user id" in str(err.value)
 
 
 class TestCommonNeighbors:

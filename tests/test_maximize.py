@@ -6,10 +6,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evimax.maximize import (
     InvalidKError,
-    SeedChoice,
     SeedSelection,
     TooLargeError,
     select_celf,
@@ -25,16 +26,27 @@ def chain() -> InfluenceField:
     return InfluenceField("abc", {("a", "b"): 0.5, ("b", "c"): 0.4})
 
 
-class TestSeedSelection:
-    def test_rejects_duplicate_users(self):
-        with pytest.raises(ValueError):
-            SeedSelection(
-                [SeedChoice(1, "a", 1.0, 1.0), SeedChoice(2, "a", 1.0, 2.0)]
-            )
+@st.composite
+def fields_and_k(draw):
+    """A random field from a drawn seed, and a k that may exceed its user count."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 25))
+    field = random_field(rng, n, draw(st.floats(0.0, 0.6)), 1.0)
+    return field, draw(st.integers(1, n + 3))
 
-    def test_rejects_gapped_ranks(self):
-        with pytest.raises(ValueError):
-            SeedSelection([SeedChoice(2, "a", 1.0, 1.0)])
+
+class TestSeedSelection:
+    @settings(max_examples=60, deadline=None)
+    @given(case=fields_and_k())
+    def test_ranks_run_1_to_k_over_distinct_users(self, case):
+        field, k = case
+        for selection in (select_celf(field, k), select_greedy_naive(field, k)):
+            users = selection.users()
+            assert [c.rank for c in selection.choices] == list(
+                range(1, min(k, field.num_users()) + 1)
+            )
+            assert len(set(users)) == len(users)
+            assert set(users) <= set(field.users)
 
     def test_final_sigma_of_empty(self):
         assert SeedSelection([]).final_sigma == 0.0
@@ -127,6 +139,18 @@ class TestRecordedValues:
                 fresh = marginal_gain(field, prefix, choice.user)
                 assert choice.gain == pytest.approx(fresh, abs=1e-9)
                 prefix.add(choice.user)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=fields_and_k())
+    def test_cumulative_sigma_tracks_sigma_of_every_prefix(self, case):
+        """The running sum of committed gains stays on sigma of the seeds so far."""
+        field, k = case
+        for selection in (select_celf(field, k), select_greedy_naive(field, k)):
+            prefix: set[str] = set()
+            for choice in selection.choices:
+                prefix.add(choice.user)
+                exact = sigma(field, prefix)
+                assert abs(choice.cumulative_sigma - exact) <= 1e-9 * max(1.0, exact)
 
     def test_cumulative_sigma_telescopes(self):
         rng = random.Random(991)
