@@ -36,17 +36,25 @@ def fields_and_k(draw):
 
 
 class TestSeedSelection:
+    """SeedSelection is a plain record; both greedy variants keep its invariants."""
+
     @settings(max_examples=60, deadline=None)
     @given(case=fields_and_k())
-    def test_ranks_run_1_to_k_over_distinct_users(self, case):
+    def test_rejects_duplicate_users(self, case):
         field, k = case
         for selection in (select_celf(field, k), select_greedy_naive(field, k)):
             users = selection.users()
+            assert len(set(users)) == len(users)
+            assert set(users) <= set(field.users)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=fields_and_k())
+    def test_rejects_gapped_ranks(self, case):
+        field, k = case
+        for selection in (select_celf(field, k), select_greedy_naive(field, k)):
             assert [c.rank for c in selection.choices] == list(
                 range(1, min(k, field.num_users()) + 1)
             )
-            assert len(set(users)) == len(users)
-            assert set(users) <= set(field.users)
 
     def test_final_sigma_of_empty(self):
         assert SeedSelection([]).final_sigma == 0.0
