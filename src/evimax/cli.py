@@ -5,9 +5,11 @@ naming the offending file or flag), 2 internal error.  All real-valued output
 is printed with 6 decimal places so repeated runs diff cleanly; given the
 same inputs and flags, output files are byte-identical.
 
-An optional JSON config file can supply any long-option value of the
-command it is given to, and nothing else; explicit flags always win
-(precedence: flag > file > built-in default).
+An optional JSON config file (``--config``) can supply any long-option
+value of the command it is given to, and nothing else.  Each value must be a
+JSON string or number and is parsed exactly as the flag's text would be, so
+``{"k": 2.0}`` is rejected like ``--k 2.0``.  Explicit flags always win
+(precedence: flag > file > the default that ``--help`` shows).
 """
 
 from __future__ import annotations
@@ -33,126 +35,108 @@ _CONFIG_ERRORS = (FusionError, EvaluationError, ValueError, OSError)
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors reported on exit code 1, not 2."""
 
+    # Names where the text being parsed came from; set to the config file
+    # while its values are parsed.
+    source = ""
+
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"{self.prog}: error: {self.source}{message}", file=sys.stderr)
         raise SystemExit(1)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and each command's own parser, by name."""
     parser = _Parser(prog="evimax", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p: _Parser, outputs: bool = False) -> None:
+    def add_command(name: str, help: str, outputs: bool = False) -> _Parser:
+        p = sub.add_parser(name, help=help)
         role = "output" if outputs else "input"
         p.add_argument("--edges", help=f"edges CSV {role} (src,dst)")
         p.add_argument("--mentions", help=f"mentions CSV {role}")
         p.add_argument("--retweets", help=f"retweets CSV {role}")
         p.add_argument("--activity", help=f"per-user activity CSV {role}")
+        p.add_argument("--config", help="JSON file of option values")
+        if not outputs:
+            p.add_argument("--out", help="output file path")
+            p.add_argument("--lambda", dest="lam", type=float, default=5.0,
+                           help="reliability shape parameter (default: %(default)s)")
+        return p
 
-    def add_model(p: _Parser) -> None:
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="reliability shape parameter (default 5)")
-        p.add_argument("--alpha", type=float, default=None,
+    def add_k(p: _Parser) -> None:
+        p.add_argument("--k", type=int, default=50, help="seed count (default: %(default)s)")
+
+    def add_alpha(p: _Parser) -> None:
+        p.add_argument("--alpha", type=float,
                        help="fixed reliability in [0, 1]; omit for estimated mode. "
                             "At 1 no indicator is discounted, so an edge whose "
                             "indicators fully contradict (conflict K >= 1 - 1e-12) "
                             "stops the run with exit 1 naming that edge")
 
-    def add_common(p: _Parser) -> None:
-        p.add_argument("--config", default=None, help="JSON file with option defaults")
-        p.add_argument("--out", default=None, help="output file path")
+    p_gen = add_command("generate", "emit a synthetic four-file dataset", outputs=True)
+    p_gen.add_argument("--users", type=int, default=1000,
+                       help="number of users (default: %(default)s)")
+    p_gen.add_argument("--n-edges", dest="n_edges", type=int, default=2000,
+                       help="number of follow edges (default: %(default)s)")
+    p_gen.add_argument("--intensity", type=float, default=1.0,
+                       help="activity volume multiplier (default: %(default)s)")
+    p_gen.add_argument("--seed", type=int, default=42, help="RNG seed (default: %(default)s)")
 
-    p_gen = sub.add_parser("generate", help="emit a synthetic four-file dataset")
-    add_io(p_gen, outputs=True)
-    p_gen.add_argument("--users", type=int, default=None, help="number of users")
-    p_gen.add_argument("--n-edges", dest="n_edges", type=int, default=None,
-                       help="number of follow edges")
-    p_gen.add_argument("--intensity", type=float, default=None,
-                       help="activity volume multiplier")
-    p_gen.add_argument("--seed", type=int, default=None, help="RNG seed")
-    p_gen.add_argument("--config", default=None, help="JSON file with option defaults")
+    p_sel = add_command("select", "select a top-k influencer seed set")
+    add_alpha(p_sel)
+    add_k(p_sel)
 
-    p_sel = sub.add_parser("select", help="select a top-k influencer seed set")
-    add_io(p_sel)
-    add_model(p_sel)
-    p_sel.add_argument("--k", type=int, default=None, help="seed count (default 50)")
-    add_common(p_sel)
-
-    p_eval = sub.add_parser("evaluate", help="compare reliability configurations")
-    add_io(p_eval)
-    p_eval.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_eval.add_argument("--k", type=int, default=None)
-    p_eval.add_argument("--configs", default=None,
+    p_eval = add_command("evaluate", "compare reliability configurations")
+    add_k(p_eval)
+    p_eval.add_argument("--configs",
                         help="comma-separated sweep, e.g. fixed:0,fixed:0.2,estimated")
-    add_common(p_eval)
 
-    p_dump = sub.add_parser("dump-edges", help="per-edge fusion diagnostics")
-    add_io(p_dump)
-    add_model(p_dump)
-    add_common(p_dump)
-    return parser
+    add_alpha(add_command("dump-edges", "per-edge fusion diagnostics"))
+    return parser, sub.choices
 
 
 _KEY_ALIASES = {"lambda": "lam"}
 
 
-def _load_file_config(args: argparse.Namespace) -> dict:
-    """Read option defaults from a JSON object, normalizing flag spellings.
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """Parse the command line, then again over its ``--config`` file's values.
 
-    The keys allowed are the command's own options: every option the
-    command's parser defines (default ``None``) is an attribute of ``args``.
+    The file's values become string defaults of the command's own parser, so
+    the second parse converts and checks each one with the flag's own action,
+    and a flag on the command line still wins.  The keys allowed are the
+    command's own options: every option the command defines is an attribute
+    of the first parse's namespace.
     """
-    path = args.config
-    if path is None:
-        return {}
-    known = vars(args).keys() - {"command", "config"}
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    command = commands[args.command]
+    # The flags parsed once already, so every error from here on is the file's.
+    command.source = f"--config {args.config}: "
+    try:
+        with open(args.config, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:
+        command.error(str(exc))
     if not isinstance(data, dict):
-        raise ValueError(f"--config {path}: top-level JSON object required")
-    normalized = {}
+        command.error("top-level JSON object required")
+    known = vars(args).keys() - {"command", "config"}
     for key, value in data.items():
         name = _KEY_ALIASES.get(key.replace("-", "_"), key.replace("-", "_"))
         if name not in known:
-            raise ValueError(f"--config {path}: unknown option {key!r}")
-        normalized[name] = value
-    return normalized
+            command.error(f"unknown option {key!r}")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            command.error(f"{key!r} must be a JSON string or number, not {json.dumps(value)}")
+        command.set_defaults(**{name: str(value)})
+    return parser.parse_args(argv)
 
 
-def _opt(args: argparse.Namespace, file_cfg: dict, key: str, default=None):
-    """Effective option value: flag beats config file beats default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
-
-
-def _reliability_config(args: argparse.Namespace, file_cfg: dict) -> ReliabilityConfig:
-    lam = float(_opt(args, file_cfg, "lam", 5.0))
-    alpha = _opt(args, file_cfg, "alpha")
-    if alpha is None:
-        return ReliabilityConfig.estimated(lam=lam)
-    return ReliabilityConfig.fixed(float(alpha), lam=lam)
-
-
-def _require(args: argparse.Namespace, file_cfg: dict, key: str) -> str:
-    value = _opt(args, file_cfg, key)
-    if value is None:
-        raise ValueError(f"missing required option --{key.replace('_', '-')}")
-    return str(value)
-
-
-def _load_inputs(args: argparse.Namespace, file_cfg: dict):
-    edges = _require(args, file_cfg, "edges")
-    return load_graph(
-        edges,
-        _opt(args, file_cfg, "mentions"),
-        _opt(args, file_cfg, "retweets"),
-        _opt(args, file_cfg, "activity"),
-    )
+def _reliability_config(args: argparse.Namespace) -> ReliabilityConfig:
+    if args.alpha is None:
+        return ReliabilityConfig.estimated(lam=args.lam)
+    return ReliabilityConfig.fixed(args.alpha, lam=args.lam)
 
 
 def _open_out(path: str):
@@ -160,32 +144,21 @@ def _open_out(path: str):
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    file_cfg = _load_file_config(args)
     g, activities = generate_synthetic(
-        seed=int(_opt(args, file_cfg, "seed", 42)),
-        n_users=int(_opt(args, file_cfg, "users", 1000)),
-        n_edges=int(_opt(args, file_cfg, "n_edges", 2000)),
-        activity_intensity=float(_opt(args, file_cfg, "intensity", 1.0)),
+        seed=args.seed,
+        n_users=args.users,
+        n_edges=args.n_edges,
+        activity_intensity=args.intensity,
     )
-    write_graph(
-        g,
-        activities,
-        _require(args, file_cfg, "edges"),
-        _require(args, file_cfg, "mentions"),
-        _require(args, file_cfg, "retweets"),
-        _require(args, file_cfg, "activity"),
-    )
+    write_graph(g, activities, args.edges, args.mentions, args.retweets, args.activity)
     return 0
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    file_cfg = _load_file_config(args)
-    g, _ = _load_inputs(args, file_cfg)
-    cfg = _reliability_config(args, file_cfg)
-    k = int(_opt(args, file_cfg, "k", 50))
-    influence_field = InfluenceField.from_graph(g, fuse_all(g, cfg))
-    selection = select_celf(influence_field, k)
-    with _open_out(_require(args, file_cfg, "out")) as handle:
+    g, _ = load_graph(args.edges, args.mentions, args.retweets, args.activity)
+    influence_field = InfluenceField.from_graph(g, fuse_all(g, _reliability_config(args)))
+    selection = select_celf(influence_field, args.k)
+    with _open_out(args.out) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(("rank", "user", "marginal_gain", "cumulative_sigma"))
         for choice in selection.choices:
@@ -197,20 +170,16 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    file_cfg = _load_file_config(args)
-    g, activities = _load_inputs(args, file_cfg)
-    lam = float(_opt(args, file_cfg, "lam", 5.0))
-    sweep = _opt(args, file_cfg, "configs")
-    if sweep is None:
-        configs = default_configs(lam)
+    g, activities = load_graph(args.edges, args.mentions, args.retweets, args.activity)
+    if args.configs is None:
+        configs = default_configs(args.lam)
     else:
-        tokens = [t for t in str(sweep).split(",") if t.strip()]
+        tokens = [t for t in args.configs.split(",") if t.strip()]
         if not tokens:
             raise ValueError("--configs: empty sweep")
-        configs = [ReliabilityConfig.parse(token, lam=lam) for token in tokens]
-    k = int(_opt(args, file_cfg, "k", 50))
-    report = compare_configs(g, activities, configs, k)
-    with _open_out(_require(args, file_cfg, "out")) as handle:
+        configs = [ReliabilityConfig.parse(token, lam=args.lam) for token in tokens]
+    report = compare_configs(g, activities, configs, args.k)
+    with _open_out(args.out) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             ("config", "rank", "user",
@@ -227,11 +196,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_edges(args: argparse.Namespace) -> int:
-    file_cfg = _load_file_config(args)
-    g, _ = _load_inputs(args, file_cfg)
-    cfg = _reliability_config(args, file_cfg)
+    g, _ = load_graph(args.edges, args.mentions, args.retweets, args.activity)
     n = len(INDICATOR_NAMES)
-    with _open_out(_require(args, file_cfg, "out")) as handle:
+    with _open_out(args.out) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             ("src", "dst")
@@ -239,7 +206,7 @@ def _cmd_dump_edges(args: argparse.Namespace) -> int:
             + tuple(f"alpha_{j + 1}" for j in range(n))
             + ("inf",)
         )
-        for edge, result in fuse_all(g, cfg).items():
+        for edge, result in fuse_all(g, _reliability_config(args)).items():
             writer.writerow(
                 edge
                 + tuple(f"{w:.6f}" for w in result.weights)
@@ -249,22 +216,27 @@ def _cmd_dump_edges(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each command and the options it needs.  argparse's ``required`` would not
+# count a value that a config file supplies, so main checks these itself.
 _COMMANDS = {
-    "generate": _cmd_generate,
-    "select": _cmd_select,
-    "evaluate": _cmd_evaluate,
-    "dump-edges": _cmd_dump_edges,
+    "generate": (_cmd_generate, ("edges", "mentions", "retweets", "activity")),
+    "select": (_cmd_select, ("edges", "out")),
+    "evaluate": (_cmd_evaluate, ("edges", "out")),
+    "dump-edges": (_cmd_dump_edges, ("edges", "out")),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command, required = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        for name in required:
+            if getattr(args, name) is None:
+                raise ValueError(f"missing required option --{name}")
+        return command(args)
     except _CONFIG_ERRORS as exc:
         print(f"evimax {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -86,6 +86,8 @@ class ReliabilityConfig:
                 raise ValueError("fixed mode requires an alpha")
             if not 0.0 <= self.alpha <= 1.0:
                 raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+            if self.global_reliability:
+                raise ValueError("global reliability applies only to estimated mode")
         elif self.alpha is not None:
             raise ValueError("estimated mode takes no alpha")
 

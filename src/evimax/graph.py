@@ -20,6 +20,7 @@ immutable and may be shared read-only across workers.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -212,25 +213,28 @@ def load_graph(
             raise ParseError(edges_path, line, "empty user id")
         g.add_edge(src, dst)
 
-    if mentions_path is not None:
-        for line, (mentioner, mentioned, count) in _rows(
-            mentions_path, ("mentioner", "mentioned", "count")
-        ):
-            if mentioner == mentioned:
-                raise ParseError(mentions_path, line, f"self-mention by {mentioner!r}")
-            if not mentioner or not mentioned:
-                raise ParseError(mentions_path, line, "empty user id")
-            g.add_mentions(mentioned, mentioner, _count(mentions_path, line, count, "count"))
-
-    if retweets_path is not None:
-        for line, (retweeter, author, count) in _rows(
-            retweets_path, ("retweeter", "original_author", "count")
-        ):
-            if retweeter == author:
-                raise ParseError(retweets_path, line, f"self-retweet by {retweeter!r}")
-            if not retweeter or not author:
-                raise ParseError(retweets_path, line, "empty user id")
-            g.add_retweets(author, retweeter, _count(retweets_path, line, count, "count"))
+    # A count is read as a float by raw_indicators, so an edge's total must
+    # stay within the float range.
+    for path, header, counts, verb in (
+        (mentions_path, ("mentioner", "mentioned", "count"), g.mentions, "mention"),
+        (retweets_path, ("retweeter", "original_author", "count"), g.retweets, "retweet"),
+    ):
+        if path is None:
+            continue
+        for line, (actor, target, text) in _rows(path, header):
+            if actor == target:
+                raise ParseError(path, line, f"self-{verb} by {actor!r}")
+            if not actor or not target:
+                raise ParseError(path, line, "empty user id")
+            g.add_edge(target, actor)
+            total = counts.get((target, actor), 0) + _count(path, line, text, "count")
+            if total > sys.float_info.max:
+                raise ParseError(
+                    path, line, f"{verb} total of {target!r} by {actor!r} exceeds the "
+                    f"largest float ({sys.float_info.max:g})"
+                )
+            if total:
+                counts[(target, actor)] = total
 
     activities = {user: UserActivity(user) for user in g.users}
     if activity_path is not None:
@@ -244,11 +248,16 @@ def load_graph(
             record.tweets = _count(activity_path, line, tweets, "tweets")
             record.followers = _count(activity_path, line, followers, "followers")
 
-    for (u, v), count in g.mentions.items():
-        activities[u].mentions_received += count
-    for (u, v), count in g.retweets.items():
-        activities[u].retweets_received += count
+    add_received_totals(g, activities)
     return g, activities
+
+
+def add_received_totals(g: SocialGraph, activities: dict[str, UserActivity]) -> None:
+    """Add each edge's mention and retweet counts to its source's received totals."""
+    for (u, _), count in g.mentions.items():
+        activities[u].mentions_received += count
+    for (u, _), count in g.retweets.items():
+        activities[u].retweets_received += count
 
 
 def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[tuple]) -> None:

@@ -10,10 +10,11 @@ to 71027 : 20300 : 9789), scaled by ``activity_intensity``.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
-from .graph import SocialGraph, UserActivity
+from .graph import SocialGraph, UserActivity, add_received_totals
 
 MENTIONS_PER_FOLLOW = 20300 / 71027
 RETWEETS_PER_FOLLOW = 9789 / 71027
@@ -44,9 +45,14 @@ def generate_synthetic(
         raise InvalidParametersError(
             f"{n_edges} edges do not fit in a simple digraph on {n_users} users"
         )
-    if activity_intensity < 0:
+    mention_total = n_edges * MENTIONS_PER_FOLLOW * activity_intensity
+    retweet_total = n_edges * RETWEETS_PER_FOLLOW * activity_intensity
+    mean_tweets = TWEETS_PER_USER * activity_intensity
+    if not all(0 <= x < math.inf for x in (activity_intensity, mention_total,
+                                           retweet_total, mean_tweets)):
         raise InvalidParametersError(
-            f"activity_intensity must be >= 0, got {activity_intensity}"
+            "activity_intensity must be >= 0 and finite, with finite activity "
+            f"totals, got {activity_intensity}"
         )
 
     rng = random.Random(seed)
@@ -100,21 +106,15 @@ def generate_synthetic(
 
     edge_list = list(g.edges())
     if edge_list:
-        mention_total = round(n_edges * MENTIONS_PER_FOLLOW * activity_intensity)
-        for _ in range(mention_total):
+        for _ in range(round(mention_total)):
             g.add_mentions(*edge_list[rng.randrange(len(edge_list))], 1)
-        retweet_total = round(n_edges * RETWEETS_PER_FOLLOW * activity_intensity)
-        for _ in range(retweet_total):
+        for _ in range(round(retweet_total)):
             g.add_retweets(*edge_list[rng.randrange(len(edge_list))], 1)
 
     followers = Counter(src for src, _ in edge_list)
-    mean_tweets = TWEETS_PER_USER * activity_intensity
     activities: dict[str, UserActivity] = {}
     for user in ids:
         tweets = int(rng.expovariate(1.0 / mean_tweets)) if mean_tweets > 0 else 0
         activities[user] = UserActivity(user, tweets=tweets, followers=followers[user])
-    for (u, _), count in g.mentions.items():
-        activities[u].mentions_received += count
-    for (u, _), count in g.retweets.items():
-        activities[u].retweets_received += count
+    add_received_totals(g, activities)
     return g, activities

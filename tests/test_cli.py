@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -320,3 +321,93 @@ class TestConfigFileKeys:
         assert run("dump-edges", "--config", str(cfg)) == 0
         rows = open(paths["out"]).read().splitlines()[1:]
         assert rows and all(row.split(",")[5] == "0.200000" for row in rows)
+
+
+# Every option of every command but --config, with a value unlike its
+# default; None marks a path, filled in from the ``paths`` fixture.
+OPTIONS = {
+    "generate": {"edges": None, "mentions": None, "retweets": None, "activity": None,
+                 "users": 40, "n-edges": 90, "intensity": 1.5, "seed": 7},
+    "select": {"edges": None, "mentions": None, "retweets": None, "activity": None,
+               "out": None, "lambda": 2.5, "alpha": 0.30000000000000004, "k": 7},
+    "evaluate": {"edges": None, "mentions": None, "retweets": None, "activity": None,
+                 "out": None, "lambda": 0.7, "k": 4, "configs": "fixed:0.5,estimated"},
+    "dump-edges": {"edges": None, "mentions": None, "retweets": None, "activity": None,
+                   "out": None, "lambda": 2.5, "alpha": 0.30000000000000004},
+}
+DEFAULTS = {
+    "generate": {"users": "1000", "n-edges": "2000", "intensity": "1.0", "seed": "42"},
+    "select": {"lambda": "5.0", "k": "50"},
+    "evaluate": {"lambda": "5.0", "k": "50"},
+    "dump-edges": {"lambda": "5.0"},
+}
+
+
+class TestOneOptionPath:
+    """A config-file value goes through the same argparse action as the flag."""
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [(command, option) for command, options in OPTIONS.items() for option in options],
+    )
+    def test_file_value_gives_the_flag_output(self, paths, command, option):
+        generate(paths, users="40", edges="90")
+        options = {key: paths[key] if value is None else value
+                   for key, value in OPTIONS[command].items()}
+        written = ["out"] if "out" in options else ["edges", "mentions", "retweets", "activity"]
+
+        def run_with(opts, *extra) -> dict:
+            flags = [text for key, value in opts.items() for text in (f"--{key}", str(value))]
+            assert run(command, *flags, *extra) == 0
+            return {key: open(paths[key], "rb").read() for key in written}
+
+        expected = run_with(options)
+        value = options.pop(option)
+        cfg = paths["dir"] / "run.json"
+        for file_value in {value, str(value)}:  # a JSON number and its text
+            cfg.write_text(json.dumps({option: file_value}))
+            assert run_with(options, "--config", str(cfg)) == expected
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("select", {"k": 2.7}),
+            ("select", {"k": 2.0}),
+            ("select", {"k": "x"}),
+            ("select", {"k": True}),
+            ("select", {"k": None}),
+            ("select", {"k": [3]}),
+            ("select", {"alpha": True}),
+            ("select", {"lambda": None}),
+            ("evaluate", {"configs": {"fixed": 0.2}}),
+            ("generate", {"seed": 2.5}),
+        ],
+    )
+    def test_bad_value_exits_1_naming_key_and_file(self, paths, capsys, command, config):
+        generate(paths, users="30", edges="60")
+        capsys.readouterr()
+        cfg = paths["dir"] / "run.json"
+        cfg.write_text(json.dumps(config))
+        extra = [] if command == "generate" else ["--out", paths["out"]]
+        code = run(command, *input_flags(paths), *extra, "--config", str(cfg))
+        assert code == 1
+        error = capsys.readouterr().err.splitlines()[-1]
+        prefix = f"evimax {command}: error: --config {cfg}: "
+        assert error.startswith(prefix)
+        (key, value), = config.items()
+        assert f"--{key}" in error or repr(key) in error
+        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            # Parsed like the flag's text, so it fails with the flag's message.
+            assert run(command, *input_flags(paths), *extra, f"--{key}", str(value)) == 1
+            flag_error = capsys.readouterr().err.splitlines()[-1]
+            assert flag_error == f"evimax {command}: error: " + error[len(prefix):]
+        if extra:
+            assert not (paths["dir"] / "out.csv").exists()
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_help_lists_every_option_and_shows_defaults(self, capsys, command):
+        assert run(command, "--help") == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert set(re.findall(r"--([a-z][a-z-]*)", text)) == {*OPTIONS[command], "help", "config"}
+        for option, default in DEFAULTS[command].items():
+            assert re.search(rf"--{option} \S+ (?:(?!--).)*\(default: {re.escape(default)}\)", text)

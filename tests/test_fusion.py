@@ -60,6 +60,7 @@ class TestReliabilityConfig:
             dict(mode="estimated", alpha=0.5),
             dict(mode="estimated", lam=float("nan")),
             dict(mode="estimated", lam=float("inf")),
+            dict(mode="fixed", alpha=0.2, global_reliability=True),
         ],
     )
     def test_rejects_invalid(self, kwargs):

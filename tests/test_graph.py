@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -120,6 +121,28 @@ class TestLoadGraph:
         retweets = write(tmp_path / "r.csv", "retweeter,original_author,count\nb,a,lots\n")
         with pytest.raises(ParseError):
             load_graph(edges, retweets_path=retweets)
+
+    def test_count_beyond_float_range_reports_line(self, tmp_path):
+        edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
+        mentions = write(
+            tmp_path / "m.csv", "mentioner,mentioned,count\nb,a,1\nb,a," + "9" * 401 + "\n"
+        )
+        with pytest.raises(ParseError) as err:
+            load_graph(edges, mentions)
+        assert (err.value.path, err.value.line) == (mentions, 3)
+        assert "largest float" in str(err.value)
+
+    def test_counts_summing_beyond_float_range_report_second_row(self, tmp_path):
+        edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
+        largest = int(sys.float_info.max)
+        text = f"retweeter,original_author,count\nb,a,{largest}\nb,a,0\n"
+        g, _ = load_graph(edges, retweets_path=write(tmp_path / "r.csv", text))
+        assert raw_indicators(g)[("a", "b")][2] == sys.float_info.max
+        retweets = write(tmp_path / "r.csv", text + "b,a,1\n")
+        with pytest.raises(ParseError) as err:
+            load_graph(edges, retweets_path=retweets)
+        assert (err.value.path, err.value.line) == (retweets, 4)
+        assert "largest float" in str(err.value)
 
     @pytest.mark.parametrize("kind", range(4), ids=("edges", "mentions", "retweets", "activity"))
     def test_utf8_bom_accepted(self, dataset, tmp_path, kind):
@@ -335,11 +358,17 @@ class TestGenerateSynthetic:
             dict(n_users=3, n_edges=-1),
             dict(n_users=3, n_edges=7),
             dict(n_users=3, n_edges=2, activity_intensity=-1.0),
+            dict(n_users=3, n_edges=2, activity_intensity=float("nan")),
+            dict(n_users=3, n_edges=2, activity_intensity=float("inf")),
+            dict(n_users=3, n_edges=2, activity_intensity=1e308),
+            dict(n_users=3, n_edges=0, activity_intensity=float("inf")),
         ],
     )
     def test_invalid_parameters(self, kwargs):
-        with pytest.raises(InvalidParametersError):
+        with pytest.raises(InvalidParametersError) as err:
             generate_synthetic(seed=0, **kwargs)
+        if "activity_intensity" in kwargs:
+            assert "activity_intensity" in str(err.value)
 
     def test_round_trip_through_files(self, tmp_path):
         g, activities = generate_synthetic(seed=4, n_users=40, n_edges=90)
