@@ -10,12 +10,19 @@ value of the command it is given to, and nothing else.  Each value must be a
 JSON string or number and is parsed exactly as the flag's text would be, so
 ``{"k": 2.0}`` is rejected like ``--k 2.0``.  Explicit flags always win
 (precedence: flag > file > the default that ``--help`` shows).
+
+Each command runs with the cyclic garbage collector paused.  The pipeline
+builds one object per user or edge and no reference cycles, so reference
+counting frees all of it, while the collector would re-walk every live
+object each time it ran.  The collector's prior setting is restored on
+return, so in-process callers keep their own.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import sys
 from typing import Sequence
@@ -80,7 +87,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_gen.add_argument("--n-edges", dest="n_edges", type=int, default=2000,
                        help="number of follow edges (default: %(default)s)")
     p_gen.add_argument("--intensity", type=float, default=1.0,
-                       help="activity volume multiplier (default: %(default)s)")
+                       help="activity volume multiplier; at most 10**7 mentions and "
+                            "retweets may result (default: %(default)s)")
     p_gen.add_argument("--seed", type=int, default=42, help="RNG seed (default: %(default)s)")
 
     p_sel = add_command("select", "select a top-k influencer seed set")
@@ -227,6 +235,16 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv: Sequence[str] | None) -> int:
     try:
         args = _parse_args(argv)
     except SystemExit as exc:

@@ -244,7 +244,9 @@ def load_graph(
             if not user:
                 raise ParseError(activity_path, line, "empty user id")
             g.add_user(user)
-            record = activities.setdefault(user, UserActivity(user))
+            record = activities.get(user)
+            if record is None:
+                record = activities[user] = UserActivity(user)
             record.tweets = _count(activity_path, line, tweets, "tweets")
             record.followers = _count(activity_path, line, followers, "followers")
 
@@ -287,8 +289,9 @@ def write_graph(
     """Write a graph back to the four CSV formats accepted by load_graph."""
 
     def activity_rows() -> Iterator[tuple[str, int, int]]:
+        idle = UserActivity("")  # the zero counts of a user with no record
         for user in g.users:
-            record = activities.get(user, UserActivity(user))
+            record = activities.get(user, idle)
             yield user, record.tweets, record.followers
 
     _write_csv(edges_path, ("src", "dst"), g.edges())

@@ -19,6 +19,8 @@ from .graph import SocialGraph, UserActivity, add_received_totals
 MENTIONS_PER_FOLLOW = 20300 / 71027
 RETWEETS_PER_FOLLOW = 9789 / 71027
 TWEETS_PER_USER = 251329 / 36274
+# Mentions and retweets are drawn one at a time, well over a second per million.
+MAX_ACTIVITY_DRAWS = 10**7
 
 
 class InvalidParametersError(ValueError):
@@ -53,6 +55,13 @@ def generate_synthetic(
         raise InvalidParametersError(
             "activity_intensity must be >= 0 and finite, with finite activity "
             f"totals, got {activity_intensity}"
+        )
+    draws = round(mention_total) + round(retweet_total)
+    if draws > MAX_ACTIVITY_DRAWS:
+        raise InvalidParametersError(
+            f"activity_intensity {activity_intensity} asks for "
+            f"{mention_total + retweet_total:.3g} mentions and retweets on {n_edges} "
+            f"edges; at most {MAX_ACTIVITY_DRAWS} are drawn"
         )
 
     rng = random.Random(seed)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 
 import pytest
 
+from evimax import cli
 from evimax.cli import main
 
 
@@ -411,3 +413,70 @@ class TestOneOptionPath:
         assert set(re.findall(r"--([a-z][a-z-]*)", text)) == {*OPTIONS[command], "help", "config"}
         for option, default in DEFAULTS[command].items():
             assert re.search(rf"--{option} \S+ (?:(?!--).)*\(default: {re.escape(default)}\)", text)
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector and leaves it as it found it."""
+
+    def exit_paths(self, paths, monkeypatch):
+        """Each exit path of main, as (argv, expected exit code)."""
+        generate(paths, users="30", edges="60")
+        select = ["select", *input_flags(paths), "--k", "3", "--out", paths["out"]]
+        yield select, 0
+        yield ["select", "--edges", str(paths["dir"] / "missing.csv"),
+               "--out", paths["out"]], 1
+        yield [*select, "--frobnicate"], 1
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "select_celf", boom)
+        yield select, 2
+
+    def test_enabled_collector_is_re_enabled_on_every_exit(self, paths, monkeypatch):
+        assert gc.isenabled()
+        for argv, code in self.exit_paths(paths, monkeypatch):
+            assert main(argv) == code
+            assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, paths, monkeypatch):
+        gc.disable()
+        try:
+            for argv, code in self.exit_paths(paths, monkeypatch):
+                assert main(argv) == code
+                assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
+class TestNoReferenceCycles:
+    """The pipeline leaves nothing for the cyclic collector to free.
+
+    This is what makes pausing the collector safe: every object a command
+    builds is freed by reference counting alone.  The argument parsers do
+    build cycles, so each command is compared with parsing its arguments.
+    """
+
+    @pytest.mark.parametrize(
+        "command, extra, code",
+        [
+            ("select", [], 0),
+            ("evaluate", ["--k", "10"], 0),
+            ("dump-edges", [], 0),
+            ("select", ["--alpha", "1"], 1),  # total conflict on this graph
+        ],
+    )
+    def test_command_frees_as_much_as_parsing_alone(self, paths, capsys, command, extra, code):
+        generate(paths)
+        argv = [command, *input_flags(paths), *extra, "--out", paths["out"]]
+        gc.collect()
+        gc.disable()
+        try:
+            cli._parse_args(argv)
+            parsing = gc.collect()
+            assert main(argv) == code
+            assert gc.collect() == parsing
+        finally:
+            gc.enable()
+        if code:
+            assert "total conflict" in capsys.readouterr().err

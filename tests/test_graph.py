@@ -362,6 +362,8 @@ class TestGenerateSynthetic:
             dict(n_users=3, n_edges=2, activity_intensity=float("inf")),
             dict(n_users=3, n_edges=2, activity_intensity=1e308),
             dict(n_users=3, n_edges=0, activity_intensity=float("inf")),
+            dict(n_users=3, n_edges=2, activity_intensity=1e8),
+            dict(n_users=3, n_edges=2, activity_intensity=1e300),
         ],
     )
     def test_invalid_parameters(self, kwargs):
