@@ -23,8 +23,6 @@ INFLUENCER = 1
 PASSIVE = 2
 OMEGA = 3
 
-SUBSETS = (EMPTY, INFLUENCER, PASSIVE, OMEGA)
-
 SUM_TOLERANCE = 1e-9
 _NEGATIVE_TOLERANCE = -1e-12
 _CONFLICT_EPSILON = 1e-12

@@ -38,7 +38,6 @@ class QualityCurve:
 @dataclass
 class ReportEntry:
     name: str
-    config: ReliabilityConfig
     selection: SeedSelection
     curve: QualityCurve
 
@@ -101,6 +100,6 @@ def compare_configs(
         except Exception as exc:
             raise EvaluationError(f"config {cfg.name}: {exc}") from exc
         entries.append(
-            ReportEntry(cfg.name, cfg, selection, quality_curve(selection, activities))
+            ReportEntry(cfg.name, selection, quality_curve(selection, activities))
         )
     return ComparisonReport(min(k, g.num_users()), entries)

@@ -11,19 +11,19 @@ Reliability estimation follows "the farther from the others, the less
 reliable": with ``c`` the average distance, reliability is
 ``(1 - c**lam) ** (1/lam)``, a decreasing map of c for any ``lam > 0``.
 
-Two implementations of the pipeline live here.  ``fuse_configs`` and
-``fuse_all`` run an inline kernel on plain float triples: it computes the raw
-indicators and their bounds once for any number of configs and returns
-slotted ``EdgeInfluence`` records that hold the fused masses as floats.
-Within one config an edge's record depends only on its raw indicator vector,
-so the kernel fuses each distinct vector once, at its first edge in edge
-order, and every later edge with that vector shares the result (interaction
-counts repeat heavily: 32 distinct vectors among 71,027 edges at paper
-scale).
-``indicator_bba``, ``average_distances``, ``estimate_reliabilities``,
-``edge_bba_sets`` and ``fuse_edge`` build the same records from validated
-``MassFunction`` values with the generic operators of ``belief``; they are
-the reference the kernel is tested against, equal to it bit for bit.
+One implementation of the pipeline lives here, on ``belief``'s
+``MassFunction`` operators: ``indicator_bba``, ``estimate_reliabilities`` and
+``fuse_edge`` for one edge, ``edge_bba_sets`` for every edge's inputs, and
+``fuse_configs`` / ``fuse_all`` for the slotted ``EdgeInfluence`` records of
+every edge.  ``fuse_configs`` computes the raw indicators and their bounds
+once for any number of configs.  Within one config an edge's record depends
+only on its raw indicator vector, so each distinct vector is fused once, at
+its first edge in edge order, and every later edge with that vector gets a
+record built from the same result.  Interaction counts repeat heavily: the
+generated workloads have 32 distinct vectors among 71,027 edges at paper
+scale and 32 among 400,000 at five times that, so ``fuse_edge`` runs 32
+times per config there (about 1 ms in all on a 2.0 GHz Xeon) and each edge
+costs a dict lookup and one record.
 """
 
 from __future__ import annotations
@@ -33,14 +33,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator
 
-from .belief import (
-    _CONFLICT_EPSILON,
-    SUM_TOLERANCE,
-    MassFunction,
-    combine_dempster,
-    discount,
-    jousselme_distance,
-)
+from .belief import MassFunction, combine_dempster, discount, jousselme_distance
 from .graph import SocialGraph, raw_indicators
 
 
@@ -54,9 +47,6 @@ class TooFewIndicatorsError(ValueError):
 
 class FusionError(RuntimeError):
     """A per-edge fusion failure, annotated with the offending edge."""
-
-
-_CONFLICT_LIMIT = 1.0 - _CONFLICT_EPSILON
 
 
 @dataclass(frozen=True)
@@ -231,6 +221,9 @@ def fuse_edge(ebs: EdgeBBASet) -> EdgeInfluence:
     Raises:
         TotalConflictError: only reachable when the reliabilities are at or
             very near 1 and the indicators contradict each other.
+        ValueError: from ``MassFunction``'s sum check, when a near-total
+            conflict leaves too few digits in Dempster's normalizer for the
+            combined masses to still sum to 1.
     """
     discounted = [
         discount(m, alpha) for m, alpha in zip(ebs.bbas, ebs.reliabilities)
@@ -242,6 +235,52 @@ def fuse_edge(ebs: EdgeBBASet) -> EdgeInfluence:
     )
 
 
+def _indicator_bbas(
+    vec: tuple[float, ...], bounds: tuple[tuple[float, float], ...]
+) -> tuple[MassFunction, ...]:
+    return tuple(indicator_bba(x, low, high) for x, (low, high) in zip(vec, bounds))
+
+
+def _edge_bba_set(
+    edge: tuple[str, str],
+    vec: tuple[float, ...],
+    bounds: tuple[tuple[float, float], ...],
+    cfg: ReliabilityConfig,
+    shared: tuple[float, ...] | None,
+) -> EdgeBBASet:
+    """One edge's ``EdgeBBASet``; ``shared`` holds estimated-global alphas."""
+    bbas = _indicator_bbas(vec, bounds)
+    return EdgeBBASet(
+        edge,
+        tuple(m.influencer for m in bbas),
+        bbas,
+        shared if shared is not None else estimate_reliabilities(bbas, cfg),
+    )
+
+
+def _global_alphas(
+    values: dict[tuple[str, str], tuple[float, ...]],
+    bounds: tuple[tuple[float, float], ...],
+    cfg: ReliabilityConfig,
+) -> tuple[float, ...] | None:
+    """The alphas every edge shares under global reliability, else ``None``.
+
+    Each distinct vector's average distances are computed once, but they are
+    added into the sums once per edge, in edge order.
+    """
+    if not (cfg.global_reliability and values):
+        return None
+    distances: dict[tuple[float, ...], tuple[float, ...]] = {}
+    sums = [0.0] * len(bounds)
+    for vec in values.values():
+        ds = distances.get(vec)
+        if ds is None:
+            ds = distances[vec] = average_distances(_indicator_bbas(vec, bounds))
+        for j, c in enumerate(ds):
+            sums[j] += c
+    return tuple(reliability_from_distance(s / len(values), cfg.lam) for s in sums)
+
+
 def edge_bba_sets(g: SocialGraph, cfg: ReliabilityConfig) -> Iterator[EdgeBBASet]:
     """Normalized weights, BBAs, and reliabilities of each edge, in edge order.
 
@@ -251,26 +290,9 @@ def edge_bba_sets(g: SocialGraph, cfg: ReliabilityConfig) -> Iterator[EdgeBBASet
     """
     values = raw_indicators(g)
     bounds = _bounds(values)
-
-    def bbas_of(vec: tuple[float, ...]) -> tuple[MassFunction, ...]:
-        return tuple(indicator_bba(x, low, high) for x, (low, high) in zip(vec, bounds))
-
-    shared = None
-    if cfg.mode == "estimated" and cfg.global_reliability and values:
-        sums = [0.0] * len(bounds)
-        for vec in values.values():
-            for j, c in enumerate(average_distances(bbas_of(vec))):
-                sums[j] += c
-        shared = tuple(reliability_from_distance(s / len(values), cfg.lam) for s in sums)
-
+    shared = _global_alphas(values, bounds, cfg)
     for edge, vec in values.items():
-        bbas = bbas_of(vec)
-        yield EdgeBBASet(
-            edge,
-            tuple(m.influencer for m in bbas),
-            bbas,
-            shared if shared is not None else estimate_reliabilities(bbas, cfg),
-        )
+        yield _edge_bba_set(edge, vec, bounds, cfg, shared)
 
 
 def fuse_configs(
@@ -283,9 +305,9 @@ def fuse_configs(
     requested, so a caller that drops it first holds one at a time.
 
     Raises:
-        FusionError: naming the first edge whose sources totally conflict,
-            or whose combined masses no longer sum to 1 after a near-total
-            conflict (where ``fuse_edge`` raises a ``ValueError``).
+        FusionError: naming the first edge in edge order whose sources
+            totally conflict, or whose combined masses no longer sum to 1
+            after a near-total conflict, with ``fuse_edge``'s message.
     """
     values = raw_indicators(g)
     bounds = _bounds(values)
@@ -303,124 +325,27 @@ def fuse_all(
     return next(fuse_configs(g, (cfg,)))
 
 
-# The kernel below repeats, on plain float triples (influencer, passive,
-# omega), the float operations of indicator_bba, average_distances,
-# estimate_reliabilities and fuse_edge in the same order, so its records
-# equal theirs bit for bit (tests/test_fusion.py checks this).
-
-
-def _edge_error(edge: tuple[str, str], message: str) -> FusionError:
-    return FusionError(f"edge {edge[0]!r} -> {edge[1]!r}: {message}")
-
-
-def _bba_triples(
-    vec: tuple[float, ...], bounds: tuple[tuple[float, float], ...]
-) -> list[tuple[float, float, float]]:
-    """``indicator_bba`` of each value, as triples."""
-    return [
-        ((x - low) / (high - low), (high - x) / (high - low), 0.0)
-        if high != low else (0.0, 0.0, 1.0)
-        for x, (low, high) in zip(vec, bounds)
-    ]
-
-
-def _triple_distances(bbas: list[tuple[float, float, float]]) -> list[float]:
-    """``average_distances`` of triples.
-
-    Each pair's Jousselme distance is computed once: it is bitwise symmetric,
-    since swapping the arguments only negates every difference.  Each total
-    still receives its terms in increasing index order.
-    """
-    n = len(bbas)
-    totals = [0.0] * n
-    for j in range(n):
-        ij, pj, oj = bbas[j]
-        for i in range(j + 1, n):
-            ii, pi, oi = bbas[i]
-            di, dp, do = ij - ii, pj - pi, oj - oi
-            quad = di * di + dp * dp + do * do + di * do + dp * do
-            d = (0.5 * quad) ** 0.5 if quad > 0.0 else 0.0
-            totals[j] += d
-            totals[i] += d
-    return [total / (n - 1) for total in totals]
-
-
-def _fuse_vector(
-    edge: tuple[str, str],
-    vec: tuple[float, ...],
-    bounds: tuple[tuple[float, float], ...],
-    shared: tuple[float, ...] | None,
-    lam: float,
-) -> tuple[float, float, float, tuple[float, ...], tuple[float, ...]]:
-    """``(inf, passive, omega, weights, alphas)`` of one indicator vector.
-
-    ``edge`` only names the edge in a ``FusionError``.
-    """
-    bbas = _bba_triples(vec, bounds)
-    alphas = shared if shared is not None else tuple(
-        [reliability_from_distance(c, lam) for c in _triple_distances(bbas)]
-    )
-    # The fold starts from the vacuous BBA and skips vacuous terms
-    # (constant indicator or alpha 0): the vacuous BBA is Dempster's
-    # neutral element, and combining with it returns the other BBA exactly.
-    inf, passive, omega = 0.0, 0.0, 1.0
-    for (i, p, o), alpha in zip(bbas, alphas):
-        if o or not alpha:
-            continue
-        # discount(); at alpha 1 this returns the BBA itself exactly.
-        i, p, o = alpha * i, alpha * p, 1.0 - alpha
-        # combine_dempster(), with its conflict and mass-sum checks.
-        conflict = inf * p + passive * i
-        if conflict >= _CONFLICT_LIMIT:
-            raise _edge_error(
-                edge, f"total conflict between sources (K={conflict!r})"
-            )
-        norm = 1.0 - conflict
-        inf, passive, omega = (
-            (inf * i + inf * o + omega * i) / norm,
-            (passive * p + passive * o + omega * p) / norm,
-            (omega * o) / norm,
-        )
-        # Near-total conflict leaves too few digits in norm for the
-        # masses to still sum to 1.
-        total = inf + passive + omega
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise _edge_error(edge, f"masses must sum to 1, got {total!r}")
-    return inf, passive, omega, tuple([m[0] for m in bbas]), alphas
-
-
 def _fuse_values(
     values: dict[tuple[str, str], tuple[float, ...]],
     bounds: tuple[tuple[float, float], ...],
     cfg: ReliabilityConfig,
 ) -> dict[tuple[str, str], EdgeInfluence]:
     # Each distinct raw vector is fused once (see the module docstring).  Key
-    # equality implies identical kernel inputs: the raw values are float(int)
-    # of nonnegative counts, so there is no -0.0 (equal to 0.0 as a key but
-    # not bitwise) and no NaN (never equal to itself).  A vector's first edge
-    # in edge order computes it, so a FusionError names the same edge as a
-    # per-edge run would.
-    lam = cfg.lam
-    shared = None
-    if cfg.mode == "fixed":
-        shared = (cfg.alpha,) * len(bounds)
-    elif cfg.global_reliability and values:
-        distances: dict[tuple[float, ...], list[float]] = {}
-        sums = [0.0] * len(bounds)
-        for vec in values.values():
-            ds = distances.get(vec)
-            if ds is None:
-                ds = distances[vec] = _triple_distances(_bba_triples(vec, bounds))
-            # One addition per edge, in edge order, as the reference sums.
-            for j, c in enumerate(ds):
-                sums[j] += c
-        shared = tuple(reliability_from_distance(s / len(values), lam) for s in sums)
-
+    # equality implies identical inputs to fuse_edge: the raw values are
+    # float(int) of nonnegative counts, so there is no -0.0 (equal to 0.0 as
+    # a key but not bitwise) and no NaN (never equal to itself).  A vector's
+    # first edge in edge order fuses it, so a FusionError names the same
+    # edge as a per-edge run would.
+    shared = _global_alphas(values, bounds, cfg)
     fused: dict[tuple[float, ...], tuple] = {}
     out: dict[tuple[str, str], EdgeInfluence] = {}
     for edge, vec in values.items():
         result = fused.get(vec)
         if result is None:
-            result = fused[vec] = _fuse_vector(edge, vec, bounds, shared, lam)
+            try:
+                r = fuse_edge(_edge_bba_set(edge, vec, bounds, cfg, shared))
+            except ValueError as exc:  # TotalConflictError is one too
+                raise FusionError(f"edge {edge[0]!r} -> {edge[1]!r}: {exc}") from exc
+            result = fused[vec] = (r.inf, r.passive, r.omega, r.weights, r.reliabilities)
         out[edge] = EdgeInfluence(edge, *result)
     return out

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evimax import fusion
 from evimax.belief import MassFunction, combine_dempster, jousselme_distance
 from evimax.fusion import (
     EdgeBBASet,
@@ -507,3 +508,39 @@ class TestPerVectorCache:
         with pytest.raises(FusionError) as err:
             next(sweep)
         assert str(err.value) == error
+
+
+class TestFusesEachDistinctVectorOnce:
+    """``fuse_edge`` is the production path, and it runs once per distinct vector."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        real = getattr(fusion, name)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fusion, name, counting)
+        return calls
+
+    def test_fuse_configs_calls_fuse_edge_once_per_vector_and_config(self, monkeypatch):
+        g, _ = generate_synthetic(31, 300, 600, 1.0)
+        distinct = set(raw_indicators(g).values())
+        configs = [
+            ReliabilityConfig.fixed(0.2),
+            ESTIMATED,
+            ReliabilityConfig.estimated(lam=5.0, global_reliability=True),
+        ]
+        calls = self.count_calls(monkeypatch, "fuse_edge")
+        sweeps = [len(records) for records in fuse_configs(g, configs)]
+        assert sweeps == [g.num_edges()] * 3
+        assert len(calls) == 3 * len(distinct)
+
+    def test_global_pre_pass_averages_distances_once_per_vector(self, monkeypatch):
+        g, _ = generate_synthetic(31, 300, 600, 1.0)
+        distinct = set(raw_indicators(g).values())
+        calls = self.count_calls(monkeypatch, "average_distances")
+        fuse_all(g, ReliabilityConfig.estimated(lam=5.0, global_reliability=True))
+        assert len(calls) == len(distinct)

@@ -9,7 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from evimax.graph import write_graph
+from evimax.graph import raw_indicators, write_graph
 from evimax.synthetic import generate_synthetic
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,6 +36,29 @@ def test_traced_runner_records_layer_spans(tmp_path):
     names = {span["name"] for span in json.loads(trace.read_text())["spans"]}
     assert {"cli.main", "graph.load_graph", "fusion.fuse_all",
             "maximize.select_celf"} <= names
+
+
+def test_traced_select_counts_the_fusion_it_runs(tmp_path):
+    # Fusion runs fuse_edge and the belief operators once per distinct raw
+    # indicator vector, so the traced counts show the fusion work done.
+    g, activities = generate_synthetic(seed=3, n_users=30, n_edges=60)
+    csvs = [str(tmp_path / name) for name in ("e.csv", "m.csv", "r.csv", "a.csv")]
+    write_graph(g, activities, *csvs)
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
+    ))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(trace), "select",
+         "--edges", csvs[0], "--mentions", csvs[1], "--retweets", csvs[2],
+         "--activity", csvs[3], "--k", "5", "--out", str(tmp_path / "seeds.csv")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    calls = json.loads(trace.read_text())["calls"]
+    distinct = set(raw_indicators(g).values())
+    assert calls["fusion.fuse_edge"]["calls"] == len(distinct)
+    assert calls["belief.combine_dempster"]["calls"] > 0
 
 
 def test_package_imports_only_the_standard_library():
