@@ -163,7 +163,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    g, _ = load_graph(args.edges, args.mentions, args.retweets, args.activity)
+    # The activity records are not read; dropping them frees them before fusion.
+    g = load_graph(args.edges, args.mentions, args.retweets, args.activity)[0]
     influence_field = InfluenceField.from_graph(g, fuse_all(g, _reliability_config(args)))
     selection = select_celf(influence_field, args.k)
     with _open_out(args.out) as handle:
@@ -204,7 +205,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_edges(args: argparse.Namespace) -> int:
-    g, _ = load_graph(args.edges, args.mentions, args.retweets, args.activity)
+    # The activity records are not read; dropping them frees them before fusion.
+    g = load_graph(args.edges, args.mentions, args.retweets, args.activity)[0]
     n = len(INDICATOR_NAMES)
     with _open_out(args.out) as handle:
         writer = csv.writer(handle, lineterminator="\n")

@@ -9,6 +9,18 @@ stamp is committed.  Under the shared deterministic tie-break (larger gain
 first, then smaller user id) this selects exactly the same seeds as the
 naive full-rescan greedy, while evaluating far fewer gains.
 
+Round 0 does not evaluate every user's gain.  The heap starts from
+``InfluenceField.singleton_spread_bounds``: each entry is a stale upper bound
+on the user's float round-0 gain, evaluated the first time it reaches the
+top, except that a bound of exactly 1.0 (a user with no nonzero out-weight)
+is that gain and starts fresh.  The commit is still the naive argmax: every
+key is at least its user's gain in the current round, because float gains
+never grow as seeds are added (the accumulated field only gains nonnegative
+terms, the spread sum only loses them, and float addition is monotone in
+each operand), so no entry below the committed one can hold a larger gain,
+or an equal one with a smaller user id.  Seeds, gains and cumulative
+spreads are bit-identical to a round 0 that evaluates everyone.
+
 A committed gain is fresh, computed against the current seed set, so
 sigma(S + w) = sigma(S) + gain: committing a seed costs one two-hop-frontier
 expansion into the accumulated field and one addition, not a rescan of every
@@ -46,7 +58,13 @@ class SeedChoice:
 
 @dataclass
 class SeedSelection:
-    """Ranked seed list with per-rank gains and cumulative spread values."""
+    """Ranked seed list with per-rank gains and cumulative spread values.
+
+    ``gain_evaluations`` counts fresh marginal-gain computations.  In
+    ``select_celf`` a user whose singleton spread is exactly 1 (no nonzero
+    out-weight) is not evaluated in round 0, and no other user is evaluated
+    before its bound reaches the top of the heap.
+    """
 
     choices: list[SeedChoice]
     gain_evaluations: int = 0
@@ -107,9 +125,12 @@ def select_celf(influence_field: InfluenceField, k: int) -> SeedSelection:
     k_eff = _effective_k(influence_field, k)
     state = _SelectionState(influence_field)
 
-    heap: list[tuple[float, str, int]] = []
-    for u in influence_field.users:
-        heap.append((-state.gain(u), u, 0))
+    # Stamp -1 marks a bound, evaluated the first time it reaches the top; a
+    # bound of exactly 1.0 is already the user's round-0 gain.
+    heap = [
+        (-bound, u, 0 if bound == 1.0 else -1)
+        for u, bound in influence_field.singleton_spread_bounds().items()
+    ]
     heapq.heapify(heap)
 
     choices: list[SeedChoice] = []

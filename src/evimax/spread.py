@@ -95,6 +95,54 @@ class InfluenceField:
                     con[v] = con.get(v, 0.0) + w_ux * w_xv
         return con
 
+    def singleton_spread_bounds(self) -> dict[str, float]:
+        """Upper bounds on sigma({u}) for every user, in one pass over the edges.
+
+        The exact singleton spread is 1 + sum_x w_ux * (2 + sum_{v != u} w_xv),
+        which is at most 1 + sum_x w_ux * (2 + S_x) with S_x the sum of x's
+        out-weights.  A user whose out-weights are all 0.0 gets exactly 1.0:
+        every term its spread would add is 0.0, so 1.0 is also its float
+        singleton spread and its first marginal gain.
+
+        Every other bound is that sum scaled by m = 1 + (2E + 3) * 2**-52, E the
+        number of edges, so that it also bounds the float value that ``sigma``
+        and the greedy gain compute.  With eps = 2**-53 and all terms
+        nonnegative, a rounding moves a value by a factor within
+        [1 - eps, 1 + eps], and a sum of n terms, in any order or grouping,
+        passes each term through at most n - 1 roundings:
+
+        * The float spread adds at most E + 1 terms (the 1, u's own weights
+          doubled, and one product per out-edge of each x; those edge sets are
+          disjoint), so each term passes at most E additions and one product:
+          it is at most (1 + eps)**(E + 1) times the exact spread.
+        * A term of the bound passes at most d_x + 1 roundings up to
+          w_ux * (2 + S_x) (d_x - 1 in S_x, d_x the out-degree of x, then the
+          2 and the product), d_u - 1 summing over x, then 1 + total and the
+          scaling: d_x + d_u + 2 <= E + 2 in all, so the bound is at least
+          (1 - eps)**(E + 2) * m times the exact one.
+        * (1 + eps)**(E + 1) / (1 - eps)**(E + 2) <= (1 - eps)**-(2E + 3)
+          <= 1 + 2 * (2E + 3) * eps = m while (2E + 3) * eps <= 1/2, and m
+          is exact in binary because (2E + 3) * 2**-52 is a multiple of 2**-52.
+
+        A product that underflows errs by at most 2**-1075, far below the slack
+        this leaves on a bound of at least 1.
+        """
+        out = self._out
+        two_plus_sums: dict[str, float] = {}
+        for x, edges in out.items():
+            total = 0.0
+            for _, w in edges:
+                total += w
+            two_plus_sums[x] = 2.0 + total
+        margin = 1.0 + (2 * sum(map(len, out.values())) + 3) * 2.0**-52
+        bounds: dict[str, float] = {}
+        for u, edges in out.items():
+            total = 0.0
+            for x, w in edges:
+                total += w * two_plus_sums[x]
+            bounds[u] = (1.0 + total) * margin if total else 1.0
+        return bounds
+
     def _require(self, user: str) -> None:
         if user not in self._out:
             raise UnknownUserError(f"unknown user: {user!r}")

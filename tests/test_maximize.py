@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evimax.fusion import ReliabilityConfig, fuse_all
 from evimax.maximize import (
     InvalidKError,
     SeedSelection,
@@ -18,6 +19,7 @@ from evimax.maximize import (
     select_greedy_naive,
 )
 from evimax.spread import InfluenceField, marginal_gain, sigma
+from evimax.synthetic import generate_synthetic
 from tests.helpers import random_field, safe_weight_bound
 
 
@@ -133,6 +135,41 @@ class TestCelfAgainstNaive:
         second = select_celf(field, 5)
         assert first.users() == second.users()
         assert [c.gain for c in first.choices] == [c.gain for c in second.choices]
+
+
+def fused_field(seed: int, n_users: int, n_edges: int, token: str) -> InfluenceField:
+    g, _ = generate_synthetic(seed=seed, n_users=n_users, n_edges=n_edges)
+    return InfluenceField.from_graph(g, fuse_all(g, ReliabilityConfig.parse(token)))
+
+
+class TestCelfOnFusedGraphs:
+    """Fused fields hold exact zero weights, so many gains tie at exactly 1.0."""
+
+    @pytest.mark.parametrize("token", ["fixed:0", "fixed:0.2", "estimated"])
+    def test_identical_to_naive(self, token):
+        for seed in range(8):
+            field = fused_field(seed, 30 + 5 * seed, 20 + 15 * seed, token)
+            k = min(12, field.num_users())
+            celf = select_celf(field, k)
+            naive = select_greedy_naive(field, k)
+            assert celf.users() == naive.users()
+            assert [c.gain for c in celf.choices] == [c.gain for c in naive.choices]
+            assert [c.cumulative_sigma for c in celf.choices] == [
+                c.cumulative_sigma for c in naive.choices
+            ]
+
+    def test_all_zero_field_commits_by_id_almost_unevaluated(self):
+        field = fused_field(41, 60, 150, "fixed:0")
+        k = 10
+        selection = select_celf(field, k)
+        assert selection.gain_evaluations <= k - 1
+        assert selection.users() == sorted(field.users)[:k]
+        assert [c.gain for c in selection.choices] == [1.0] * k
+
+    def test_bounds_spare_most_initial_evaluations(self):
+        field = fused_field(43, 2000, 4000, "estimated")
+        selection = select_celf(field, 50)
+        assert selection.gain_evaluations < field.num_users() / 10
 
 
 class TestRecordedValues:

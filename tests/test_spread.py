@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evimax.graph import UnknownUserError
+from evimax.maximize import _SelectionState
 from evimax.spread import (
     AlreadyInSetError,
     InfluenceField,
@@ -233,3 +237,64 @@ class TestObjectiveShape:
         assert sigma(field, {"a"}) == pytest.approx(2.6, abs=1e-12)
         assert sigma(field, {"a", "b"}) == 2.0
         assert sigma(field, {"a", "b"}) < sigma(field, {"a"})
+
+
+# Exact zeros and ones, values a rounding away from 1, tiny and subnormal
+# values, and anything in [0, 1].
+_weights = st.one_of(
+    st.sampled_from([0.0, 1.0, math.nextafter(1.0, 0.0), 1.0 - 1e-12, 1e-9, 5e-324]),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def mixed_weight_fields(draw):
+    """Small fields over ``_weights``, with or without reciprocal edges."""
+    n = draw(st.integers(1, 12))
+    users = [f"n{i:02d}" for i in range(n)]
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _weights, _weights),
+            max_size=50,
+        )
+    )
+    reciprocal = draw(st.booleans())
+    weights = {}
+    for a, b, w, back in edges:
+        if a != b:
+            weights[(users[a], users[b])] = w
+            if reciprocal:
+                weights[(users[b], users[a])] = back
+    return InfluenceField(users, weights), weights
+
+
+class TestSingletonSpreadBounds:
+    @settings(max_examples=300, deadline=None)
+    @given(case=mixed_weight_fields())
+    def test_bounds_the_float_singleton_spread_and_gain(self, case):
+        field, weights = case
+        bounds = field.singleton_spread_bounds()
+        assert list(bounds) == list(field.users)
+        state = _SelectionState(field)
+        for u, bound in bounds.items():
+            assert bound >= sigma(field, {u})
+            assert bound >= state.gain(u)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=mixed_weight_fields())
+    def test_exactly_one_without_a_nonzero_out_weight(self, case):
+        field, weights = case
+        active = {u for (u, _), w in weights.items() if w != 0.0}
+        state = _SelectionState(field)
+        for u, bound in field.singleton_spread_bounds().items():
+            if u in active:
+                assert bound > 1.0
+            else:
+                assert bound == 1.0 == sigma(field, {u}) == state.gain(u)
+
+    def test_worked_chain_bounds(self, chain):
+        # a: 1 + 0.5 * (2 + 0.4) = 2.2, then the margin; b: 1 + 0.4 * 2 = 1.8.
+        bounds = chain.singleton_spread_bounds()
+        assert bounds["a"] == pytest.approx(2.2, rel=1e-14) and bounds["a"] >= 2.2
+        assert bounds["b"] == pytest.approx(1.8, rel=1e-14) and bounds["b"] >= 1.8
+        assert bounds["c"] == 1.0
