@@ -16,6 +16,10 @@ Typical use::
     influences = fuse_all(graph, ReliabilityConfig.estimated(lam=5.0))
     field = InfluenceField.from_graph(graph, influences)
     seeds = select_celf(field, k=50)
+
+``fuse_all`` maps every edge to an ``EdgeInfluence`` record, one shared
+record per distinct indicator vector.  The package holds only this pipeline;
+the brute-force and naive oracles that check it live in ``tests/oracles.py``.
 """
 
 from .belief import (
@@ -44,7 +48,6 @@ from .graph import (
     SocialGraph,
     UnknownUserError,
     UserActivity,
-    common_neighbors,
     load_graph,
     raw_indicators,
     write_graph,
@@ -53,12 +56,9 @@ from .maximize import (
     InvalidKError,
     SeedChoice,
     SeedSelection,
-    TooLargeError,
     select_celf,
-    select_exhaustive,
-    select_greedy_naive,
 )
-from .spread import AlreadyInSetError, InfluenceField, influence_on, marginal_gain, sigma
+from .spread import InfluenceField, sigma
 from .synthetic import InvalidParametersError, generate_synthetic
 
 __version__ = "0.1.0"
@@ -73,7 +73,6 @@ __all__ = [
     "UserActivity",
     "ParseError",
     "UnknownUserError",
-    "common_neighbors",
     "raw_indicators",
     "load_graph",
     "write_graph",
@@ -91,17 +90,11 @@ __all__ = [
     "fuse_all",
     "fuse_configs",
     "InfluenceField",
-    "AlreadyInSetError",
-    "influence_on",
     "sigma",
-    "marginal_gain",
     "SeedChoice",
     "SeedSelection",
     "InvalidKError",
-    "TooLargeError",
     "select_celf",
-    "select_greedy_naive",
-    "select_exhaustive",
     "QualityCurve",
     "ComparisonReport",
     "quality_curve",

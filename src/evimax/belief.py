@@ -17,12 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Subset bitmasks of the frame; bit 0 = influencer, bit 1 = passive.
-EMPTY = 0
-INFLUENCER = 1
-PASSIVE = 2
-OMEGA = 3
-
 SUM_TOLERANCE = 1e-9
 _NEGATIVE_TOLERANCE = -1e-12
 _CONFLICT_EPSILON = 1e-12
@@ -61,25 +55,6 @@ class MassFunction:
     def vacuous(cls) -> "MassFunction":
         """The total-ignorance BBA: all mass on the whole frame."""
         return cls(0.0, 0.0, 1.0)
-
-    def mass(self, subset: int) -> float:
-        """Mass on a subset given as a bitmask (``EMPTY`` .. ``OMEGA``)."""
-        if subset == INFLUENCER:
-            return self.influencer
-        if subset == PASSIVE:
-            return self.passive
-        if subset == OMEGA:
-            return self.omega
-        if subset == EMPTY:
-            return 0.0
-        raise ValueError(f"not a subset of the frame: {subset!r}")
-
-    def as_vector(self) -> tuple[float, float, float, float]:
-        """Dense 4-slot vector indexed by subset bitmask."""
-        return (0.0, self.influencer, self.passive, self.omega)
-
-    def is_vacuous(self, tolerance: float = 0.0) -> bool:
-        return self.omega >= 1.0 - tolerance
 
 
 def combine_dempster(a: MassFunction, b: MassFunction) -> MassFunction:

@@ -88,7 +88,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                        help="number of follow edges (default: %(default)s)")
     p_gen.add_argument("--intensity", type=float, default=1.0,
                        help="activity volume multiplier; at most 10**7 mentions and "
-                            "retweets may result (default: %(default)s)")
+                            "retweets and a mean of at most 10**6 tweets per user "
+                            "may result (default: %(default)s)")
     p_gen.add_argument("--seed", type=int, default=42, help="RNG seed (default: %(default)s)")
 
     p_sel = add_command("select", "select a top-k influencer seed set")

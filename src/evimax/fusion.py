@@ -14,16 +14,16 @@ reliable": with ``c`` the average distance, reliability is
 One implementation of the pipeline lives here, on ``belief``'s
 ``MassFunction`` operators: ``indicator_bba``, ``estimate_reliabilities`` and
 ``fuse_edge`` for one edge, ``edge_bba_sets`` for every edge's inputs, and
-``fuse_configs`` / ``fuse_all`` for the slotted ``EdgeInfluence`` records of
-every edge.  ``fuse_configs`` computes the raw indicators and their bounds
-once for any number of configs.  Within one config an edge's record depends
-only on its raw indicator vector, so each distinct vector is fused once, at
-its first edge in edge order, and every later edge with that vector gets a
-record built from the same result.  Interaction counts repeat heavily: the
-generated workloads have 32 distinct vectors among 71,027 edges at paper
-scale and 32 among 400,000 at five times that, so ``fuse_edge`` runs 32
-times per config there (about 1 ms in all on a 2.0 GHz Xeon) and each edge
-costs a dict lookup and one record.
+``fuse_configs`` / ``fuse_all`` for every edge's ``EdgeInfluence`` record.
+``fuse_configs`` computes the raw indicators and their bounds once for any
+number of configs.  Within one config an edge's record depends only on its
+raw indicator vector, so each distinct vector is fused once, at its first
+edge in edge order, and every edge with that vector maps to that one frozen
+record.  Interaction counts repeat heavily: the generated workloads have 32
+distinct vectors among 71,027 edges at paper scale and 32 among 400,000 at
+five times that, so ``fuse_edge`` runs 32 times per config there (about
+1 ms in all on a 2.0 GHz Xeon), 32 records are built, and each edge costs
+a dict lookup.
 """
 
 from __future__ import annotations
@@ -114,33 +114,27 @@ class ReliabilityConfig:
 class EdgeBBASet:
     """One edge's normalized indicator values, their BBAs, and reliabilities."""
 
-    edge: tuple[str, str]
     weights: tuple[float, ...]
     bbas: tuple[MassFunction, ...]
     reliabilities: tuple[float, ...]
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class EdgeInfluence:
-    """The fused belief state of one edge, its influence, and its inputs.
+    """The fused belief state of an edge, its influence, and its inputs.
 
     ``inf``, ``passive`` and ``omega`` are the fused masses on {influencer},
     {passive} and the whole frame; ``weights`` and ``reliabilities`` are the
     edge's normalized indicator values and the alphas their BBAs were
-    discounted by.
+    discounted by.  A record carries no edge: ``fuse_all`` shares one record
+    among all edges with the same indicator vector, under their edge keys.
     """
 
-    edge: tuple[str, str]
     inf: float
     passive: float
     omega: float
     weights: tuple[float, ...]
     reliabilities: tuple[float, ...]
-
-    @property
-    def fused(self) -> MassFunction:
-        """The fused BBA, built on demand from the stored masses."""
-        return MassFunction(self.inf, self.passive, self.omega)
 
 
 def _bounds(
@@ -230,8 +224,7 @@ def fuse_edge(ebs: EdgeBBASet) -> EdgeInfluence:
     ]
     fused = reduce(combine_dempster, discounted)
     return EdgeInfluence(
-        ebs.edge, fused.influencer, fused.passive, fused.omega,
-        ebs.weights, ebs.reliabilities,
+        fused.influencer, fused.passive, fused.omega, ebs.weights, ebs.reliabilities
     )
 
 
@@ -242,16 +235,14 @@ def _indicator_bbas(
 
 
 def _edge_bba_set(
-    edge: tuple[str, str],
     vec: tuple[float, ...],
     bounds: tuple[tuple[float, float], ...],
     cfg: ReliabilityConfig,
     shared: tuple[float, ...] | None,
 ) -> EdgeBBASet:
-    """One edge's ``EdgeBBASet``; ``shared`` holds estimated-global alphas."""
+    """The ``EdgeBBASet`` of a raw vector; ``shared`` holds estimated-global alphas."""
     bbas = _indicator_bbas(vec, bounds)
     return EdgeBBASet(
-        edge,
         tuple(m.influencer for m in bbas),
         bbas,
         shared if shared is not None else estimate_reliabilities(bbas, cfg),
@@ -281,10 +272,12 @@ def _global_alphas(
     return tuple(reliability_from_distance(s / len(values), cfg.lam) for s in sums)
 
 
-def edge_bba_sets(g: SocialGraph, cfg: ReliabilityConfig) -> Iterator[EdgeBBASet]:
-    """Normalized weights, BBAs, and reliabilities of each edge, in edge order.
+def edge_bba_sets(
+    g: SocialGraph, cfg: ReliabilityConfig
+) -> Iterator[tuple[tuple[str, str], EdgeBBASet]]:
+    """Each edge with its normalized weights, BBAs, and reliabilities, in edge order.
 
-    Records are yielded one at a time, so the edge set is never held twice.
+    Pairs are yielded one at a time, so the edge set is never held twice.
     A weight is its BBA's mass on {influencer}, 0 for a constant indicator.
     Global reliability averages the distances over every edge in a pre-pass.
     """
@@ -292,7 +285,7 @@ def edge_bba_sets(g: SocialGraph, cfg: ReliabilityConfig) -> Iterator[EdgeBBASet
     bounds = _bounds(values)
     shared = _global_alphas(values, bounds, cfg)
     for edge, vec in values.items():
-        yield _edge_bba_set(edge, vec, bounds, cfg, shared)
+        yield edge, _edge_bba_set(vec, bounds, cfg, shared)
 
 
 def fuse_configs(
@@ -302,7 +295,8 @@ def fuse_configs(
 
     The raw indicators and their normalization bounds are computed once and
     shared by every config; each dict is built only when the next one is
-    requested, so a caller that drops it first holds one at a time.
+    requested, so a caller that drops it first holds one at a time.  Edges
+    with the same raw indicator vector map to one shared, frozen record.
 
     Raises:
         FusionError: naming the first edge in edge order whose sources
@@ -337,15 +331,14 @@ def _fuse_values(
     # first edge in edge order fuses it, so a FusionError names the same
     # edge as a per-edge run would.
     shared = _global_alphas(values, bounds, cfg)
-    fused: dict[tuple[float, ...], tuple] = {}
+    records: dict[tuple[float, ...], EdgeInfluence] = {}
     out: dict[tuple[str, str], EdgeInfluence] = {}
     for edge, vec in values.items():
-        result = fused.get(vec)
-        if result is None:
+        record = records.get(vec)
+        if record is None:
             try:
-                r = fuse_edge(_edge_bba_set(edge, vec, bounds, cfg, shared))
+                record = records[vec] = fuse_edge(_edge_bba_set(vec, bounds, cfg, shared))
             except ValueError as exc:  # TotalConflictError is one too
                 raise FusionError(f"edge {edge[0]!r} -> {edge[1]!r}: {exc}") from exc
-            result = fused[vec] = (r.inf, r.passive, r.omega, r.weights, r.reliabilities)
-        out[edge] = EdgeInfluence(edge, *result)
+        out[edge] = record
     return out

@@ -113,27 +113,6 @@ class SocialGraph:
     def num_edges(self) -> int:
         return len(self._edges)
 
-    def _require(self, user: str) -> None:
-        if user not in self._neighbors:
-            raise UnknownUserError(f"unknown user: {user!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SocialGraph):
-            return NotImplemented
-        return (
-            self._neighbors.keys() == other._neighbors.keys()
-            and self._edges.keys() == other._edges.keys()
-            and self.mentions == other.mentions
-            and self.retweets == other.retweets
-        )
-
-
-def common_neighbors(g: SocialGraph, u: str, v: str) -> int:
-    """Number of users adjacent (in either direction) to both u and v."""
-    g._require(u)
-    g._require(v)
-    return len(g._neighbors[u] & g._neighbors[v])
-
 
 INDICATOR_NAMES = ("common_neighbors", "mentions", "retweets")
 

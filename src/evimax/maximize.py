@@ -26,26 +26,21 @@ sigma(S + w) = sigma(S) + gain: committing a seed costs one two-hop-frontier
 expansion into the accumulated field and one addition, not a rescan of every
 user (CELF's own bookkeeping, Leskovec et al., KDD 2007).
 
-``select_greedy_naive`` (full rescan) and ``select_exhaustive`` (true argmax
-over all size-k subsets) exist as oracles for testing the lazy machinery.
+The naive full-rescan greedy and the exhaustive argmax over all size-k
+subsets, the oracles that check the lazy machinery, live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-import math
 from dataclasses import dataclass
 
-from .spread import InfluenceField, sigma
+from .spread import InfluenceField
 
 
 class InvalidKError(ValueError):
     """Requested seed count is not a positive integer."""
-
-
-class TooLargeError(ValueError):
-    """Exhaustive search was asked to enumerate too many subsets."""
 
 
 @dataclass(frozen=True)
@@ -81,7 +76,7 @@ class SeedSelection:
 
 
 class _SelectionState:
-    """Incremental spread bookkeeping shared by both greedy variants.
+    """Incremental spread bookkeeping, shared with the naive greedy oracle.
 
     Maintains, for the current seed set, the accumulated per-user influence
     field and the current spread, so a candidate's gain costs one
@@ -143,46 +138,3 @@ def select_celf(influence_field: InfluenceField, k: int) -> SeedSelection:
             heapq.heappush(heap, (-state.gain(u), u, len(state.seeds)))
     return SeedSelection(choices, gain_evaluations=state.evaluations)
 
-
-def select_greedy_naive(influence_field: InfluenceField, k: int) -> SeedSelection:
-    """Plain greedy: every round rescans every remaining candidate."""
-    k_eff = _effective_k(influence_field, k)
-    state = _SelectionState(influence_field)
-
-    choices: list[SeedChoice] = []
-    while len(choices) < k_eff:
-        best: tuple[float, str] | None = None
-        for u in influence_field.users:
-            if u in state.seeds:
-                continue
-            entry = (-state.gain(u), u)
-            if best is None or entry < best:
-                best = entry
-        assert best is not None
-        neg_gain, u = best
-        cumulative = state.commit(u, -neg_gain)
-        choices.append(SeedChoice(len(choices) + 1, u, -neg_gain, cumulative))
-    return SeedSelection(choices, gain_evaluations=state.evaluations)
-
-
-def select_exhaustive(influence_field: InfluenceField, k: int) -> set[str]:
-    """True spread-optimal size-k subset, for small instances only.
-
-    Ties resolve to the lexicographically first subset in user-id order.
-    """
-    k_eff = _effective_k(influence_field, k)
-    n = influence_field.num_users()
-    if math.comb(n, k_eff) > 10**6:
-        raise TooLargeError(
-            f"C({n}, {k_eff}) subsets exceed the exhaustive-search budget"
-        )
-    ordered = sorted(influence_field.users)
-    best_set: tuple[str, ...] | None = None
-    best_sigma = -math.inf
-    for combo in itertools.combinations(ordered, k_eff):
-        value = sigma(influence_field, set(combo))
-        if value > best_sigma:
-            best_sigma = value
-            best_set = combo
-    assert best_set is not None
-    return set(best_set)

@@ -9,10 +9,9 @@ exceed 1, and the objective is maximized exactly as defined.
 
 ``sigma`` evaluates the double sum by accumulating each seed's contribution
 field over its two-hop out-frontier, which is an exact restructuring (all
-terms outside the frontier are zero).  ``influence_on`` keeps the literal
-per-user form, reading v's in-edges off the out-adjacency, so the two routes
-can check each other.  The field stores the graph once, as out-adjacency
-keyed by user, which also serves as its user list.
+terms outside the frontier are zero); the literal per-user form lives in
+``tests/oracles.py`` as a check on it.  The field stores the graph once, as
+out-adjacency keyed by user, which also serves as its user list.
 """
 
 from __future__ import annotations
@@ -23,17 +22,13 @@ from .fusion import EdgeInfluence
 from .graph import SocialGraph, UnknownUserError
 
 
-class AlreadyInSetError(ValueError):
-    """Marginal gain was requested for a user already in the seed set."""
-
-
 class InfluenceField:
     """Immutable per-edge influence values over a fixed user set.
 
     One dict maps each user to its weighted out-edges in insertion order;
-    its keys are the user set.  Construction validates that every weight
-    lies in [0, 1] and that edges connect known, distinct users; after that
-    the field is read-only and safe to share.
+    its keys are the user set.  A field built from given weights checks that
+    every weight lies in [0, 1] and that edges connect known, distinct users;
+    after construction the field is read-only and safe to share.
     """
 
     def __init__(
@@ -55,11 +50,22 @@ class InfluenceField:
     def from_graph(
         cls, g: SocialGraph, influences: Mapping[tuple[str, str], EdgeInfluence]
     ) -> "InfluenceField":
-        """Build a field from a graph and ``fuse_all``'s per-edge records.
+        """Build a field from a graph and ``fuse_all``'s records, in one pass.
 
-        Each edge's weight is its record's ``inf``.
+        Each edge's weight is its record's ``inf``.  An edge naming a user
+        outside ``g`` raises ``UnknownUserError``; the weights are not
+        rechecked, since fusion built them.  Dempster's normalization can
+        round a fused mass one ulp above 1 (1.0000000000000002), and such a
+        weight is kept: ``singleton_spread_bounds`` and CELF need only
+        nonnegative weights, which fusion guarantees.
         """
-        return cls(g.users, {edge: record.inf for edge, record in influences.items()})
+        field = cls(g.users, {})
+        out = field._out
+        for (u, v), record in influences.items():
+            if u not in out or v not in out:
+                raise UnknownUserError(f"edge ({u!r}, {v!r}) references unknown user")
+            out[u].append((v, record.inf))
+        return field
 
     @property
     def users(self) -> Iterable[str]:
@@ -67,15 +73,6 @@ class InfluenceField:
 
     def num_users(self) -> int:
         return len(self._out)
-
-    def influence(self, a: str, b: str) -> float:
-        """Pairwise influence: 1 on the diagonal, edge weight or 0 elsewhere."""
-        if a == b:
-            return 1.0
-        for v, w in self._out.get(a, ()):
-            if v == b:
-                return w
-        return 0.0
 
     def seed_contributions(self, u: str) -> dict[str, float]:
         """Influence of the single seed u on every reachable other user.
@@ -152,23 +149,6 @@ class InfluenceField:
             self._require(u)
 
 
-def influence_on(field: InfluenceField, seeds: set[str], v: str) -> float:
-    """Influence of the seed set on one user, evaluated literally."""
-    field._require_seeds(seeds)
-    field._require(v)
-    if v in seeds:
-        return 1.0
-    in_edges = [(x, w) for x, out in field._out.items() for y, w in out if y == v]
-    total = 0.0
-    # Sorted seed order keeps float accumulation reproducible across
-    # processes (set iteration order is hash-randomized).
-    for u in sorted(seeds):
-        for x, w_xv in in_edges:
-            total += field.influence(u, x) * w_xv
-        total += field.influence(u, v)  # x = v term, self-influence is 1
-    return total
-
-
 def sigma(field: InfluenceField, seeds: set[str]) -> float:
     """Total influence of the seed set over the whole network."""
     field._require_seeds(seeds)
@@ -182,10 +162,3 @@ def sigma(field: InfluenceField, seeds: set[str]) -> float:
             total += value
     return total
 
-
-def marginal_gain(field: InfluenceField, seeds: set[str], w: str) -> float:
-    """Spread increase from adding w to the seed set."""
-    field._require(w)
-    if w in seeds:
-        raise AlreadyInSetError(f"user {w!r} is already a seed")
-    return sigma(field, seeds | {w}) - sigma(field, seeds)

@@ -21,6 +21,9 @@ RETWEETS_PER_FOLLOW = 9789 / 71027
 TWEETS_PER_USER = 251329 / 36274
 # Mentions and retweets are drawn one at a time, well over a second per million.
 MAX_ACTIVITY_DRAWS = 10**7
+# A user's tweet count is one exponential draw around the mean; a mean of a
+# million tweets, about 144,000 times the crawl's, is far beyond any account.
+MAX_MEAN_TWEETS = 10**6
 
 
 class InvalidParametersError(ValueError):
@@ -62,6 +65,11 @@ def generate_synthetic(
             f"activity_intensity {activity_intensity} asks for "
             f"{mention_total + retweet_total:.3g} mentions and retweets on {n_edges} "
             f"edges; at most {MAX_ACTIVITY_DRAWS} are drawn"
+        )
+    if mean_tweets > MAX_MEAN_TWEETS:
+        raise InvalidParametersError(
+            f"activity_intensity {activity_intensity} asks for a mean of "
+            f"{mean_tweets:.3g} tweets per user; at most {MAX_MEAN_TWEETS} is allowed"
         )
 
     rng = random.Random(seed)

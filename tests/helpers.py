@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from evimax.belief import MassFunction
 from evimax.spread import InfluenceField
 from evimax.synthetic import generate_synthetic
+from tests.oracles import influence
 
 
 # -- belief oracles ----------------------------------------------------------
@@ -121,7 +122,7 @@ def brute_force_influence_on(field: InfluenceField, seeds: set[str], v: str) -> 
     total = 0.0
     for u in seeds:
         for x in field.users:
-            total += field.influence(u, x) * field.influence(x, v)
+            total += influence(field, u, x) * influence(field, x, v)
     return total
 
 

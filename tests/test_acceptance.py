@@ -26,7 +26,7 @@ from evimax.fusion import (
     fuse_edge,
     indicator_bba,
 )
-from evimax.maximize import select_celf, select_exhaustive, select_greedy_naive
+from evimax.maximize import select_celf
 from evimax.spread import InfluenceField, sigma
 from evimax.synthetic import generate_synthetic
 from tests.helpers import (
@@ -35,6 +35,7 @@ from tests.helpers import (
     random_field,
     safe_weight_bound,
 )
+from tests.oracles import as_vector, fused, select_exhaustive, select_greedy_naive
 
 
 def report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -50,9 +51,9 @@ def test_criterion_1_dempster_oracle():
     worst = 0.0
     for _ in range(1000):
         a, b = random_bba(rng), random_bba(rng)
-        expected, _ = brute_force_dempster(a.as_vector(), b.as_vector())
+        expected, _ = brute_force_dempster(as_vector(a), as_vector(b))
         assert expected is not None
-        got = combine_dempster(a, b).as_vector()
+        got = as_vector(combine_dempster(a, b))
         worst = max(worst, max(abs(g - e) for g, e in zip(got, expected)))
     elapsed = time.perf_counter() - started
     report(
@@ -73,7 +74,7 @@ def test_criterion_2_worked_fusion_numbers():
     checks.append(abs(combined.omega - 0.097561) <= tol)
 
     halved = discount(MassFunction(0.7, 0.1, 0.2), 0.5)
-    checks.append(halved.as_vector()[1:] == (0.35, 0.05, 0.6))
+    checks.append(as_vector(halved)[1:] == (0.35, 0.05, 0.6))
 
     checks.append(
         abs(jousselme_distance(MassFunction(1, 0, 0), MassFunction(0, 1, 0)) - 1.0) <= tol
@@ -97,7 +98,6 @@ def test_criterion_2_worked_fusion_numbers():
 
     fused = fuse_edge(
         EdgeBBASet(
-            ("a", "b"),
             (0.6, 0.5),
             (MassFunction(0.6, 0.4, 0.0), MassFunction(0.5, 0.5, 0.0)),
             (1.0, 1.0),
@@ -214,14 +214,13 @@ def test_criterion_6_degenerate_alpha_algebra():
         plain = bba_tuple[0]
         for m in bba_tuple[1:]:
             plain = combine_dempster(plain, m)
-        via_fusion = fuse_edge(
+        via_fusion = fused(fuse_edge(
             EdgeBBASet(
-                ("a", "b"),
                 tuple(0.0 for _ in bba_tuple),
                 bba_tuple,
                 estimate_reliabilities(bba_tuple, ReliabilityConfig.fixed(1.0)),
             )
-        ).fused
+        ))
         if via_fusion != plain:
             exact_at_full_reliability = False
 

@@ -9,9 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evimax.belief import (
-    INFLUENCER,
-    OMEGA,
-    PASSIVE,
     MassFunction,
     TotalConflictError,
     combine_dempster,
@@ -19,6 +16,7 @@ from evimax.belief import (
     jousselme_distance,
 )
 from tests.helpers import bbas, brute_force_dempster, random_bba
+from tests.oracles import INFLUENCER, OMEGA, PASSIVE, as_vector, is_vacuous, mass
 
 TOL = 1e-9
 
@@ -28,15 +26,15 @@ unit_floats = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
 class TestMassFunction:
     def test_accessors(self):
         m = MassFunction(0.2, 0.3, 0.5)
-        assert m.as_vector() == (0.0, 0.2, 0.3, 0.5)
-        assert m.mass(INFLUENCER) == 0.2
-        assert m.mass(PASSIVE) == 0.3
-        assert m.mass(OMEGA) == 0.5
-        assert m.mass(0) == 0.0
+        assert as_vector(m) == (0.0, 0.2, 0.3, 0.5)
+        assert mass(m, INFLUENCER) == 0.2
+        assert mass(m, PASSIVE) == 0.3
+        assert mass(m, OMEGA) == 0.5
+        assert mass(m, 0) == 0.0
 
     def test_vacuous(self):
         assert MassFunction.vacuous() == MassFunction(0.0, 0.0, 1.0)
-        assert MassFunction.vacuous().is_vacuous()
+        assert is_vacuous(MassFunction.vacuous())
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
@@ -52,7 +50,7 @@ class TestMassFunction:
 
     def test_rejects_bad_subset(self):
         with pytest.raises(ValueError):
-            MassFunction(0.0, 0.0, 1.0).mass(7)
+            mass(MassFunction(0.0, 0.0, 1.0), 7)
 
 
 class TestCombineDempster:
@@ -107,20 +105,20 @@ class TestCombineDempster:
     @given(a=bbas(max_commitment=0.98), b=bbas(max_commitment=0.98))
     def test_output_normalized(self, a, b):
         m = combine_dempster(a, b)
-        assert abs(sum(m.as_vector()) - 1.0) <= TOL
-        assert min(m.as_vector()) >= 0.0
+        assert abs(sum(as_vector(m)) - 1.0) <= TOL
+        assert min(as_vector(m)) >= 0.0
 
     def test_matches_brute_force_oracle(self):
         """1000 seeded random pairs against the 16-pair enumeration oracle."""
         rng = random.Random(20260808)
         for _ in range(1000):
             a, b = random_bba(rng), random_bba(rng)
-            expected, _ = brute_force_dempster(a.as_vector(), b.as_vector())
+            expected, _ = brute_force_dempster(as_vector(a), as_vector(b))
             if expected is None:
                 with pytest.raises(TotalConflictError):
                     combine_dempster(a, b)
                 continue
-            got = combine_dempster(a, b).as_vector()
+            got = as_vector(combine_dempster(a, b))
             assert max(abs(g - e) for g, e in zip(got, expected)) <= TOL
 
 
@@ -138,7 +136,7 @@ class TestDiscount:
         assert m.influencer == pytest.approx(0.35, abs=1e-12)
         assert m.passive == pytest.approx(0.05, abs=1e-12)
         assert m.omega == pytest.approx(0.60, abs=1e-12)
-        assert sum(m.as_vector()) == pytest.approx(1.0, abs=TOL)
+        assert sum(as_vector(m)) == pytest.approx(1.0, abs=TOL)
 
     def test_rejects_out_of_range_alpha(self):
         m = MassFunction.vacuous()
@@ -158,8 +156,8 @@ class TestDiscount:
     @given(m=bbas(), alpha=unit_floats)
     def test_output_normalized(self, m, alpha):
         d = discount(m, alpha)
-        assert abs(sum(d.as_vector()) - 1.0) <= TOL
-        assert min(d.as_vector()) >= 0.0
+        assert abs(sum(as_vector(d)) - 1.0) <= TOL
+        assert min(as_vector(d)) >= 0.0
 
 
 class TestJousselmeDistance:

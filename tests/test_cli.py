@@ -76,6 +76,17 @@ class TestGenerate:
         assert code == 1
         assert "n_users" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("intensity", ["1e300", "1e307"])
+    def test_huge_intensity_exits_1_naming_it(self, paths, capsys, intensity):
+        # No edges, so only the tweet counts grow with the intensity.
+        code = run(
+            "generate", "--users", "50", "--n-edges", "0", "--intensity", intensity,
+            "--edges", paths["edges"], "--mentions", paths["mentions"],
+            "--retweets", paths["retweets"], "--activity", paths["activity"],
+        )
+        assert code == 1
+        assert "activity_intensity" in capsys.readouterr().err
+
     def test_out_flag_rejected(self, paths, capsys):
         code = run(
             "generate", "--users", "10", "--n-edges", "12",
@@ -256,6 +267,42 @@ class TestDumpEdges:
         first = open(paths["out"], "rb").read()
         run("dump-edges", *input_flags(paths), "--out", paths["out"])
         assert open(paths["out"], "rb").read() == first
+
+
+class TestFusedMassAboveOne:
+    """At lambda 12, Dempster rounds the fused mass of a -> b to 1 + 2**-52."""
+
+    @pytest.fixture
+    def graph(self, paths):
+        for key, text in (
+            ("edges", "src,dst\na,b\na,c\nc,b\nd,e\n"),
+            ("mentions", "mentioner,mentioned,count\nb,a,1\ne,d,2\n"),
+            ("retweets", "retweeter,original_author,count\nb,a,1\n"),
+            ("activity", "user,tweets,followers\n"),
+        ):
+            with open(paths[key], "w", encoding="utf-8") as handle:
+                handle.write(text)
+        return paths
+
+    @pytest.mark.parametrize(
+        "command, user_column",
+        [
+            (("select", "--k", "2"), 1),
+            (("evaluate", "--k", "2", "--configs", "estimated"), 2),
+        ],
+        ids=("select", "evaluate"),
+    )
+    def test_command_accepts_the_fused_weight(self, graph, capsys, command, user_column):
+        code = run(*command, *input_flags(graph), "--lambda", "12", "--out", graph["out"])
+        assert code == 0, capsys.readouterr().err
+        rows = open(graph["out"]).read().splitlines()
+        assert len(rows) == 3
+        assert rows[1].split(",")[user_column] == "a"
+
+    def test_dump_edges_prints_it_as_one(self, graph):
+        assert run("dump-edges", *input_flags(graph), "--lambda", "12", "--out", graph["out"]) == 0
+        rows = open(graph["out"]).read().splitlines()
+        assert rows[1].startswith("a,b,") and rows[1].endswith(",1.000000")
 
 
 class TestUsage:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -30,6 +31,7 @@ from evimax.fusion import (
 from evimax.graph import INDICATOR_NAMES, SocialGraph, raw_indicators
 from evimax.synthetic import generate_synthetic
 from tests.helpers import bbas, synthetic_graphs
+from tests.oracles import fused
 
 TOL = 1e-9
 ESTIMATED = ReliabilityConfig.estimated(lam=5.0)
@@ -169,24 +171,22 @@ class TestEstimateReliabilities:
 
 class TestFuseEdge:
     def test_single_source_identity(self):
-        ebs = EdgeBBASet(("a", "b"), (0.4,), (committed(0.4),), (1.0,))
+        ebs = EdgeBBASet((0.4,), (committed(0.4),), (1.0,))
         assert fuse_edge(ebs).inf == pytest.approx(0.4, abs=1e-12)
 
     def test_all_zero_reliability_is_vacuous(self):
         ebs = EdgeBBASet(
-            ("a", "b"),
             (0.4, 0.9),
             (committed(0.4), committed(0.9)),
             (0.0, 0.0),
         )
         result = fuse_edge(ebs)
-        assert result.fused == MassFunction.vacuous()
+        assert fused(result) == MassFunction.vacuous()
         assert result.inf == 0.0
 
     def test_worked_two_indicator_fusion(self):
         # K = 0.6*0.5 + 0.4*0.5 = 0.5; influence mass = 0.3/0.5 = 0.6.
         ebs = EdgeBBASet(
-            ("a", "b"),
             (0.6, 0.5),
             (committed(0.6), committed(0.5)),
             (1.0, 1.0),
@@ -199,7 +199,6 @@ class TestFuseEdge:
         for perm in itertools.permutations(data):
             perm = tuple(perm)
             ebs = EdgeBBASet(
-                ("a", "b"),
                 tuple(0.0 for _ in perm),
                 perm,
                 estimate_reliabilities(perm, ESTIMATED),
@@ -214,7 +213,6 @@ class TestFuseEdge:
     def test_estimated_fusion_stays_in_unit_interval(self, data):
         bba_tuple = tuple(data)
         ebs = EdgeBBASet(
-            ("a", "b"),
             tuple(0.0 for _ in bba_tuple),
             bba_tuple,
             estimate_reliabilities(bba_tuple, ESTIMATED),
@@ -226,7 +224,6 @@ class TestFuseEdge:
         """Fixed alpha=1 must reproduce undiscounted fusion exactly."""
         bba_tuple = tuple(data)
         ebs = EdgeBBASet(
-            ("a", "b"),
             tuple(0.0 for _ in bba_tuple),
             bba_tuple,
             estimate_reliabilities(bba_tuple, ReliabilityConfig.fixed(1.0)),
@@ -234,7 +231,7 @@ class TestFuseEdge:
         expected = bba_tuple[0]
         for m in bba_tuple[1:]:
             expected = combine_dempster(expected, m)
-        assert fuse_edge(ebs).fused == expected
+        assert fused(fuse_edge(ebs)) == expected
 
 
 def two_edge_graph() -> SocialGraph:
@@ -297,7 +294,7 @@ class TestFuseAll:
     def test_global_reliability_shares_alphas(self):
         g, _ = generate_synthetic(seed=16, n_users=50, n_edges=140)
         cfg = ReliabilityConfig.estimated(lam=5.0, global_reliability=True)
-        alphas = {ebs.reliabilities for ebs in edge_bba_sets(g, cfg)}
+        alphas = {ebs.reliabilities for _, ebs in edge_bba_sets(g, cfg)}
         assert len(alphas) == 1
         for r in fuse_all(g, cfg).values():
             assert -TOL <= r.inf <= 1.0 + TOL
@@ -309,7 +306,7 @@ class TestFuseAll:
 class TestDiagnosticsRecords:
     def test_edge_bba_sets_expose_normalized_weights(self):
         g = two_edge_graph()
-        sets = {ebs.edge: ebs for ebs in edge_bba_sets(g, ESTIMATED)}
+        sets = dict(edge_bba_sets(g, ESTIMATED))
         # Mentions: 5 on (a,b) and 0 on (c,d) normalize to 1 and 0.
         assert sets[("a", "b")].weights[1] == pytest.approx(1.0)
         assert sets[("c", "d")].weights[1] == pytest.approx(0.0)
@@ -353,7 +350,6 @@ class TestDiagnosticsRecords:
         assert list(records) == list(values)
         for edge, vec in values.items():
             record = records[edge]
-            assert record.edge == edge
             assert record.weights == tuple(
                 (vec[j] - lows[j]) / (highs[j] - lows[j]) if highs[j] > lows[j] else 0.0
                 for j in range(n)
@@ -363,8 +359,9 @@ class TestDiagnosticsRecords:
                 else estimate_reliabilities(bbas[edge], cfg)
             )
             assert record.reliabilities == alphas
-            reference = fuse_edge(EdgeBBASet(edge, record.weights, bbas[edge], alphas))
-            assert record.fused == reference.fused
+            reference = fuse_edge(EdgeBBASet(record.weights, bbas[edge], alphas))
+            assert record == reference
+            assert fused(record) == fused(reference)
             assert record.inf == reference.inf
 
 
@@ -390,11 +387,11 @@ def reference_fusion(g, cfg):
     check when near-total conflict leaves too few digits in its normalizer.
     """
     records = {}
-    for ebs in edge_bba_sets(g, cfg):
+    for edge, ebs in edge_bba_sets(g, cfg):
         try:
-            records[ebs.edge] = fuse_edge(ebs)
+            records[edge] = fuse_edge(ebs)
         except ValueError as exc:  # TotalConflictError is a ValueError too
-            return None, f"edge {ebs.edge[0]!r} -> {ebs.edge[1]!r}: {exc}"
+            return None, f"edge {edge[0]!r} -> {edge[1]!r}: {exc}"
     return records, None
 
 
@@ -425,7 +422,7 @@ class TestKernelMatchesReference:
             reference = expected[edge]
             assert record.weights == reference.weights
             assert record.reliabilities == reference.reliabilities
-            assert record.fused == reference.fused
+            assert fused(record) == fused(reference)
             assert record.inf == reference.inf
 
 
@@ -442,10 +439,10 @@ def assert_records_equal(records, expected):
     assert list(records) == list(expected)
     for edge, record in records.items():
         reference = expected[edge]
-        assert record.edge == edge
+        assert record == reference
         assert record.weights == reference.weights
         assert record.reliabilities == reference.reliabilities
-        assert record.fused == reference.fused
+        assert fused(record) == fused(reference)
         assert record.inf == reference.inf
 
 
@@ -470,6 +467,7 @@ class TestPerVectorCache:
         for i, cfg in enumerate(CACHE_CONFIGS):
             expected, error = reference_fusion(g, cfg)
             if error is None:
+                assert list(expected) == list(values)
                 assert_records_equal(fuse_all(g, cfg), expected)
                 records = next(swept)
                 assert_records_equal(records, expected)
@@ -508,6 +506,35 @@ class TestPerVectorCache:
         with pytest.raises(FusionError) as err:
             next(sweep)
         assert str(err.value) == error
+
+
+class TestSharedRecords:
+    """Every edge with the same indicator vector maps to one frozen record."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ReliabilityConfig.fixed(0.0),
+            ReliabilityConfig.fixed(0.2),
+            ESTIMATED,
+            ReliabilityConfig.estimated(lam=5.0, global_reliability=True),
+        ],
+        ids=lambda cfg: cfg.name,
+    )
+    def test_one_record_per_distinct_vector(self, cfg):
+        g, _ = generate_synthetic(31, 300, 600, 1.0)
+        values = raw_indicators(g)
+        records = fuse_all(g, cfg)
+        assert len({id(r) for r in records.values()}) == len(set(values.values()))
+        first = {}
+        for edge, vec in values.items():
+            assert records[edge] is first.setdefault(vec, records[edge])
+
+    def test_records_are_frozen(self):
+        g, _ = generate_synthetic(31, 300, 600, 1.0)
+        record = next(iter(fuse_all(g, ESTIMATED).values()))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.inf = 0.5
 
 
 class TestFusesEachDistinctVectorOnce:

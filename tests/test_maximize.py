@@ -10,17 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evimax.fusion import ReliabilityConfig, fuse_all
-from evimax.maximize import (
-    InvalidKError,
-    SeedSelection,
+from evimax.maximize import InvalidKError, SeedSelection, select_celf
+from evimax.spread import InfluenceField, sigma
+from evimax.synthetic import generate_synthetic
+from tests.helpers import random_field, safe_weight_bound
+from tests.oracles import (
     TooLargeError,
-    select_celf,
+    marginal_gain,
     select_exhaustive,
     select_greedy_naive,
 )
-from evimax.spread import InfluenceField, marginal_gain, sigma
-from evimax.synthetic import generate_synthetic
-from tests.helpers import random_field, safe_weight_bound
 
 
 @pytest.fixture

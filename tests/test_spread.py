@@ -4,26 +4,22 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evimax.graph import UnknownUserError
+from evimax.graph import SocialGraph, UnknownUserError
 from evimax.maximize import _SelectionState
-from evimax.spread import (
-    AlreadyInSetError,
-    InfluenceField,
-    influence_on,
-    marginal_gain,
-    sigma,
-)
+from evimax.spread import InfluenceField, sigma
 from tests.helpers import (
     brute_force_influence_on,
     brute_force_sigma,
     random_field,
     safe_weight_bound,
 )
+from tests.oracles import AlreadyInSetError, influence, influence_on, marginal_gain
 
 TOL = 1e-9
 
@@ -36,10 +32,10 @@ def chain() -> InfluenceField:
 
 class TestInfluenceField:
     def test_pairwise_lookup(self, chain):
-        assert chain.influence("a", "a") == 1.0
-        assert chain.influence("a", "b") == 0.5
-        assert chain.influence("a", "c") == 0.0
-        assert chain.influence("b", "a") == 0.0
+        assert influence(chain, "a", "a") == 1.0
+        assert influence(chain, "a", "b") == 0.5
+        assert influence(chain, "a", "c") == 0.0
+        assert influence(chain, "b", "a") == 0.0
 
     def test_rejects_unknown_endpoint(self):
         with pytest.raises(UnknownUserError):
@@ -60,14 +56,28 @@ class TestInfluenceField:
             def __init__(self, inf: float) -> None:
                 self.inf = inf
 
-        from evimax.graph import SocialGraph
-
         g = SocialGraph()
         g.add_edge("a", "b")
         g.add_edge("b", "c")
         field = InfluenceField.from_graph(g, {("a", "b"): Rec(0.5), ("b", "c"): Rec(0.25)})
-        assert field.influence("a", "b") == 0.5
-        assert field.influence("b", "c") == 0.25
+        assert influence(field, "a", "b") == 0.5
+        assert influence(field, "b", "c") == 0.25
+
+    def test_from_graph_rejects_an_edge_outside_the_graph(self):
+        g = SocialGraph()
+        g.add_edge("a", "b")
+        record = SimpleNamespace(inf=0.5)
+        with pytest.raises(UnknownUserError):
+            InfluenceField.from_graph(g, {("a", "b"): record, ("a", "z"): record})
+
+    def test_from_graph_keeps_a_fused_mass_an_ulp_above_one(self):
+        # Dempster's normalization can round a fused mass to 1 + 2**-52.
+        g = SocialGraph()
+        g.add_edge("a", "b")
+        above_one = math.nextafter(1.0, 2.0)
+        field = InfluenceField.from_graph(g, {("a", "b"): SimpleNamespace(inf=above_one)})
+        assert influence(field, "a", "b") == above_one
+        assert field.singleton_spread_bounds()["a"] >= sigma(field, {"a"})
 
 
 class TestInfluenceOn:
@@ -147,10 +157,10 @@ class TestSigma:
             mapped = InfluenceField(
                 [relabeled[u] for u in users],
                 {
-                    (relabeled[u], relabeled[v]): field.influence(u, v)
+                    (relabeled[u], relabeled[v]): influence(field, u, v)
                     for u in users
                     for v in users
-                    if u != v and field.influence(u, v) > 0.0
+                    if u != v and influence(field, u, v) > 0.0
                 },
             )
             seeds = {u for u in users if rng.random() < 0.5}
