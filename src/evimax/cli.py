@@ -142,12 +142,6 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _reliability_config(args: argparse.Namespace) -> ReliabilityConfig:
-    if args.alpha is None:
-        return ReliabilityConfig.estimated(lam=args.lam)
-    return ReliabilityConfig.fixed(args.alpha, lam=args.lam)
-
-
 def _open_out(path: str):
     return open(path, "w", newline="", encoding="utf-8")
 
@@ -166,7 +160,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_select(args: argparse.Namespace) -> int:
     # The activity records are not read; dropping them frees them before fusion.
     g = load_graph(args.edges, args.mentions, args.retweets, args.activity)[0]
-    influence_field = InfluenceField.from_graph(g, fuse_all(g, _reliability_config(args)))
+    cfg = ReliabilityConfig(alpha=args.alpha, lam=args.lam)
+    influence_field = InfluenceField.from_graph(g, fuse_all(g, cfg))
     selection = select_celf(influence_field, args.k)
     with _open_out(args.out) as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -208,6 +203,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_dump_edges(args: argparse.Namespace) -> int:
     # The activity records are not read; dropping them frees them before fusion.
     g = load_graph(args.edges, args.mentions, args.retweets, args.activity)[0]
+    cfg = ReliabilityConfig(alpha=args.alpha, lam=args.lam)
     n = len(INDICATOR_NAMES)
     with _open_out(args.out) as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -217,7 +213,7 @@ def _cmd_dump_edges(args: argparse.Namespace) -> int:
             + tuple(f"alpha_{j + 1}" for j in range(n))
             + ("inf",)
         )
-        for edge, result in fuse_all(g, _reliability_config(args)).items():
+        for edge, result in fuse_all(g, cfg).items():
             writer.writerow(
                 edge
                 + tuple(f"{w:.6f}" for w in result.weights)

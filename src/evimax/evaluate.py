@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fusion import ReliabilityConfig, fuse_configs
+from .fusion import FusionError, ReliabilityConfig, fuse_configs
 from .graph import SocialGraph, UserActivity
 from .maximize import SeedSelection, select_celf
 from .spread import InfluenceField
 
 
 class EvaluationError(RuntimeError):
-    """A pipeline failure while evaluating one named configuration."""
+    """An input or configuration error while evaluating one named configuration."""
 
 
 @dataclass
@@ -97,7 +97,7 @@ def compare_configs(
     for cfg in configs:
         try:
             selection = select_celf(InfluenceField.from_graph(g, next(fused)), k)
-        except Exception as exc:
+        except (FusionError, ValueError) as exc:
             raise EvaluationError(f"config {cfg.name}: {exc}") from exc
         entries.append(
             ReportEntry(cfg.name, selection, quality_curve(selection, activities))

@@ -53,41 +53,35 @@ class FusionError(RuntimeError):
 class ReliabilityConfig:
     """How per-indicator reliabilities are obtained.
 
-    ``estimated`` mode derives one reliability per indicator per edge from
-    pairwise BBA distances; ``fixed`` mode applies the same constant alpha
-    everywhere.  ``lam`` shapes the distance-to-reliability map (best results
-    around 5).  ``global_reliability`` switches the estimated mode to average
-    distances over all edges before mapping, yielding one alpha per indicator
-    for the whole graph.
+    With ``alpha`` set, the same constant reliability applies everywhere
+    (``fixed``); with ``alpha`` None, one reliability per indicator per edge
+    is estimated from pairwise BBA distances (``estimated``).  ``lam`` shapes
+    the distance-to-reliability map (best results around 5).
+    ``global_reliability`` makes the estimate average distances over all
+    edges before mapping, yielding one alpha per indicator for the whole
+    graph.
     """
 
-    mode: str = "estimated"
     alpha: float | None = None
     lam: float = 5.0
     global_reliability: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in ("estimated", "fixed"):
-            raise ValueError(f"mode must be 'estimated' or 'fixed', got {self.mode!r}")
         if not 0.0 < self.lam < math.inf:
             raise ValueError(f"lambda must be finite and positive, got {self.lam!r}")
-        if self.mode == "fixed":
-            if self.alpha is None:
-                raise ValueError("fixed mode requires an alpha")
+        if self.alpha is not None:
             if not 0.0 <= self.alpha <= 1.0:
                 raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
             if self.global_reliability:
                 raise ValueError("global reliability applies only to estimated mode")
-        elif self.alpha is not None:
-            raise ValueError("estimated mode takes no alpha")
 
     @classmethod
     def fixed(cls, alpha: float, lam: float = 5.0) -> "ReliabilityConfig":
-        return cls(mode="fixed", alpha=alpha, lam=lam)
+        return cls(alpha=alpha, lam=lam)
 
     @classmethod
     def estimated(cls, lam: float = 5.0, global_reliability: bool = False) -> "ReliabilityConfig":
-        return cls(mode="estimated", lam=lam, global_reliability=global_reliability)
+        return cls(lam=lam, global_reliability=global_reliability)
 
     @classmethod
     def parse(cls, text: str, lam: float = 5.0) -> "ReliabilityConfig":
@@ -105,7 +99,7 @@ class ReliabilityConfig:
 
     @property
     def name(self) -> str:
-        if self.mode == "fixed":
+        if self.alpha is not None:
             return f"fixed:{self.alpha:g}"
         return "estimated" if not self.global_reliability else "estimated-global"
 
@@ -202,7 +196,7 @@ def estimate_reliabilities(
     bbas: tuple[MassFunction, ...], cfg: ReliabilityConfig
 ) -> tuple[float, ...]:
     """Per-indicator reliabilities for one edge's BBA set."""
-    if cfg.mode == "fixed":
+    if cfg.alpha is not None:
         return tuple(cfg.alpha for _ in bbas)
     return tuple(
         reliability_from_distance(c, cfg.lam) for c in average_distances(bbas)

@@ -13,6 +13,9 @@ blank lines ignored):
 * retweets   -- ``retweeter,original_author,count``(edge: author -> retweeter)
 * activity   -- ``user,tweets,followers``
 
+A graph holds each user and each edge once; the undirected neighbour sets
+of the common-neighbour indicator exist only during a ``raw_indicators`` call.
+
 Graph construction is single-writer; after loading, instances are treated as
 immutable and may be shared read-only across workers.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -53,15 +57,14 @@ class UserActivity:
 class SocialGraph:
     """Directed graph with per-edge mention/retweet counters.
 
-    The graph is held once: ``_edges`` keeps the directed edges and
-    ``_neighbors`` maps each user to its undirected neighbour set, the only
-    adjacency the indicators need.  Users and edges keep insertion order
-    (``_neighbors``' keys are the user list) so that derived outputs are
-    byte-stable across runs.  No self-loops, no duplicate edges.
+    The graph is held once: ``_users`` keeps each user and ``_edges`` each
+    directed edge, both in insertion order so that derived outputs are
+    byte-stable across runs.  No neighbour sets are kept; ``raw_indicators``
+    builds them for its own call.  No self-loops, no duplicate edges.
     """
 
     def __init__(self) -> None:
-        self._neighbors: dict[str, set[str]] = {}
+        self._users: dict[str, None] = {}
         self._edges: dict[tuple[str, str], None] = {}
         self.mentions: dict[tuple[str, str], int] = {}
         self.retweets: dict[tuple[str, str], int] = {}
@@ -69,19 +72,15 @@ class SocialGraph:
     # -- construction ------------------------------------------------------
 
     def add_user(self, user: str) -> None:
-        if user not in self._neighbors:
-            self._neighbors[user] = set()
+        self._users.setdefault(user)
 
     def add_edge(self, src: str, dst: str) -> None:
         """Insert the edge src -> dst, creating endpoints; duplicates are no-ops."""
         if src == dst:
             raise ValueError(f"self-loop rejected: {src!r}")
-        if (src, dst) not in self._edges:
-            self._edges[(src, dst)] = None
-            self.add_user(src)
-            self.add_user(dst)
-            self._neighbors[src].add(dst)
-            self._neighbors[dst].add(src)
+        self._edges.setdefault((src, dst))
+        self._users.setdefault(src)
+        self._users.setdefault(dst)
 
     def add_mentions(self, src: str, dst: str, count: int) -> None:
         """Record that dst mentioned src ``count`` more times on edge (src, dst)."""
@@ -99,7 +98,7 @@ class SocialGraph:
 
     @property
     def users(self) -> Iterable[str]:
-        return self._neighbors.keys()
+        return self._users.keys()
 
     def edges(self) -> Iterator[tuple[str, str]]:
         return iter(self._edges)
@@ -108,7 +107,7 @@ class SocialGraph:
         return (src, dst) in self._edges
 
     def num_users(self) -> int:
-        return len(self._neighbors)
+        return len(self._users)
 
     def num_edges(self) -> int:
         return len(self._edges)
@@ -118,19 +117,27 @@ INDICATOR_NAMES = ("common_neighbors", "mentions", "retweets")
 
 
 def raw_indicators(g: SocialGraph) -> dict[tuple[str, str], tuple[float, float, float]]:
-    """Raw per-edge indicator values, one triple for every edge.
+    """Raw per-edge indicator values, one triple for every edge, in edge order.
 
     For edge (u, v): common neighbors of u and v, mentions of u by v, and
-    retweets of u's content by v.
+    retweets of u's content by v.  The keys are the graph's own edge tuples,
+    and edges with equal values share one triple object.  The undirected
+    neighbour sets exist only during this call.
     """
-    neighbors = g._neighbors
+    neighbors: dict[str, set[str]] = defaultdict(set)
+    for u, v in g.edges():
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    vectors: dict[tuple[float, float, float], tuple[float, float, float]] = {}
     out: dict[tuple[str, str], tuple[float, float, float]] = {}
-    for (u, v) in g.edges():
-        out[(u, v)] = (
+    for edge in g.edges():
+        u, v = edge
+        vec = (
             float(len(neighbors[u] & neighbors[v])),
-            float(g.mentions.get((u, v), 0)),
-            float(g.retweets.get((u, v), 0)),
+            float(g.mentions.get(edge, 0)),
+            float(g.retweets.get(edge, 0)),
         )
+        out[edge] = vectors.setdefault(vec, vec)
     return out
 
 

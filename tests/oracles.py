@@ -2,10 +2,11 @@
 
 The package holds only the pipeline that ``select``, ``evaluate`` and
 ``dump-edges`` run.  What exists only to check it lives here: subset-indexed
-views of a mass function, graph equality and common neighbours by name, the
-fused BBA of a record, the literal per-user influence, and the naive and
-exhaustive seed selections.  ``select_greedy_naive`` uses CELF's own
-``_SelectionState``, so the two agree bit for bit.
+views of a mass function, graph equality and common neighbours read off the
+public user and edge lists, the fused BBA of a record, the literal per-user
+influence, and the naive and exhaustive seed selections.
+``select_greedy_naive`` uses CELF's own ``_SelectionState``, so the two agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -54,25 +55,33 @@ def is_vacuous(m: MassFunction, tolerance: float = 0.0) -> bool:
 
 
 def require_user(g: SocialGraph, user: str) -> None:
-    if user not in g._neighbors:
+    if user not in g.users:
         raise UnknownUserError(f"unknown user: {user!r}")
 
 
 def same_graph(a: SocialGraph, b: SocialGraph) -> bool:
     """Same users, edges and counters, in any insertion order."""
     return (
-        a._neighbors.keys() == b._neighbors.keys()
-        and a._edges.keys() == b._edges.keys()
+        set(a.users) == set(b.users)
+        and set(a.edges()) == set(b.edges())
         and a.mentions == b.mentions
         and a.retweets == b.retweets
     )
 
 
 def common_neighbors(g: SocialGraph, u: str, v: str) -> int:
-    """Number of users adjacent (in either direction) to both u and v."""
+    """Number of users adjacent (in either direction) to both u and v.
+
+    The neighbours are read off the public edge list on each call,
+    independently of the sets ``raw_indicators`` builds.
+    """
     require_user(g, u)
     require_user(g, v)
-    return len(g._neighbors[u] & g._neighbors[v])
+
+    def neighbors(x: str) -> set[str]:
+        return {b if a == x else a for a, b in g.edges() if x in (a, b)}
+
+    return len(neighbors(u) & neighbors(v))
 
 
 # -- fusion ------------------------------------------------------------------

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from evimax import cli
+from evimax import cli, evaluate
 from evimax.cli import main
 
 
@@ -240,6 +240,17 @@ class TestEvaluate:
             "--out", paths["out"],
         )
         assert code == 1
+
+    def test_internal_fault_exits_2(self, paths, monkeypatch, capsys):
+        generate(paths, users="30", edges="60")
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(evaluate, "select_celf", boom)
+        code = run("evaluate", *input_flags(paths), "--k", "3", "--out", paths["out"])
+        assert code == 2
+        assert "internal error: boom" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, paths):
         generate(paths, users="40", edges="90")

@@ -43,7 +43,7 @@ def committed(p_influencer: float) -> MassFunction:
 
 class TestReliabilityConfig:
     def test_defaults(self):
-        assert ESTIMATED.mode == "estimated"
+        assert ESTIMATED.alpha is None
         assert ESTIMATED.lam == 5.0
         assert ESTIMATED.name == "estimated"
 
@@ -54,16 +54,17 @@ class TestReliabilityConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(mode="other"),
-            dict(mode="estimated", lam=0.0),
-            dict(mode="estimated", lam=-3.0),
-            dict(mode="fixed"),
-            dict(mode="fixed", alpha=1.5),
-            dict(mode="fixed", alpha=-0.1),
-            dict(mode="estimated", alpha=0.5),
-            dict(mode="estimated", lam=float("nan")),
-            dict(mode="estimated", lam=float("inf")),
-            dict(mode="fixed", alpha=0.2, global_reliability=True),
+            dict(lam=0.0),
+            dict(lam=-3.0),
+            dict(alpha=1.5),
+            dict(alpha=-0.1),
+            dict(lam=float("nan")),
+            dict(lam=float("inf")),
+            dict(alpha=0.2, global_reliability=True),
+            # A NaN alpha is set, not estimated; alpha 0 is set though falsy.
+            dict(alpha=float("nan")),
+            dict(alpha=float("inf")),
+            dict(alpha=0.0, global_reliability=True),
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -80,6 +80,15 @@ class TestLoadGraph:
         assert activities["b"].retweets_received == 2
         assert activities["c"].tweets == 0
 
+    def test_users_in_first_appearance_order(self, tmp_path):
+        edges = write(tmp_path / "e.csv", "src,dst\nb,a\nc,a\na,b\nd,c\n")
+        mentions = write(tmp_path / "m.csv", "mentioner,mentioned,count\nf,e,1\n")
+        activity = write(tmp_path / "a.csv", "user,tweets,followers\nz,1,0\nc,2,0\ny,3,0\n")
+        g, _ = load_graph(edges, mentions, activity_path=activity)
+        # Edge endpoints (source first) in edge order, the mention's edge
+        # e -> f, then users found only in the activity file.
+        assert list(g.users) == ["b", "a", "c", "d", "e", "f", "z", "y"]
+
     def test_activity_on_non_follow_pair_creates_edge(self, tmp_path):
         edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
         mentions = write(tmp_path / "m.csv", "mentioner,mentioned,count\nz,q,3\n")
@@ -304,6 +313,21 @@ class TestRawIndicators:
         edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
         g, _ = load_graph(edges)
         assert raw_indicators(g)[("a", "b")] == (0.0, 0.0, 0.0)
+
+    def test_keys_are_the_graph_edges_in_order(self):
+        g, _ = generate_synthetic(seed=12, n_users=80, n_edges=400)
+        keys = list(raw_indicators(g))
+        edges = list(g.edges())
+        assert len(keys) == len(edges)
+        assert all(key is edge for key, edge in zip(keys, edges))
+
+    def test_one_tuple_per_distinct_vector(self):
+        g, _ = generate_synthetic(seed=31, n_users=300, n_edges=600)
+        values = raw_indicators(g)
+        first = {}
+        for vec in values.values():
+            assert vec is first.setdefault(vec, vec)
+        assert len(first) < len(values)
 
     def test_first_column_is_common_neighbors(self):
         g, _ = generate_synthetic(seed=12, n_users=80, n_edges=400)
