@@ -13,8 +13,10 @@ blank lines ignored):
 * retweets   -- ``retweeter,original_author,count``(edge: author -> retweeter)
 * activity   -- ``user,tweets,followers``
 
-A graph holds each user and each edge once; the undirected neighbour sets
-of the common-neighbour indicator exist only during a ``raw_indicators`` call.
+A graph holds each user and each edge once: one ``str`` per user id and one
+tuple per edge, shared by the edge map, the mention/retweet counters and the
+activity records.  The undirected neighbour sets of the common-neighbour
+indicator exist only during a ``raw_indicators`` call.
 
 Graph construction is single-writer; after loading, instances are treated as
 immutable and may be shared read-only across workers.
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import sys
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -43,7 +44,7 @@ class UnknownUserError(ValueError):
     """An operation referenced a user that is not in the graph."""
 
 
-@dataclass
+@dataclass(slots=True)
 class UserActivity:
     """Per-user statistics feeding the seed-quality criteria."""
 
@@ -57,42 +58,52 @@ class UserActivity:
 class SocialGraph:
     """Directed graph with per-edge mention/retweet counters.
 
-    The graph is held once: ``_users`` keeps each user and ``_edges`` each
-    directed edge, both in insertion order so that derived outputs are
-    byte-stable across runs.  No neighbour sets are kept; ``raw_indicators``
-    builds them for its own call.  No self-loops, no duplicate edges.
+    The graph is held once: ``_users`` maps each user id to itself and
+    ``_edges`` each directed edge to itself, both in insertion order so that
+    derived outputs are byte-stable across runs.  Every edge tuple is built
+    from the graph's own id objects, and the ``mentions``/``retweets``
+    counters are keyed by those edge tuples, so each id is one ``str`` and
+    each edge one tuple however many structures refer to it.  No neighbour
+    sets are kept; ``raw_indicators`` builds them for its own call.  No
+    self-loops, no duplicate edges.
     """
 
     def __init__(self) -> None:
-        self._users: dict[str, None] = {}
-        self._edges: dict[tuple[str, str], None] = {}
+        self._users: dict[str, str] = {}
+        self._edges: dict[tuple[str, str], tuple[str, str]] = {}
         self.mentions: dict[tuple[str, str], int] = {}
         self.retweets: dict[tuple[str, str], int] = {}
 
     # -- construction ------------------------------------------------------
 
-    def add_user(self, user: str) -> None:
-        self._users.setdefault(user)
+    def add_user(self, user: str) -> str:
+        """Insert ``user`` if new; return the graph's object for that id."""
+        return self._users.setdefault(user, user)
 
-    def add_edge(self, src: str, dst: str) -> None:
-        """Insert the edge src -> dst, creating endpoints; duplicates are no-ops."""
+    def add_edge(self, src: str, dst: str) -> tuple[str, str]:
+        """Insert the edge src -> dst, creating endpoints; return the graph's tuple.
+
+        A duplicate is a no-op that returns the tuple of the first insertion.
+        """
         if src == dst:
             raise ValueError(f"self-loop rejected: {src!r}")
-        self._edges.setdefault((src, dst))
-        self._users.setdefault(src)
-        self._users.setdefault(dst)
+        edge = self._edges.get((src, dst))
+        if edge is None:
+            edge = (self._users.setdefault(src, src), self._users.setdefault(dst, dst))
+            self._edges[edge] = edge
+        return edge
 
     def add_mentions(self, src: str, dst: str, count: int) -> None:
         """Record that dst mentioned src ``count`` more times on edge (src, dst)."""
-        self.add_edge(src, dst)
+        edge = self.add_edge(src, dst)
         if count:
-            self.mentions[(src, dst)] = self.mentions.get((src, dst), 0) + count
+            self.mentions[edge] = self.mentions.get(edge, 0) + count
 
     def add_retweets(self, src: str, dst: str, count: int) -> None:
         """Record that dst retweeted src ``count`` more times on edge (src, dst)."""
-        self.add_edge(src, dst)
+        edge = self.add_edge(src, dst)
         if count:
-            self.retweets[(src, dst)] = self.retweets.get((src, dst), 0) + count
+            self.retweets[edge] = self.retweets.get(edge, 0) + count
 
     # -- queries -----------------------------------------------------------
 
@@ -122,20 +133,28 @@ def raw_indicators(g: SocialGraph) -> dict[tuple[str, str], tuple[float, float, 
     For edge (u, v): common neighbors of u and v, mentions of u by v, and
     retweets of u's content by v.  The keys are the graph's own edge tuples,
     and edges with equal values share one triple object.  The undirected
-    neighbour sets exist only during this call.
+    neighbour sets exist only during this call, and are freed before the
+    result is built.
     """
-    neighbors: dict[str, set[str]] = defaultdict(set)
+    neighbors: dict[str, set[str]] = {user: set() for user in g.users}
     for u, v in g.edges():
         neighbors[u].add(v)
         neighbors[v].add(u)
+    # Most endpoints share no neighbour, so only the nonzero counts are kept.
+    common: dict[tuple[str, str], int] = {}
+    for edge in g.edges():
+        nu, nv = neighbors[edge[0]], neighbors[edge[1]]
+        if not nu.isdisjoint(nv):
+            common[edge] = len(nu & nv)
+    del neighbors
+    mentions, retweets = g.mentions, g.retweets
     vectors: dict[tuple[float, float, float], tuple[float, float, float]] = {}
     out: dict[tuple[str, str], tuple[float, float, float]] = {}
     for edge in g.edges():
-        u, v = edge
         vec = (
-            float(len(neighbors[u] & neighbors[v])),
-            float(g.mentions.get(edge, 0)),
-            float(g.retweets.get(edge, 0)),
+            float(common.get(edge, 0)),
+            float(mentions.get(edge, 0)),
+            float(retweets.get(edge, 0)),
         )
         out[edge] = vectors.setdefault(vec, vec)
     return out
@@ -169,14 +188,23 @@ def _rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, list
             yield reader.line_num, cells
 
 
+_DIGITS = "0123456789"
+
+
 def _count(path: str | Path, line: int, text: str, column: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ParseError(path, line, f"{column} must be an integer, got {text!r}") from None
-    if value < 0:
-        raise ParseError(path, line, f"{column} must be nonnegative, got {value}")
-    return value
+    """Read a count: one or more ASCII decimal digits and nothing else.
+
+    ``int`` alone would also read "1_000", "+3", "-0" and non-ASCII digits
+    such as fullwidth "１２".
+    """
+    if text and not text.lstrip(_DIGITS):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    elif text[:1] == "-" and text[1:].strip("0") and not text[1:].lstrip(_DIGITS):
+        raise ParseError(path, line, f"{column} must be nonnegative, got {text}")
+    raise ParseError(path, line, f"{column} must be an integer, got {text!r}")
 
 
 def load_graph(
@@ -212,15 +240,15 @@ def load_graph(
                 raise ParseError(path, line, f"self-{verb} by {actor!r}")
             if not actor or not target:
                 raise ParseError(path, line, "empty user id")
-            g.add_edge(target, actor)
-            total = counts.get((target, actor), 0) + _count(path, line, text, "count")
+            edge = g.add_edge(target, actor)
+            total = counts.get(edge, 0) + _count(path, line, text, "count")
             if total > sys.float_info.max:
                 raise ParseError(
                     path, line, f"{verb} total of {target!r} by {actor!r} exceeds the "
                     f"largest float ({sys.float_info.max:g})"
                 )
             if total:
-                counts[(target, actor)] = total
+                counts[edge] = total
 
     activities = {user: UserActivity(user) for user in g.users}
     if activity_path is not None:
@@ -229,7 +257,7 @@ def load_graph(
         ):
             if not user:
                 raise ParseError(activity_path, line, "empty user id")
-            g.add_user(user)
+            user = g.add_user(user)
             record = activities.get(user)
             if record is None:
                 record = activities[user] = UserActivity(user)

@@ -181,6 +181,17 @@ class TestSelect:
         assert code == 1
         assert "edges.csv" in capsys.readouterr().err
 
+    def test_underscored_count_exits_1_naming_file_and_line(self, paths, capsys):
+        generate(paths)
+        with open(paths["mentions"], "a", encoding="utf-8") as handle:
+            handle.write("u0001,u0002,1_000\n")
+        lines = open(paths["mentions"], encoding="utf-8").read().count("\n")
+        code = run("select", *input_flags(paths), "--out", paths["out"])
+        assert code == 1
+        assert f"mentions.csv:{lines}: count must be an integer, got '1_000'" in (
+            capsys.readouterr().err
+        )
+
     def test_config_file_provides_defaults_flags_override(self, paths):
         generate(paths)
         cfg = paths["dir"] / "run.json"

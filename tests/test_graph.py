@@ -131,6 +131,34 @@ class TestLoadGraph:
         with pytest.raises(ParseError):
             load_graph(edges, retweets_path=retweets)
 
+    # int() alone reads the first four as 1000, 12, 3 and 0.
+    @pytest.mark.parametrize(
+        "text", ["1_000", "\uff11\uff12", "+3", "-0", "-00", "", "1.0", "0x1", "\u00b2", "9" * 5000]
+    )
+    def test_count_must_be_ascii_digits(self, tmp_path, text):
+        edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
+        mentions = write(tmp_path / "m.csv", f"mentioner,mentioned,count\nb,a,1\nb,a,{text}\n")
+        with pytest.raises(ParseError) as err:
+            load_graph(edges, mentions)
+        assert (err.value.path, err.value.line) == (mentions, 3)
+        assert "count must be an integer" in str(err.value)
+
+    @pytest.mark.parametrize("column", ["tweets", "followers"])
+    def test_activity_count_must_be_ascii_digits(self, tmp_path, column):
+        edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
+        row = {"tweets": "a,+3,0", "followers": "a,0,1_0"}[column]
+        activity = write(tmp_path / "a.csv", f"user,tweets,followers\n{row}\n")
+        with pytest.raises(ParseError) as err:
+            load_graph(edges, activity_path=activity)
+        assert (err.value.path, err.value.line) == (activity, 2)
+        assert f"{column} must be an integer" in str(err.value)
+
+    def test_padded_and_zero_led_counts_accepted(self, tmp_path):
+        edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
+        mentions = write(tmp_path / "m.csv", "mentioner,mentioned,count\nb,a, 007 \nb,a,0\n")
+        g, _ = load_graph(edges, mentions)
+        assert g.mentions == {("a", "b"): 7}
+
     def test_count_beyond_float_range_reports_line(self, tmp_path):
         edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
         mentions = write(
@@ -249,6 +277,71 @@ class TestRoundTrip:
         with pytest.raises(ParseError) as err:
             load_graph(*paths)
         assert "empty user id" in str(err.value)
+
+
+def as_keys(mapping):
+    """Each key of ``mapping`` mapped to itself, whatever the stored values."""
+    return {key: key for key in mapping}
+
+
+def assert_one_object_per_id_and_edge(g, activities):
+    """Every structure of ``g`` and ``activities`` refers to the graph's own objects."""
+    users, edges = as_keys(g._users), as_keys(g._edges)
+    for edge in g.edges():
+        assert all(users[end] is end for end in edge)
+    for counts in (g.mentions, g.retweets):
+        assert all(edges[key] is key for key in counts)
+    for user, record in activities.items():
+        assert users[user] is user
+        assert record.user is user
+
+
+class TestSharedObjects:
+    def test_synthetic_graph(self):
+        g, activities = generate_synthetic(seed=3, n_users=200, n_edges=500)
+        assert g.mentions and g.retweets
+        assert_one_object_per_id_and_edge(g, activities)
+
+    def test_loaded_graph(self, tmp_path):
+        g, activities = generate_synthetic(seed=3, n_users=200, n_edges=500)
+        paths = [str(tmp_path / name) for name in ("e.csv", "m.csv", "r.csv", "a.csv")]
+        write_graph(g, activities, *paths)
+        with open(paths[3], "a", encoding="utf-8") as handle:
+            handle.write("only-active,1,2\n")
+        g, activities = load_graph(*paths)
+        assert "only-active" in activities
+        assert_one_object_per_id_and_edge(g, activities)
+
+    # Ids are built at run time and longer than one character: CPython
+    # caches one-character strings, so "a" is always the same object.
+    def test_duplicate_edge_returns_first_tuple(self):
+        g = SocialGraph()
+        first = g.add_edge("ann", "bob")
+        assert first == ("ann", "bob")
+        again = g.add_edge("".join(["an", "n"]), "".join(["bo", "b"]))
+        assert again is first
+        assert next(g.edges()) is first
+
+    def test_add_user_returns_the_graph_id(self):
+        g = SocialGraph()
+        ann = g.add_user("ann")
+        assert g.add_user("".join(["an", "n"])) is ann
+        src, _ = g.add_edge("".join(["an", "n"]), "bob")
+        assert src is ann
+
+    def test_padded_id_in_mentions_is_the_edge_file_id(self, tmp_path):
+        edges = write(tmp_path / "e.csv", "src,dst\nann,bob\n")
+        mentions = write(
+            tmp_path / "m.csv", "mentioner,mentioned,count\nbob, ann,4\ncid, ann,1\n"
+        )
+        activity = write(tmp_path / "a.csv", "user,tweets,followers\n ann,1,1\n")
+        g, activities = load_graph(edges, mentions, activity_path=activity)
+        ann, _ = next(g.edges())
+        assert g.mentions == {("ann", "bob"): 4, ("ann", "cid"): 1}
+        for src, _ in g.mentions:
+            assert src is ann
+        assert activities["ann"].user is ann
+        assert_one_object_per_id_and_edge(g, activities)
 
 
 class TestCommonNeighbors:
