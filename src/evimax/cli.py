@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 input/configuration error (diagnostic on stderr
 naming the offending file or flag), 2 internal error.  All real-valued output
 is printed with 6 decimal places so repeated runs diff cleanly; given the
-same inputs and flags, output files are byte-identical.
+same inputs and flags, output files are byte-identical.  Every file is
+written by ``graph.write_csv``, so the ``--out`` files quote ids the way the
+input files do and read back with ``csv.reader`` one row per seed or edge.
 
 An optional JSON config file (``--config``) can supply any long-option
 value of the command it is given to, and nothing else.  Each value must be a
@@ -21,15 +23,14 @@ return, so in-process callers keep their own.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import json
 import sys
 from typing import Sequence
 
-from .evaluate import EvaluationError, compare_configs, default_configs
+from .evaluate import EvaluationError, compare_configs
 from .fusion import FusionError, ReliabilityConfig, fuse_all
-from .graph import INDICATOR_NAMES, load_graph, write_graph
+from .graph import INDICATOR_NAMES, load_graph, write_csv, write_graph
 from .maximize import select_celf
 from .spread import InfluenceField
 from .synthetic import generate_synthetic
@@ -98,8 +99,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p_eval = add_command("evaluate", "compare reliability configurations")
     add_k(p_eval)
-    p_eval.add_argument("--configs",
-                        help="comma-separated sweep, e.g. fixed:0,fixed:0.2,estimated")
+    p_eval.add_argument("--configs", default="fixed:0,fixed:0.2,estimated",
+                        help="comma-separated sweep of estimated and fixed:<alpha> "
+                             "(default: %(default)s)")
 
     add_alpha(add_command("dump-edges", "per-edge fusion diagnostics"))
     return parser, sub.choices
@@ -142,10 +144,6 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _open_out(path: str):
-    return open(path, "w", newline="", encoding="utf-8")
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     g, activities = generate_synthetic(
         seed=args.seed,
@@ -163,40 +161,33 @@ def _cmd_select(args: argparse.Namespace) -> int:
     cfg = ReliabilityConfig(alpha=args.alpha, lam=args.lam)
     influence_field = InfluenceField.from_graph(g, fuse_all(g, cfg))
     selection = select_celf(influence_field, args.k)
-    with _open_out(args.out) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("rank", "user", "marginal_gain", "cumulative_sigma"))
-        for choice in selection.choices:
-            writer.writerow(
-                (choice.rank, choice.user,
-                 f"{choice.gain:.6f}", f"{choice.cumulative_sigma:.6f}")
-            )
+    write_csv(
+        args.out,
+        ("rank", "user", "marginal_gain", "cumulative_sigma"),
+        ((str(choice.rank), choice.user,
+          f"{choice.gain:.6f}", f"{choice.cumulative_sigma:.6f}")
+         for choice in selection.choices),
+    )
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     g, activities = load_graph(args.edges, args.mentions, args.retweets, args.activity)
-    if args.configs is None:
-        configs = default_configs(args.lam)
-    else:
-        tokens = [t for t in args.configs.split(",") if t.strip()]
-        if not tokens:
-            raise ValueError("--configs: empty sweep")
-        configs = [ReliabilityConfig.parse(token, lam=args.lam) for token in tokens]
+    tokens = [t for t in args.configs.split(",") if t.strip()]
+    if not tokens:
+        raise ValueError("--configs: empty sweep")
+    configs = [ReliabilityConfig.parse(token, lam=args.lam) for token in tokens]
     report = compare_configs(g, activities, configs, args.k)
-    with _open_out(args.out) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ("config", "rank", "user",
-             "follows_acc", "mentions_acc", "retweets_acc", "tweets_acc")
-        )
-        for entry in report.entries:
-            for i, choice in enumerate(entry.selection.choices):
-                writer.writerow(
-                    (entry.name, choice.rank, choice.user,
-                     entry.curve.follows[i], entry.curve.mentions[i],
-                     entry.curve.retweets[i], entry.curve.tweets[i])
-                )
+    write_csv(
+        args.out,
+        ("config", "rank", "user",
+         "follows_acc", "mentions_acc", "retweets_acc", "tweets_acc"),
+        ((entry.name, str(choice.rank), choice.user, *map(str, counts))
+         for entry in report.entries
+         for choice, *counts in zip(entry.selection.choices, entry.curve.follows,
+                                    entry.curve.mentions, entry.curve.retweets,
+                                    entry.curve.tweets)),
+    )
     return 0
 
 
@@ -205,21 +196,18 @@ def _cmd_dump_edges(args: argparse.Namespace) -> int:
     g = load_graph(args.edges, args.mentions, args.retweets, args.activity)[0]
     cfg = ReliabilityConfig(alpha=args.alpha, lam=args.lam)
     n = len(INDICATOR_NAMES)
-    with _open_out(args.out) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ("src", "dst")
-            + tuple(f"w_{j + 1}" for j in range(n))
-            + tuple(f"alpha_{j + 1}" for j in range(n))
-            + ("inf",)
-        )
-        for edge, result in fuse_all(g, cfg).items():
-            writer.writerow(
-                edge
-                + tuple(f"{w:.6f}" for w in result.weights)
-                + tuple(f"{a:.6f}" for a in result.reliabilities)
-                + (f"{result.inf:.6f}",)
-            )
+    write_csv(
+        args.out,
+        ("src", "dst")
+        + tuple(f"w_{j + 1}" for j in range(n))
+        + tuple(f"alpha_{j + 1}" for j in range(n))
+        + ("inf",),
+        (edge
+         + tuple(f"{w:.6f}" for w in result.weights)
+         + tuple(f"{a:.6f}" for a in result.reliabilities)
+         + (f"{result.inf:.6f}",)
+         for edge, result in fuse_all(g, cfg).items()),
+    )
     return 0
 
 

@@ -68,15 +68,6 @@ def quality_curve(
     return curve
 
 
-def default_configs(lam: float = 5.0) -> list[ReliabilityConfig]:
-    """The standard sweep: fixed alpha 0, fixed alpha 0.2, estimated."""
-    return [
-        ReliabilityConfig.fixed(0.0, lam=lam),
-        ReliabilityConfig.fixed(0.2, lam=lam),
-        ReliabilityConfig.estimated(lam=lam),
-    ]
-
-
 def compare_configs(
     g: SocialGraph,
     activities: dict[str, UserActivity],

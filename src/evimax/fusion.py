@@ -100,7 +100,10 @@ class ReliabilityConfig:
     @property
     def name(self) -> str:
         if self.alpha is not None:
-            return f"fixed:{self.alpha:g}"
+            # ``:g`` keeps 6 significant digits; a longer alpha gets the
+            # shortest text that parses back to it, so names stay distinct.
+            text = f"{self.alpha:g}"
+            return f"fixed:{text if float(text) == self.alpha else repr(self.alpha)}"
         return "estimated" if not self.global_reliability else "estimated-global"
 
 

@@ -1,4 +1,4 @@
-"""Directed influence graph, raw activity counters, and CSV ingestion.
+"""Directed influence graph, raw activity counters, and the CSV dialect.
 
 An edge ``(u, v)`` means "u can influence v" (v follows u).  Each edge may
 carry two activity counters: how often v mentions u and how often v retweets
@@ -12,6 +12,12 @@ blank lines ignored):
 * mentions   -- ``mentioner,mentioned,count``      (edge: mentioned -> mentioner)
 * retweets   -- ``retweeter,original_author,count``(edge: author -> retweeter)
 * activity   -- ``user,tweets,followers``
+
+This module owns the CSV dialect of all seven files evimax reads or writes:
+``load_graph`` reads the four above, and ``write_csv`` writes them and the
+``select``, ``evaluate`` and ``dump-edges`` outputs.  A row with a cell
+holding a carriage return is written fully quoted, so every file reads back
+with ``csv.reader`` as one row per record, ids intact.
 
 A graph holds each user and each edge once: one ``str`` per user id and one
 tuple per edge, shared by the edge map, the mention/retweet counters and the
@@ -95,15 +101,26 @@ class SocialGraph:
 
     def add_mentions(self, src: str, dst: str, count: int) -> None:
         """Record that dst mentioned src ``count`` more times on edge (src, dst)."""
-        edge = self.add_edge(src, dst)
-        if count:
-            self.mentions[edge] = self.mentions.get(edge, 0) + count
+        self._add_count(self.mentions, "mention", src, dst, count)
 
     def add_retweets(self, src: str, dst: str, count: int) -> None:
         """Record that dst retweeted src ``count`` more times on edge (src, dst)."""
+        self._add_count(self.retweets, "retweet", src, dst, count)
+
+    def _add_count(
+        self, counts: dict[tuple[str, str], int], verb: str, src: str, dst: str, count: int
+    ) -> None:
         edge = self.add_edge(src, dst)
         if count:
-            self.retweets[edge] = self.retweets.get(edge, 0) + count
+            total = counts.get(edge, 0) + count
+            # raw_indicators reads a count as a float, so an edge's total
+            # must stay within the float range.
+            if total > sys.float_info.max:
+                raise ValueError(
+                    f"{verb} total of {src!r} by {dst!r} exceeds the "
+                    f"largest float ({sys.float_info.max:g})"
+                )
+            counts[edge] = total
 
     # -- queries -----------------------------------------------------------
 
@@ -160,7 +177,7 @@ def raw_indicators(g: SocialGraph) -> dict[tuple[str, str], tuple[float, float, 
     return out
 
 
-# -- CSV ingestion ---------------------------------------------------------
+# -- CSV files -------------------------------------------------------------
 
 
 def _rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
@@ -227,11 +244,9 @@ def load_graph(
             raise ParseError(edges_path, line, "empty user id")
         g.add_edge(src, dst)
 
-    # A count is read as a float by raw_indicators, so an edge's total must
-    # stay within the float range.
-    for path, header, counts, verb in (
-        (mentions_path, ("mentioner", "mentioned", "count"), g.mentions, "mention"),
-        (retweets_path, ("retweeter", "original_author", "count"), g.retweets, "retweet"),
+    for path, header, add, verb in (
+        (mentions_path, ("mentioner", "mentioned", "count"), g.add_mentions, "mention"),
+        (retweets_path, ("retweeter", "original_author", "count"), g.add_retweets, "retweet"),
     ):
         if path is None:
             continue
@@ -240,15 +255,11 @@ def load_graph(
                 raise ParseError(path, line, f"self-{verb} by {actor!r}")
             if not actor or not target:
                 raise ParseError(path, line, "empty user id")
-            edge = g.add_edge(target, actor)
-            total = counts.get(edge, 0) + _count(path, line, text, "count")
-            if total > sys.float_info.max:
-                raise ParseError(
-                    path, line, f"{verb} total of {target!r} by {actor!r} exceeds the "
-                    f"largest float ({sys.float_info.max:g})"
-                )
-            if total:
-                counts[edge] = total
+            count = _count(path, line, text, "count")
+            try:
+                add(target, actor, count)
+            except ValueError as exc:  # a total beyond the float range
+                raise ParseError(path, line, str(exc)) from None
 
     activities = {user: UserActivity(user) for user in g.users}
     if activity_path is not None:
@@ -276,17 +287,20 @@ def add_received_totals(g: SocialGraph, activities: dict[str, UserActivity]) -> 
         activities[u].retweets_received += count
 
 
-def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[tuple]) -> None:
-    """Write one CSV file in the format ``_rows`` reads back."""
+def write_csv(
+    path: str | Path, header: tuple[str, ...], rows: Iterable[tuple[str, ...]]
+) -> None:
+    """Write one CSV file of ``str`` cells in the dialect ``_rows`` reads back."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         # csv quotes a line break only when it is a character of the line
-        # terminator, so an id holding a bare "\r" is quoted here; unquoted,
-        # it would end the row on reading.
+        # terminator, so a cell holding a bare "\r" would be written unquoted
+        # and end its row on reading.  A row holding a "\r" is quoted in full;
+        # its cells are all strings, so one join finds it.
         quote_all = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(header)
         for row in rows:
-            if any("\r" in cell for cell in row if isinstance(cell, str)):
+            if "\r" in "".join(row):
                 quote_all.writerow(row)
             else:
                 writer.writerow(row)
@@ -302,21 +316,21 @@ def write_graph(
 ) -> None:
     """Write a graph back to the four CSV formats accepted by load_graph."""
 
-    def activity_rows() -> Iterator[tuple[str, int, int]]:
+    def activity_rows() -> Iterator[tuple[str, str, str]]:
         idle = UserActivity("")  # the zero counts of a user with no record
         for user in g.users:
             record = activities.get(user, idle)
-            yield user, record.tweets, record.followers
+            yield user, str(record.tweets), str(record.followers)
 
-    _write_csv(edges_path, ("src", "dst"), g.edges())
-    _write_csv(
+    write_csv(edges_path, ("src", "dst"), g.edges())
+    write_csv(
         mentions_path,
         ("mentioner", "mentioned", "count"),
-        ((v, u, count) for (u, v), count in g.mentions.items() if count > 0),
+        ((v, u, str(count)) for (u, v), count in g.mentions.items() if count > 0),
     )
-    _write_csv(
+    write_csv(
         retweets_path,
         ("retweeter", "original_author", "count"),
-        ((v, u, count) for (u, v), count in g.retweets.items() if count > 0),
+        ((v, u, str(count)) for (u, v), count in g.retweets.items() if count > 0),
     )
-    _write_csv(activity_path, ("user", "tweets", "followers"), activity_rows())
+    write_csv(activity_path, ("user", "tweets", "followers"), activity_rows())

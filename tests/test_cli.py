@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import gc
 import json
 import re
@@ -160,10 +161,13 @@ class TestSelect:
         ):
             with open(paths[key], "w", encoding="utf-8") as handle:
                 handle.write(text)
-        code = run("select", *input_flags(paths), "--alpha", "1", "--out", paths["out"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "edge 'a' -> 'b': total conflict between sources (K=1.0)" in err
+        for command in ("select", "dump-edges"):
+            code = run(command, *input_flags(paths), "--alpha", "1", "--out", paths["out"])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "edge 'a' -> 'b': total conflict between sources (K=1.0)" in err
+            # Fusion fails before the output file is opened.
+            assert not (paths["dir"] / "out.csv").exists()
 
     def test_bad_threads_exits_1(self, paths, capsys):
         generate(paths)
@@ -227,6 +231,12 @@ class TestEvaluate:
         assert len(lines) == 1 + 3 * 6  # header + |sweep| * k rows
         names = {line.split(",")[0] for line in lines[1:]}
         assert names == {"fixed:0", "fixed:0.2", "estimated"}
+        default = open(paths["out"], "rb").read()
+        assert run(
+            "evaluate", *input_flags(paths), "--k", "6",
+            "--configs", "fixed:0,fixed:0.2,estimated", "--out", paths["out"],
+        ) == 0
+        assert open(paths["out"], "rb").read() == default
 
     def test_custom_sweep_row_count(self, paths):
         generate(paths, users="40", edges="90")
@@ -327,6 +337,29 @@ class TestFusedMassAboveOne:
         assert rows[1].startswith("a,b,") and rows[1].endswith(",1.000000")
 
 
+class TestOutputQuoting:
+    """An --out file quotes ids as the input files do, so csv.reader reads it back."""
+
+    @pytest.mark.parametrize(
+        "command, id_columns, rows",
+        [
+            (("select", "--k", "3"), (1,), 3),
+            (("evaluate", "--k", "3"), (2,), 3 * 3),
+            (("dump-edges",), (0, 1), 2),
+        ],
+        ids=("select", "evaluate", "dump-edges"),
+    )
+    def test_id_with_bare_cr_reads_back_intact(self, paths, command, id_columns, rows):
+        with open(paths["edges"], "w", newline="", encoding="utf-8") as handle:
+            handle.write('src,dst\n"a\rb",c\nc,d\n')
+        assert run(*command, "--edges", paths["edges"], "--out", paths["out"]) == 0
+        with open(paths["out"], newline="", encoding="utf-8") as handle:
+            header, *body = csv.reader(handle)
+        assert len(body) == rows
+        assert all(len(row) == len(header) for row in body)
+        assert {row[column] for row in body for column in id_columns} == {"a\rb", "c", "d"}
+
+
 class TestUsage:
     def test_help_exits_0(self):
         assert run("--help") == 0
@@ -409,7 +442,7 @@ OPTIONS = {
 DEFAULTS = {
     "generate": {"users": "1000", "n-edges": "2000", "intensity": "1.0", "seed": "42"},
     "select": {"lambda": "5.0", "k": "50"},
-    "evaluate": {"lambda": "5.0", "k": "50"},
+    "evaluate": {"lambda": "5.0", "k": "50", "configs": "fixed:0,fixed:0.2,estimated"},
     "dump-edges": {"lambda": "5.0"},
 }
 

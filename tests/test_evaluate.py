@@ -5,17 +5,19 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from evimax.evaluate import (
-    EvaluationError,
-    compare_configs,
-    default_configs,
-    quality_curve,
-)
+from evimax.evaluate import EvaluationError, compare_configs, quality_curve
 from evimax.fusion import ReliabilityConfig
 from evimax.graph import SocialGraph, UserActivity
 from evimax.maximize import SeedChoice, SeedSelection
 from evimax.synthetic import generate_synthetic
 from tests.helpers import synthetic_graphs
+
+# The CLI's default evaluate sweep.
+SWEEP = [
+    ReliabilityConfig.fixed(0.0),
+    ReliabilityConfig.fixed(0.2),
+    ReliabilityConfig.estimated(),
+]
 
 
 def selection_of(*users: str) -> SeedSelection:
@@ -69,7 +71,7 @@ class TestQualityCurve:
 
     def test_curves_are_monotone(self):
         g, activities = generate_synthetic(seed=21, n_users=40, n_edges=100)
-        report = compare_configs(g, activities, default_configs(), k=10)
+        report = compare_configs(g, activities, SWEEP, k=10)
         for entry in report.entries:
             for series in (
                 entry.curve.follows,
@@ -105,7 +107,7 @@ class TestCompareConfigs:
 
     def test_k_is_honored(self):
         g, activities = generate_synthetic(seed=24, n_users=60, n_edges=150)
-        report = compare_configs(g, activities, default_configs(), k=12)
+        report = compare_configs(g, activities, SWEEP, k=12)
         assert report.k == 12
         for entry in report.entries:
             assert len(entry.selection) == 12
@@ -114,7 +116,7 @@ class TestCompareConfigs:
     def test_rejects_bad_k_and_empty_sweep(self):
         g, activities = generate_synthetic(seed=25, n_users=10, n_edges=20)
         with pytest.raises(ValueError):
-            compare_configs(g, activities, default_configs(), k=0)
+            compare_configs(g, activities, SWEEP, k=0)
         with pytest.raises(ValueError):
             compare_configs(g, activities, [], k=5)
 
@@ -147,8 +149,8 @@ class TestCompareConfigs:
 
     def test_deterministic(self):
         g, activities = generate_synthetic(seed=26, n_users=40, n_edges=100)
-        r1 = compare_configs(g, activities, default_configs(), k=6)
-        r2 = compare_configs(g, activities, default_configs(), k=6)
+        r1 = compare_configs(g, activities, SWEEP, k=6)
+        r2 = compare_configs(g, activities, SWEEP, k=6)
         assert [e.selection.users() for e in r1.entries] == [
             e.selection.users() for e in r2.entries
         ]

@@ -50,6 +50,17 @@ class TestReliabilityConfig:
     def test_fixed_name(self):
         assert ReliabilityConfig.fixed(0.2).name == "fixed:0.2"
         assert ReliabilityConfig.fixed(0.0).name == "fixed:0"
+        assert ReliabilityConfig.fixed(1e-07).name == "fixed:1e-07"
+        # Past :g's 6 significant digits the name keeps every digit needed.
+        assert ReliabilityConfig.fixed(0.1234567).name == "fixed:0.1234567"
+        assert ReliabilityConfig.fixed(0.1234568).name == "fixed:0.1234568"
+
+    @given(st.floats(0.0, 1.0))
+    @example(0.1234567)
+    @example(0.30000000000000004)
+    @example(5e-324)
+    def test_fixed_name_parses_back_to_its_alpha(self, alpha):
+        assert ReliabilityConfig.parse(ReliabilityConfig.fixed(alpha).name).alpha == alpha
 
     @pytest.mark.parametrize(
         "kwargs",

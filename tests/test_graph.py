@@ -51,6 +51,17 @@ class TestSocialGraph:
         with pytest.raises(ValueError):
             g.add_edge("a", "a")
 
+    @pytest.mark.parametrize("add, column", [("add_mentions", 1), ("add_retweets", 2)])
+    def test_counts_beyond_float_range_raise(self, add, column):
+        g = SocialGraph()
+        with pytest.raises(ValueError, match="largest float"):
+            getattr(g, add)("a", "b", 10**400)
+        getattr(g, add)("a", "b", int(sys.float_info.max))
+        getattr(g, add)("a", "b", 0)
+        with pytest.raises(ValueError, match="largest float"):
+            getattr(g, add)("a", "b", 1)
+        assert raw_indicators(g)[("a", "b")][column] == sys.float_info.max
+
     def test_adjacency_indexes_agree(self, dataset):
         g, _ = load_graph(*dataset)
 
