@@ -17,9 +17,11 @@ Typical use::
     field = InfluenceField.from_graph(graph, influences)
     seeds = select_celf(field, k=50)
 
-``fuse_all`` maps every edge to an ``EdgeInfluence`` record, one shared
-record per distinct indicator vector.  The package holds only this pipeline;
-the brute-force and naive oracles that check it live in ``tests/oracles.py``.
+``fuse_all`` returns a ``FusedEdges``: one ``EdgeInfluence`` record per
+distinct indicator vector and a column giving each edge's record;
+``items()`` pairs every edge with its record.  The package holds only this
+pipeline; the brute-force and naive oracles that check it live in
+``tests/oracles.py``.
 """
 
 from .belief import (
@@ -33,6 +35,7 @@ from .evaluate import ComparisonReport, QualityCurve, compare_configs, quality_c
 from .fusion import (
     EdgeBBASet,
     EdgeInfluence,
+    FusedEdges,
     FusionError,
     OutOfRangeError,
     ReliabilityConfig,
@@ -83,6 +86,7 @@ __all__ = [
     "EdgeInfluence",
     "OutOfRangeError",
     "TooFewIndicatorsError",
+    "FusedEdges",
     "FusionError",
     "indicator_bba",
     "estimate_reliabilities",

@@ -173,10 +173,16 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     g, activities = load_graph(args.edges, args.mentions, args.retweets, args.activity)
-    tokens = [t for t in args.configs.split(",") if t.strip()]
-    if not tokens:
-        raise ValueError("--configs: empty sweep")
-    configs = [ReliabilityConfig.parse(token, lam=args.lam) for token in tokens]
+    # Blocks of the output are told apart by config name, so every token
+    # must name a config, and a different one from every token before it.
+    configs: list[ReliabilityConfig] = []
+    for position, token in enumerate(args.configs.split(","), 1):
+        if not token.strip():
+            raise ValueError(f"--configs: token {position} of {args.configs!r} is empty")
+        cfg = ReliabilityConfig.parse(token, lam=args.lam)
+        if cfg in configs:
+            raise ValueError(f"--configs: {token.strip()!r} repeats config {cfg.name}")
+        configs.append(cfg)
     report = compare_configs(g, activities, configs, args.k)
     write_csv(
         args.out,
@@ -195,6 +201,15 @@ def _cmd_dump_edges(args: argparse.Namespace) -> int:
     # The activity records are not read; dropping them frees them before fusion.
     g = load_graph(args.edges, args.mentions, args.retweets, args.activity)[0]
     cfg = ReliabilityConfig(alpha=args.alpha, lam=args.lam)
+    fused = fuse_all(g, cfg)
+    # Every edge of one indicator vector prints the same numbers, so each
+    # record's cells are formatted once.
+    cells = [
+        tuple(f"{w:.6f}" for w in record.weights)
+        + tuple(f"{a:.6f}" for a in record.reliabilities)
+        + (f"{record.inf:.6f}",)
+        for record in fused.records
+    ]
     n = len(INDICATOR_NAMES)
     write_csv(
         args.out,
@@ -202,11 +217,7 @@ def _cmd_dump_edges(args: argparse.Namespace) -> int:
         + tuple(f"w_{j + 1}" for j in range(n))
         + tuple(f"alpha_{j + 1}" for j in range(n))
         + ("inf",),
-        (edge
-         + tuple(f"{w:.6f}" for w in result.weights)
-         + tuple(f"{a:.6f}" for a in result.reliabilities)
-         + (f"{result.inf:.6f}",)
-         for edge, result in fuse_all(g, cfg).items()),
+        (edge + cells[i] for edge, i in zip(g.edges(), fused.column)),
     )
     return 0
 

@@ -17,13 +17,14 @@ One implementation of the pipeline lives here, on ``belief``'s
 ``fuse_configs`` / ``fuse_all`` for every edge's ``EdgeInfluence`` record.
 ``fuse_configs`` computes the raw indicators and their bounds once for any
 number of configs.  Within one config an edge's record depends only on its
-raw indicator vector, so each distinct vector is fused once, at its first
-edge in edge order, and every edge with that vector maps to that one frozen
-record.  Interaction counts repeat heavily: the generated workloads have 32
+raw indicator vector, so each distinct vector is fused once, and a config's
+result is a ``FusedEdges``: one frozen record per distinct vector, and the
+vector-id column of ``raw_indicators`` that gives every edge its record.
+No per-edge mapping is built between the indicators and the influence
+field.  Interaction counts repeat heavily: the generated workloads have 32
 distinct vectors among 71,027 edges at paper scale and 32 among 400,000 at
 five times that, so ``fuse_edge`` runs 32 times per config there (about
-1 ms in all on a 2.0 GHz Xeon), 32 records are built, and each edge costs
-a dict lookup.
+1 ms in all on a 2.0 GHz Xeon) and 32 records are built.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .belief import MassFunction, combine_dempster, discount, jousselme_distance
@@ -124,7 +126,7 @@ class EdgeInfluence:
     {passive} and the whole frame; ``weights`` and ``reliabilities`` are the
     edge's normalized indicator values and the alphas their BBAs were
     discounted by.  A record carries no edge: ``fuse_all`` shares one record
-    among all edges with the same indicator vector, under their edge keys.
+    among all edges with the same indicator vector, through its column.
     """
 
     inf: float
@@ -134,11 +136,9 @@ class EdgeInfluence:
     reliabilities: tuple[float, ...]
 
 
-def _bounds(
-    values: dict[tuple[str, str], tuple[float, ...]]
-) -> tuple[tuple[float, float], ...]:
-    """Each indicator's (min, max) over the edge set; ``()`` for no edges."""
-    return tuple((min(col), max(col)) for col in zip(*values.values()))
+def _bounds(vectors: list[tuple[float, ...]]) -> tuple[tuple[float, float], ...]:
+    """Each indicator's (min, max) over the vectors; ``()`` for none."""
+    return tuple((min(col), max(col)) for col in zip(*vectors))
 
 
 def indicator_bba(value: float, low: float, high: float) -> MassFunction:
@@ -247,7 +247,8 @@ def _edge_bba_set(
 
 
 def _global_alphas(
-    values: dict[tuple[str, str], tuple[float, ...]],
+    vectors: list[tuple[float, ...]],
+    column: list[int],
     bounds: tuple[tuple[float, float], ...],
     cfg: ReliabilityConfig,
 ) -> tuple[float, ...] | None:
@@ -256,17 +257,36 @@ def _global_alphas(
     Each distinct vector's average distances are computed once, but they are
     added into the sums once per edge, in edge order.
     """
-    if not (cfg.global_reliability and values):
+    if not (cfg.global_reliability and column):
         return None
-    distances: dict[tuple[float, ...], tuple[float, ...]] = {}
+    distances = [average_distances(_indicator_bbas(vec, bounds)) for vec in vectors]
     sums = [0.0] * len(bounds)
-    for vec in values.values():
-        ds = distances.get(vec)
-        if ds is None:
-            ds = distances[vec] = average_distances(_indicator_bbas(vec, bounds))
-        for j, c in enumerate(ds):
+    for i in column:
+        for j, c in enumerate(distances[i]):
             sums[j] += c
-    return tuple(reliability_from_distance(s / len(values), cfg.lam) for s in sums)
+    return tuple(reliability_from_distance(s / len(column), cfg.lam) for s in sums)
+
+
+@dataclass(frozen=True, slots=True)
+class FusedEdges:
+    """One config's fused influence for every edge of ``graph``.
+
+    ``records[i]`` is the ``EdgeInfluence`` of the i-th distinct indicator
+    vector, and ``column[j]`` the vector id of the j-th edge of
+    ``graph.edges()``, shared by every config of a sweep.  No per-edge
+    mapping is built: ``items`` pairs the edges with their records lazily.
+    """
+
+    graph: SocialGraph
+    column: list[int]
+    records: list[EdgeInfluence]
+
+    def __len__(self) -> int:
+        return len(self.column)
+
+    def items(self) -> Iterator[tuple[tuple[str, str], EdgeInfluence]]:
+        """Each edge with its record, in edge order."""
+        return zip(self.graph.edges(), map(self.records.__getitem__, self.column))
 
 
 def edge_bba_sets(
@@ -278,37 +298,35 @@ def edge_bba_sets(
     A weight is its BBA's mass on {influencer}, 0 for a constant indicator.
     Global reliability averages the distances over every edge in a pre-pass.
     """
-    values = raw_indicators(g)
-    bounds = _bounds(values)
-    shared = _global_alphas(values, bounds, cfg)
-    for edge, vec in values.items():
-        yield edge, _edge_bba_set(vec, bounds, cfg, shared)
+    vectors, column = raw_indicators(g)
+    bounds = _bounds(vectors)
+    shared = _global_alphas(vectors, column, bounds, cfg)
+    for edge, i in zip(g.edges(), column):
+        yield edge, _edge_bba_set(vectors[i], bounds, cfg, shared)
 
 
 def fuse_configs(
     g: SocialGraph, configs: Iterable[ReliabilityConfig]
-) -> Iterator[dict[tuple[str, str], EdgeInfluence]]:
-    """Fused influence for every edge, one dict per config, in config order.
+) -> Iterator[FusedEdges]:
+    """Fused influence for every edge, one ``FusedEdges`` per config, in config order.
 
-    The raw indicators and their normalization bounds are computed once and
-    shared by every config; each dict is built only when the next one is
-    requested, so a caller that drops it first holds one at a time.  Edges
-    with the same raw indicator vector map to one shared, frozen record.
+    The raw indicators, their id column and their normalization bounds are
+    computed once and shared by every config; each result is built only
+    when the next one is requested, so a caller that drops it first holds
+    one config's records at a time.
 
     Raises:
         FusionError: naming the first edge in edge order whose sources
             totally conflict, or whose combined masses no longer sum to 1
             after a near-total conflict, with ``fuse_edge``'s message.
     """
-    values = raw_indicators(g)
-    bounds = _bounds(values)
+    vectors, column = raw_indicators(g)
+    bounds = _bounds(vectors)
     for cfg in configs:
-        yield _fuse_values(values, bounds, cfg)
+        yield _fuse_vectors(g, vectors, column, bounds, cfg)
 
 
-def fuse_all(
-    g: SocialGraph, cfg: ReliabilityConfig
-) -> dict[tuple[str, str], EdgeInfluence]:
+def fuse_all(g: SocialGraph, cfg: ReliabilityConfig) -> FusedEdges:
     """Fused influence for every edge of the graph; deterministic.
 
     The one-config case of ``fuse_configs``.
@@ -316,26 +334,26 @@ def fuse_all(
     return next(fuse_configs(g, (cfg,)))
 
 
-def _fuse_values(
-    values: dict[tuple[str, str], tuple[float, ...]],
+def _fuse_vectors(
+    g: SocialGraph,
+    vectors: list[tuple[float, ...]],
+    column: list[int],
     bounds: tuple[tuple[float, float], ...],
     cfg: ReliabilityConfig,
-) -> dict[tuple[str, str], EdgeInfluence]:
-    # Each distinct raw vector is fused once (see the module docstring).  Key
-    # equality implies identical inputs to fuse_edge: the raw values are
-    # float(int) of nonnegative counts, so there is no -0.0 (equal to 0.0 as
-    # a key but not bitwise) and no NaN (never equal to itself).  A vector's
-    # first edge in edge order fuses it, so a FusionError names the same
-    # edge as a per-edge run would.
-    shared = _global_alphas(values, bounds, cfg)
-    records: dict[tuple[float, ...], EdgeInfluence] = {}
-    out: dict[tuple[str, str], EdgeInfluence] = {}
-    for edge, vec in values.items():
-        record = records.get(vec)
-        if record is None:
-            try:
-                record = records[vec] = fuse_edge(_edge_bba_set(vec, bounds, cfg, shared))
-            except ValueError as exc:  # TotalConflictError is one too
-                raise FusionError(f"edge {edge[0]!r} -> {edge[1]!r}: {exc}") from exc
-        out[edge] = record
-    return out
+) -> FusedEdges:
+    # Each distinct raw vector is fused once (see the module docstring).
+    # Equal vectors are identical inputs to fuse_edge: the raw values are
+    # float(int) of nonnegative counts, so there is no -0.0 (equal to 0.0
+    # but not bitwise) and no NaN (never equal to itself).  Vectors are
+    # fused in the order of their first edges, so the first that fails is
+    # the one a per-edge run would meet first, and the error names its
+    # first edge.
+    shared = _global_alphas(vectors, column, bounds, cfg)
+    records: list[EdgeInfluence] = []
+    for vec in vectors:
+        try:
+            records.append(fuse_edge(_edge_bba_set(vec, bounds, cfg, shared)))
+        except ValueError as exc:  # TotalConflictError is one too
+            u, v = next(islice(g.edges(), column.index(len(records)), None))
+            raise FusionError(f"edge {u!r} -> {v!r}: {exc}") from exc
+    return FusedEdges(g, column, records)

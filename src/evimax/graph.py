@@ -6,12 +6,20 @@ from u.  Activity observed on pairs that are not follow edges still creates
 the edge, so no interaction evidence is dropped during normalization.
 
 File formats (UTF-8 CSV, an optional leading byte-order mark, exact headers,
-blank lines ignored):
+blank lines ignored, cells stripped of surrounding whitespace):
 
 * edges      -- ``src,dst``                        (src influences dst)
 * mentions   -- ``mentioner,mentioned,count``      (edge: mentioned -> mentioner)
 * retweets   -- ``retweeter,original_author,count``(edge: author -> retweeter)
 * activity   -- ``user,tweets,followers``
+
+A repeated edge row is the same edge and keeps its first place; repeated
+mention or retweet rows of one pair are summed; a repeated activity row
+replaces the earlier one.  ``load_graph`` reads each file in one loop over
+``csv.reader``'s rows: a row of the file's width has its cells stripped in
+place and is skipped if all are empty, and a row of any other width is
+skipped if blank and rejected otherwise.  Every ``ParseError`` names the
+file and line.
 
 This module owns the CSV dialect of all seven files evimax reads or writes:
 ``load_graph`` reads the four above, and ``write_csv`` writes them and the
@@ -22,7 +30,9 @@ with ``csv.reader`` as one row per record, ids intact.
 A graph holds each user and each edge once: one ``str`` per user id and one
 tuple per edge, shared by the edge map, the mention/retweet counters and the
 activity records.  The undirected neighbour sets of the common-neighbour
-indicator exist only during a ``raw_indicators`` call.
+indicator exist only during a ``raw_indicators`` call, which returns the
+edges' indicator vectors as a list of distinct vectors and one vector id
+per edge, the column that fusion and the influence field share.
 
 Graph construction is single-writer; after loading, instances are treated as
 immutable and may be shared read-only across workers.
@@ -34,7 +44,7 @@ import csv
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator, TextIO
 
 
 class ParseError(ValueError):
@@ -93,11 +103,9 @@ class SocialGraph:
         """
         if src == dst:
             raise ValueError(f"self-loop rejected: {src!r}")
-        edge = self._edges.get((src, dst))
-        if edge is None:
-            edge = (self._users.setdefault(src, src), self._users.setdefault(dst, dst))
-            self._edges[edge] = edge
-        return edge
+        users = self._users
+        edge = (users.setdefault(src, src), users.setdefault(dst, dst))
+        return self._edges.setdefault(edge, edge)
 
     def add_mentions(self, src: str, dst: str, count: int) -> None:
         """Record that dst mentioned src ``count`` more times on edge (src, dst)."""
@@ -144,14 +152,17 @@ class SocialGraph:
 INDICATOR_NAMES = ("common_neighbors", "mentions", "retweets")
 
 
-def raw_indicators(g: SocialGraph) -> dict[tuple[str, str], tuple[float, float, float]]:
-    """Raw per-edge indicator values, one triple for every edge, in edge order.
+def raw_indicators(
+    g: SocialGraph,
+) -> tuple[list[tuple[float, float, float]], list[int]]:
+    """Raw indicator vectors of the edges, as distinct vectors and an id column.
 
-    For edge (u, v): common neighbors of u and v, mentions of u by v, and
-    retweets of u's content by v.  The keys are the graph's own edge tuples,
-    and edges with equal values share one triple object.  The undirected
-    neighbour sets exist only during this call, and are freed before the
-    result is built.
+    For edge (u, v) the vector is: common neighbors of u and v, mentions of u
+    by v, and retweets of u's content by v.  ``vectors`` lists each distinct
+    vector once, in the order of its first edge in ``g.edges()``, and
+    ``column[i]`` is the index into ``vectors`` of the i-th edge's vector.
+    The undirected neighbour sets exist only during this call, and are freed
+    before the column is built.
     """
     neighbors: dict[str, set[str]] = {user: set() for user in g.users}
     for u, v in g.edges():
@@ -165,44 +176,35 @@ def raw_indicators(g: SocialGraph) -> dict[tuple[str, str], tuple[float, float, 
             common[edge] = len(nu & nv)
     del neighbors
     mentions, retweets = g.mentions, g.retweets
-    vectors: dict[tuple[float, float, float], tuple[float, float, float]] = {}
-    out: dict[tuple[str, str], tuple[float, float, float]] = {}
-    for edge in g.edges():
-        vec = (
-            float(common.get(edge, 0)),
-            float(mentions.get(edge, 0)),
-            float(retweets.get(edge, 0)),
+    ids: dict[tuple[float, float, float], int] = {}
+    column = [
+        ids.setdefault(
+            (float(common.get(e, 0)), float(mentions.get(e, 0)), float(retweets.get(e, 0))),
+            len(ids),
         )
-        out[edge] = vectors.setdefault(vec, vec)
-    return out
+        for e in g.edges()
+    ]
+    return list(ids), column
 
 
 # -- CSV files -------------------------------------------------------------
 
 
-def _rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line_number, fields) for every non-blank data row."""
-    # utf-8-sig drops a leading byte-order mark, which would otherwise be
-    # read into the first header cell.
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise ParseError(path, 1, f"missing header, expected {','.join(header)}")
-        if tuple(cell.strip() for cell in first) != header:
-            raise ParseError(
-                path, 1, f"bad header {first!r}, expected {','.join(header)}"
-            )
-        for row in reader:
-            cells = [cell.strip() for cell in row]
-            if not any(cells):
-                continue
-            if len(cells) != len(header):
-                raise ParseError(
-                    path, reader.line_num, f"expected {len(header)} columns, got {len(cells)}"
-                )
-            yield reader.line_num, cells
+def _data_rows(handle: TextIO, path: str | Path, header: tuple[str, ...]) -> Any:
+    """A ``csv.reader`` over ``handle`` positioned after its checked header."""
+    reader = csv.reader(handle)
+    first = next(reader, None)
+    if first is None:
+        raise ParseError(path, 1, f"missing header, expected {','.join(header)}")
+    if tuple(cell.strip() for cell in first) != header:
+        raise ParseError(path, 1, f"bad header {first!r}, expected {','.join(header)}")
+    return reader
+
+
+def _require_blank(path: str | Path, rows: Any, row: list[str], width: int) -> None:
+    """Raise unless every cell of a row of another width than the header's is blank."""
+    if any(cell.strip() for cell in row):
+        raise ParseError(path, rows.line_num, f"expected {width} columns, got {len(row)}")
 
 
 _DIGITS = "0123456789"
@@ -236,13 +238,26 @@ def load_graph(
     are not follow edges create the edge; users appearing anywhere are added
     to the graph, with zero activity unless the activity file says otherwise.
     """
+    # One loop per file (see the module docstring).  utf-8-sig drops a
+    # leading byte-order mark, which would otherwise be read into the first
+    # header cell.
     g = SocialGraph()
-    for line, (src, dst) in _rows(edges_path, ("src", "dst")):
-        if src == dst:
-            raise ParseError(edges_path, line, f"self-loop edge {src!r}")
-        if not src or not dst:
-            raise ParseError(edges_path, line, "empty user id")
-        g.add_edge(src, dst)
+    add_edge = g.add_edge
+    with open(edges_path, newline="", encoding="utf-8-sig") as handle:
+        rows = _data_rows(handle, edges_path, ("src", "dst"))
+        for row in rows:
+            if len(row) != 2:
+                _require_blank(edges_path, rows, row, 2)
+                continue
+            src = row[0].strip()
+            dst = row[1].strip()
+            if src == dst:
+                if not src:
+                    continue
+                raise ParseError(edges_path, rows.line_num, f"self-loop edge {src!r}")
+            if not src or not dst:
+                raise ParseError(edges_path, rows.line_num, "empty user id")
+            add_edge(src, dst)
 
     for path, header, add, verb in (
         (mentions_path, ("mentioner", "mentioned", "count"), g.add_mentions, "mention"),
@@ -250,30 +265,48 @@ def load_graph(
     ):
         if path is None:
             continue
-        for line, (actor, target, text) in _rows(path, header):
-            if actor == target:
-                raise ParseError(path, line, f"self-{verb} by {actor!r}")
-            if not actor or not target:
-                raise ParseError(path, line, "empty user id")
-            count = _count(path, line, text, "count")
-            try:
-                add(target, actor, count)
-            except ValueError as exc:  # a total beyond the float range
-                raise ParseError(path, line, str(exc)) from None
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            rows = _data_rows(handle, path, header)
+            for row in rows:
+                if len(row) != 3:
+                    _require_blank(path, rows, row, 3)
+                    continue
+                actor = row[0].strip()
+                target = row[1].strip()
+                text = row[2].strip()
+                if actor == target:
+                    if not (actor or text):
+                        continue
+                    raise ParseError(path, rows.line_num, f"self-{verb} by {actor!r}")
+                if not actor or not target:
+                    raise ParseError(path, rows.line_num, "empty user id")
+                count = _count(path, rows.line_num, text, "count")
+                try:
+                    add(target, actor, count)
+                except ValueError as exc:  # a total beyond the float range
+                    raise ParseError(path, rows.line_num, str(exc)) from None
 
     activities = {user: UserActivity(user) for user in g.users}
     if activity_path is not None:
-        for line, (user, tweets, followers) in _rows(
-            activity_path, ("user", "tweets", "followers")
-        ):
-            if not user:
-                raise ParseError(activity_path, line, "empty user id")
-            user = g.add_user(user)
-            record = activities.get(user)
-            if record is None:
-                record = activities[user] = UserActivity(user)
-            record.tweets = _count(activity_path, line, tweets, "tweets")
-            record.followers = _count(activity_path, line, followers, "followers")
+        with open(activity_path, newline="", encoding="utf-8-sig") as handle:
+            rows = _data_rows(handle, activity_path, ("user", "tweets", "followers"))
+            for row in rows:
+                if len(row) != 3:
+                    _require_blank(activity_path, rows, row, 3)
+                    continue
+                user = row[0].strip()
+                tweets = row[1].strip()
+                followers = row[2].strip()
+                if not user:
+                    if not (tweets or followers):
+                        continue
+                    raise ParseError(activity_path, rows.line_num, "empty user id")
+                user = g.add_user(user)
+                record = activities.get(user)
+                if record is None:
+                    record = activities[user] = UserActivity(user)
+                record.tweets = _count(activity_path, rows.line_num, tweets, "tweets")
+                record.followers = _count(activity_path, rows.line_num, followers, "followers")
 
     add_received_totals(g, activities)
     return g, activities
@@ -290,7 +323,7 @@ def add_received_totals(g: SocialGraph, activities: dict[str, UserActivity]) -> 
 def write_csv(
     path: str | Path, header: tuple[str, ...], rows: Iterable[tuple[str, ...]]
 ) -> None:
-    """Write one CSV file of ``str`` cells in the dialect ``_rows`` reads back."""
+    """Write one CSV file of ``str`` cells in the dialect ``load_graph`` reads back."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         # csv quotes a line break only when it is a character of the line

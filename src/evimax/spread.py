@@ -12,13 +12,15 @@ field over its two-hop out-frontier, which is an exact restructuring (all
 terms outside the frontier are zero); the literal per-user form lives in
 ``tests/oracles.py`` as a check on it.  The field stores the graph once, as
 out-adjacency keyed by user, which also serves as its user list.
+``from_graph`` fills it in one walk of the graph's edges beside fusion's
+vector-id column, reading each weight off the column's record.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .fusion import EdgeInfluence
+from .fusion import FusedEdges
 from .graph import SocialGraph, UnknownUserError
 
 
@@ -47,24 +49,29 @@ class InfluenceField:
             self._out[u].append((v, w))
 
     @classmethod
-    def from_graph(
-        cls, g: SocialGraph, influences: Mapping[tuple[str, str], EdgeInfluence]
-    ) -> "InfluenceField":
-        """Build a field from a graph and ``fuse_all``'s records, in one pass.
+    def from_graph(cls, g: SocialGraph, fused: FusedEdges) -> "InfluenceField":
+        """Build a field from a graph and ``fuse_all``'s result, in one pass.
 
-        Each edge's weight is its record's ``inf``.  An edge naming a user
-        outside ``g`` raises ``UnknownUserError``; the weights are not
-        rechecked, since fusion built them.  Dempster's normalization can
-        round a fused mass one ulp above 1 (1.0000000000000002), and such a
-        weight is kept: ``singleton_spread_bounds`` and CELF need only
-        nonnegative weights, which fusion guarantees.
+        The i-th edge of ``g.edges()`` gets the ``inf`` of record
+        ``fused.records[fused.column[i]]``, so each user's out-edges keep
+        the graph's insertion order and zero weights are kept.  A result
+        whose column does not have one entry per edge of ``g`` raises
+        ``ValueError``; the weights are not rechecked, since fusion built
+        them.  Dempster's normalization can round a fused mass one ulp above
+        1 (1.0000000000000002), and such a weight is kept:
+        ``singleton_spread_bounds`` and CELF need only nonnegative weights,
+        which fusion guarantees.
         """
+        if len(fused.column) != g.num_edges():
+            raise ValueError(
+                f"fused result covers {len(fused.column)} edges, "
+                f"the graph has {g.num_edges()}"
+            )
         field = cls(g.users, {})
         out = field._out
-        for (u, v), record in influences.items():
-            if u not in out or v not in out:
-                raise UnknownUserError(f"edge ({u!r}, {v!r}) references unknown user")
-            out[u].append((v, record.inf))
+        weights = [record.inf for record in fused.records]
+        for (u, v), i in zip(g.edges(), fused.column):
+            out[u].append((v, weights[i]))
         return field
 
     @property

@@ -4,19 +4,31 @@ The package holds only the pipeline that ``select``, ``evaluate`` and
 ``dump-edges`` run.  What exists only to check it lives here: subset-indexed
 views of a mass function, graph equality and common neighbours read off the
 public user and edge lists, the fused BBA of a record, the literal per-user
-influence, and the naive and exhaustive seed selections.
+influence, the naive and exhaustive seed selections, and the row-by-row
+CSV loader that ``load_graph``'s per-file loops replaced.
 ``select_greedy_naive`` uses CELF's own ``_SelectionState``, so the two agree
 bit for bit.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+from pathlib import Path
+from typing import Iterator
 
 from evimax.belief import MassFunction
 from evimax.fusion import EdgeInfluence
-from evimax.graph import SocialGraph, UnknownUserError
+from evimax.graph import (
+    ParseError,
+    SocialGraph,
+    UnknownUserError,
+    UserActivity,
+    _count,
+    add_received_totals,
+    raw_indicators,
+)
 from evimax.maximize import SeedChoice, SeedSelection, _effective_k, _SelectionState
 from evimax.spread import InfluenceField, sigma
 
@@ -82,6 +94,85 @@ def common_neighbors(g: SocialGraph, u: str, v: str) -> int:
         return {b if a == x else a for a, b in g.edges() if x in (a, b)}
 
     return len(neighbors(u) & neighbors(v))
+
+
+def indicator_map(g: SocialGraph) -> dict[tuple[str, str], tuple[float, float, float]]:
+    """``raw_indicators`` as one vector per edge, keyed by the graph's edges in order."""
+    vectors, column = raw_indicators(g)
+    return {edge: vectors[i] for edge, i in zip(g.edges(), column)}
+
+
+def _rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line_number, fields) for every non-blank data row."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            first = next(reader)
+        except StopIteration:
+            raise ParseError(path, 1, f"missing header, expected {','.join(header)}")
+        if tuple(cell.strip() for cell in first) != header:
+            raise ParseError(
+                path, 1, f"bad header {first!r}, expected {','.join(header)}"
+            )
+        for row in reader:
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
+                continue
+            if len(cells) != len(header):
+                raise ParseError(
+                    path, reader.line_num, f"expected {len(header)} columns, got {len(cells)}"
+                )
+            yield reader.line_num, cells
+
+
+def load_graph_reference(
+    edges_path: str | Path,
+    mentions_path: str | Path | None = None,
+    retweets_path: str | Path | None = None,
+    activity_path: str | Path | None = None,
+) -> tuple[SocialGraph, dict[str, UserActivity]]:
+    """``load_graph`` as one generator of stripped, width-checked rows per file."""
+    g = SocialGraph()
+    for line, (src, dst) in _rows(edges_path, ("src", "dst")):
+        if src == dst:
+            raise ParseError(edges_path, line, f"self-loop edge {src!r}")
+        if not src or not dst:
+            raise ParseError(edges_path, line, "empty user id")
+        g.add_edge(src, dst)
+
+    for path, header, add, verb in (
+        (mentions_path, ("mentioner", "mentioned", "count"), g.add_mentions, "mention"),
+        (retweets_path, ("retweeter", "original_author", "count"), g.add_retweets, "retweet"),
+    ):
+        if path is None:
+            continue
+        for line, (actor, target, text) in _rows(path, header):
+            if actor == target:
+                raise ParseError(path, line, f"self-{verb} by {actor!r}")
+            if not actor or not target:
+                raise ParseError(path, line, "empty user id")
+            count = _count(path, line, text, "count")
+            try:
+                add(target, actor, count)
+            except ValueError as exc:  # a total beyond the float range
+                raise ParseError(path, line, str(exc)) from None
+
+    activities = {user: UserActivity(user) for user in g.users}
+    if activity_path is not None:
+        for line, (user, tweets, followers) in _rows(
+            activity_path, ("user", "tweets", "followers")
+        ):
+            if not user:
+                raise ParseError(activity_path, line, "empty user id")
+            user = g.add_user(user)
+            record = activities.get(user)
+            if record is None:
+                record = activities[user] = UserActivity(user)
+            record.tweets = _count(activity_path, line, tweets, "tweets")
+            record.followers = _count(activity_path, line, followers, "followers")
+
+    add_received_totals(g, activities)
+    return g, activities
 
 
 # -- fusion ------------------------------------------------------------------

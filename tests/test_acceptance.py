@@ -197,7 +197,7 @@ def test_criterion_6_degenerate_alpha_algebra():
     g, _ = generate_synthetic(seed=106, n_users=60, n_edges=160)
 
     zeroed = fuse_all(g, ReliabilityConfig.fixed(0.0))
-    all_zero = all(r.inf == 0.0 for r in zeroed.values())
+    all_zero = all(r.inf == 0.0 for _, r in zeroed.items())
     field = InfluenceField.from_graph(g, zeroed)
     users = list(field.users)
     sigma_is_cardinality = True

@@ -6,6 +6,7 @@ import csv
 import gc
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -57,15 +58,15 @@ class TestGenerate:
         generate(paths)
         code = run("select", *input_flags(paths), "--k", "10", "--out", paths["out"])
         assert code == 0
-        lines = open(paths["out"]).read().splitlines()
+        lines = Path(paths["out"]).read_text().splitlines()
         assert lines[0] == "rank,user,marginal_gain,cumulative_sigma"
         assert len(lines) == 11
 
     def test_same_seed_gives_identical_files(self, paths, tmp_path):
         generate(paths)
-        first = {k: open(paths[k], "rb").read() for k in ("edges", "mentions", "retweets", "activity")}
+        first = {k: Path(paths[k]).read_bytes() for k in ("edges", "mentions", "retweets", "activity")}
         generate(paths)
-        second = {k: open(paths[k], "rb").read() for k in ("edges", "mentions", "retweets", "activity")}
+        second = {k: Path(paths[k]).read_bytes() for k in ("edges", "mentions", "retweets", "activity")}
         assert first == second
 
     def test_zero_users_exits_1(self, paths, capsys):
@@ -103,21 +104,21 @@ class TestSelect:
     def test_default_k_is_50(self, paths):
         generate(paths, users="120", edges="300")
         assert run("select", *input_flags(paths), "--out", paths["out"]) == 0
-        lines = open(paths["out"]).read().splitlines()
+        lines = Path(paths["out"]).read_text().splitlines()
         assert len(lines) == 51  # header + 50 seed rows
 
     def test_default_k_capped_by_user_count(self, paths):
         generate(paths, users="30", edges="60")
         assert run("select", *input_flags(paths), "--out", paths["out"]) == 0
-        lines = open(paths["out"]).read().splitlines()
+        lines = Path(paths["out"]).read_text().splitlines()
         assert len(lines) == 31  # header + one row per user
 
     def test_byte_identical_reruns(self, paths):
         generate(paths)
         run("select", *input_flags(paths), "--k", "20", "--out", paths["out"])
-        first = open(paths["out"], "rb").read()
+        first = Path(paths["out"]).read_bytes()
         run("select", *input_flags(paths), "--k", "20", "--out", paths["out"])
-        assert open(paths["out"], "rb").read() == first
+        assert Path(paths["out"]).read_bytes() == first
 
     def test_fixed_alpha_flag(self, paths):
         generate(paths)
@@ -189,7 +190,7 @@ class TestSelect:
         generate(paths)
         with open(paths["mentions"], "a", encoding="utf-8") as handle:
             handle.write("u0001,u0002,1_000\n")
-        lines = open(paths["mentions"], encoding="utf-8").read().count("\n")
+        lines = Path(paths["mentions"]).read_text(encoding="utf-8").count("\n")
         code = run("select", *input_flags(paths), "--out", paths["out"])
         assert code == 1
         assert f"mentions.csv:{lines}: count must be an integer, got '1_000'" in (
@@ -201,12 +202,12 @@ class TestSelect:
         cfg = paths["dir"] / "run.json"
         cfg.write_text(json.dumps({"k": 2, "alpha": 0.2, "lambda": 4.0}))
         run("select", *input_flags(paths), "--config", str(cfg), "--out", paths["out"])
-        assert len(open(paths["out"]).read().splitlines()) == 3  # file k=2
+        assert len(Path(paths["out"]).read_text().splitlines()) == 3  # file k=2
         run(
             "select", *input_flags(paths), "--config", str(cfg), "--k", "4",
             "--out", paths["out"],
         )
-        assert len(open(paths["out"]).read().splitlines()) == 5  # flag wins
+        assert len(Path(paths["out"]).read_text().splitlines()) == 5  # flag wins
 
     def test_config_file_rejects_unknown_keys(self, paths, capsys):
         generate(paths)
@@ -226,17 +227,17 @@ class TestEvaluate:
         assert run(
             "evaluate", *input_flags(paths), "--k", "6", "--out", paths["out"]
         ) == 0
-        lines = open(paths["out"]).read().splitlines()
+        lines = Path(paths["out"]).read_text().splitlines()
         assert lines[0] == "config,rank,user,follows_acc,mentions_acc,retweets_acc,tweets_acc"
         assert len(lines) == 1 + 3 * 6  # header + |sweep| * k rows
         names = {line.split(",")[0] for line in lines[1:]}
         assert names == {"fixed:0", "fixed:0.2", "estimated"}
-        default = open(paths["out"], "rb").read()
+        default = Path(paths["out"]).read_bytes()
         assert run(
             "evaluate", *input_flags(paths), "--k", "6",
             "--configs", "fixed:0,fixed:0.2,estimated", "--out", paths["out"],
         ) == 0
-        assert open(paths["out"], "rb").read() == default
+        assert Path(paths["out"]).read_bytes() == default
 
     def test_custom_sweep_row_count(self, paths):
         generate(paths, users="40", edges="90")
@@ -244,7 +245,7 @@ class TestEvaluate:
             "evaluate", *input_flags(paths), "--k", "4",
             "--configs", "estimated,fixed:0.5", "--out", paths["out"],
         )
-        assert len(open(paths["out"]).read().splitlines()) == 1 + 2 * 4
+        assert len(Path(paths["out"]).read_text().splitlines()) == 1 + 2 * 4
 
     def test_empty_sweep_exits_1(self, paths, capsys):
         generate(paths)
@@ -253,6 +254,31 @@ class TestEvaluate:
         )
         assert code == 1
         assert "configs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sweep", ["fixed:0,,fixed:0.2", "estimated, ", " ,estimated"])
+    def test_empty_config_token_exits_1(self, paths, capsys, sweep):
+        generate(paths)
+        code = run(
+            "evaluate", *input_flags(paths), "--configs", sweep, "--out", paths["out"]
+        )
+        assert code == 1
+        assert f"of {sweep!r} is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sweep, token, name",
+        [
+            ("fixed:0,fixed:0.2,fixed:0.20", "fixed:0.20", "fixed:0.2"),
+            ("estimated,fixed:1, estimated", "estimated", "estimated"),
+            ("fixed:0,fixed:-0", "fixed:-0", "fixed:-0"),
+        ],
+    )
+    def test_repeated_config_exits_1(self, paths, capsys, sweep, token, name):
+        generate(paths)
+        code = run(
+            "evaluate", *input_flags(paths), "--configs", sweep, "--out", paths["out"]
+        )
+        assert code == 1
+        assert f"{token!r} repeats config {name}" in capsys.readouterr().err
 
     def test_bad_config_token_exits_1(self, paths, capsys):
         generate(paths)
@@ -276,16 +302,16 @@ class TestEvaluate:
     def test_byte_identical_reruns(self, paths):
         generate(paths, users="40", edges="90")
         run("evaluate", *input_flags(paths), "--k", "5", "--out", paths["out"])
-        first = open(paths["out"], "rb").read()
+        first = Path(paths["out"]).read_bytes()
         run("evaluate", *input_flags(paths), "--k", "5", "--out", paths["out"])
-        assert open(paths["out"], "rb").read() == first
+        assert Path(paths["out"]).read_bytes() == first
 
 
 class TestDumpEdges:
     def test_per_edge_rows_with_six_decimals(self, paths):
         generate(paths, users="30", edges="60")
         assert run("dump-edges", *input_flags(paths), "--out", paths["out"]) == 0
-        lines = open(paths["out"]).read().splitlines()
+        lines = Path(paths["out"]).read_text().splitlines()
         assert lines[0] == "src,dst,w_1,w_2,w_3,alpha_1,alpha_2,alpha_3,inf"
         assert len(lines) >= 61  # every edge appears (activity may add edges)
         sample = lines[1].split(",")
@@ -296,9 +322,9 @@ class TestDumpEdges:
     def test_byte_identical_reruns(self, paths):
         generate(paths, users="40", edges="90")
         run("dump-edges", *input_flags(paths), "--out", paths["out"])
-        first = open(paths["out"], "rb").read()
+        first = Path(paths["out"]).read_bytes()
         run("dump-edges", *input_flags(paths), "--out", paths["out"])
-        assert open(paths["out"], "rb").read() == first
+        assert Path(paths["out"]).read_bytes() == first
 
 
 class TestFusedMassAboveOne:
@@ -327,13 +353,13 @@ class TestFusedMassAboveOne:
     def test_command_accepts_the_fused_weight(self, graph, capsys, command, user_column):
         code = run(*command, *input_flags(graph), "--lambda", "12", "--out", graph["out"])
         assert code == 0, capsys.readouterr().err
-        rows = open(graph["out"]).read().splitlines()
+        rows = Path(graph["out"]).read_text().splitlines()
         assert len(rows) == 3
         assert rows[1].split(",")[user_column] == "a"
 
     def test_dump_edges_prints_it_as_one(self, graph):
         assert run("dump-edges", *input_flags(graph), "--lambda", "12", "--out", graph["out"]) == 0
-        rows = open(graph["out"]).read().splitlines()
+        rows = Path(graph["out"]).read_text().splitlines()
         assert rows[1].startswith("a,b,") and rows[1].endswith(",1.000000")
 
 
@@ -410,20 +436,20 @@ class TestConfigFileKeys:
             "generate", *input_flags(paths), "--users", "30", "--n-edges", "60",
             "--intensity", "2.0", "--seed", "3",
         ) == 0
-        flagged = open(paths["edges"], "rb").read()
+        flagged = Path(paths["edges"]).read_bytes()
         assert run("generate", "--config", str(cfg)) == 0
-        assert open(paths["edges"], "rb").read() == flagged
+        assert Path(paths["edges"]).read_bytes() == flagged
 
         cfg.write_text(json.dumps(
             {**files, "out": paths["out"], "k": 3, "lambda": 4.0,
              "configs": "fixed:0.2,estimated"}
         ))
         assert run("evaluate", "--config", str(cfg)) == 0
-        assert len(open(paths["out"]).read().splitlines()) == 1 + 2 * 3
+        assert len(Path(paths["out"]).read_text().splitlines()) == 1 + 2 * 3
 
         cfg.write_text(json.dumps({**files, "out": paths["out"], "alpha": 0.2}))
         assert run("dump-edges", "--config", str(cfg)) == 0
-        rows = open(paths["out"]).read().splitlines()[1:]
+        rows = Path(paths["out"]).read_text().splitlines()[1:]
         assert rows and all(row.split(",")[5] == "0.200000" for row in rows)
 
 
@@ -463,7 +489,7 @@ class TestOneOptionPath:
         def run_with(opts, *extra) -> dict:
             flags = [text for key, value in opts.items() for text in (f"--{key}", str(value))]
             assert run(command, *flags, *extra) == 0
-            return {key: open(paths[key], "rb").read() for key in written}
+            return {key: Path(paths[key]).read_bytes() for key in written}
 
         expected = run_with(options)
         value = options.pop(option)

@@ -31,7 +31,7 @@ from evimax.fusion import (
 from evimax.graph import INDICATOR_NAMES, SocialGraph, raw_indicators
 from evimax.synthetic import generate_synthetic
 from tests.helpers import bbas, synthetic_graphs
-from tests.oracles import fused
+from tests.oracles import fused, indicator_map
 
 TOL = 1e-9
 ESTIMATED = ReliabilityConfig.estimated(lam=5.0)
@@ -121,11 +121,11 @@ class TestNormalizationStats:
     """Per-indicator normalization bounds, as built by ``_bounds``."""
 
     def test_from_values(self):
-        bounds = _bounds({("a", "b"): (1.0, 5.0), ("b", "c"): (3.0, 2.0)})
+        bounds = _bounds([(1.0, 5.0), (3.0, 2.0)])
         assert bounds == ((1.0, 3.0), (2.0, 5.0))
 
     def test_empty(self):
-        assert _bounds({}) == ()
+        assert _bounds([]) == ()
 
 
 class TestEstimateReliabilities:
@@ -263,23 +263,23 @@ class TestFuseAll:
         g = SocialGraph()
         g.add_edge("a", "b")
         g.add_mentions("a", "b", 9)
-        result = fuse_all(g, ESTIMATED)
+        result = dict(fuse_all(g, ESTIMATED).items())
         assert result[("a", "b")].inf == 0.0
 
     def test_covers_every_edge(self):
         g, _ = generate_synthetic(seed=8, n_users=40, n_edges=100)
-        result = fuse_all(g, ESTIMATED)
+        result = dict(fuse_all(g, ESTIMATED).items())
         assert set(result) == set(g.edges())
 
     def test_fixed_zero_alpha_kills_all_influence(self):
         g, _ = generate_synthetic(seed=8, n_users=40, n_edges=100)
         result = fuse_all(g, ReliabilityConfig.fixed(0.0))
-        assert all(r.inf == 0.0 for r in result.values())
+        assert all(r.inf == 0.0 for _, r in result.items())
 
     def test_influence_in_unit_interval(self):
         g, _ = generate_synthetic(seed=12, n_users=60, n_edges=180)
         for cfg in (ESTIMATED, ReliabilityConfig.fixed(0.2), ReliabilityConfig.fixed(0.7)):
-            for r in fuse_all(g, cfg).values():
+            for _, r in fuse_all(g, cfg).items():
                 assert -TOL <= r.inf <= 1.0 + TOL
 
     def test_fully_reliable_contradiction_is_an_error(self):
@@ -292,7 +292,7 @@ class TestFuseAll:
     def test_estimated_mode_defuses_the_same_contradiction(self):
         result = fuse_all(two_edge_graph(), ESTIMATED)
         assert len(result) == 2
-        for r in result.values():
+        for _, r in result.items():
             assert -TOL <= r.inf <= 1.0 + TOL
 
     def test_deterministic(self):
@@ -308,11 +308,11 @@ class TestFuseAll:
         cfg = ReliabilityConfig.estimated(lam=5.0, global_reliability=True)
         alphas = {ebs.reliabilities for _, ebs in edge_bba_sets(g, cfg)}
         assert len(alphas) == 1
-        for r in fuse_all(g, cfg).values():
+        for _, r in fuse_all(g, cfg).items():
             assert -TOL <= r.inf <= 1.0 + TOL
 
     def test_empty_graph(self):
-        assert fuse_all(SocialGraph(), ESTIMATED) == {}
+        assert dict(fuse_all(SocialGraph(), ESTIMATED).items()) == {}
 
 
 class TestDiagnosticsRecords:
@@ -344,7 +344,7 @@ class TestDiagnosticsRecords:
     )
     def test_fuse_all_records_match_per_edge_reference(self, graph_args, cfg):
         g, _ = generate_synthetic(**graph_args)
-        values = raw_indicators(g)
+        values = indicator_map(g)
         n = len(INDICATOR_NAMES)
         lows = [min(vec[j] for vec in values.values()) for j in range(n)]
         highs = [max(vec[j] for vec in values.values()) for j in range(n)]
@@ -358,7 +358,7 @@ class TestDiagnosticsRecords:
                 sums[j] += c
         shared = tuple(reliability_from_distance(s / len(bbas), cfg.lam) for s in sums)
 
-        records = fuse_all(g, cfg)
+        records = dict(fuse_all(g, cfg).items())
         assert list(records) == list(values)
         for edge, vec in values.items():
             record = records[edge]
@@ -428,7 +428,7 @@ class TestKernelMatchesReference:
                 fuse_all(g, cfg)
             assert str(err.value) == error
             return
-        records = fuse_all(g, cfg)
+        records = dict(fuse_all(g, cfg).items())
         assert list(records) == list(expected)
         for edge, record in records.items():
             reference = expected[edge]
@@ -447,7 +447,8 @@ CACHE_CONFIGS = [
 ]
 
 
-def assert_records_equal(records, expected):
+def assert_records_equal(fused_edges, expected):
+    records = dict(fused_edges.items())
     assert list(records) == list(expected)
     for edge, record in records.items():
         reference = expected[edge]
@@ -472,7 +473,7 @@ class TestPerVectorCache:
     )
     def test_repeated_vectors_match_per_edge_reference(self, graph_args):
         g, _ = generate_synthetic(*graph_args)
-        values = raw_indicators(g)
+        values = indicator_map(g)
         distinct = set(values.values())
         assert len(values) >= 20 * len(distinct)
         swept = fuse_configs(g, CACHE_CONFIGS)
@@ -484,7 +485,7 @@ class TestPerVectorCache:
                 records = next(swept)
                 assert_records_equal(records, expected)
                 # Records of one vector share their tuples.
-                assert len({id(r.weights) for r in records.values()}) == len(distinct)
+                assert len({id(r.weights) for _, r in records.items()}) == len(distinct)
             else:
                 with pytest.raises(FusionError) as err:
                     fuse_all(g, cfg)
@@ -505,7 +506,7 @@ class TestPerVectorCache:
         g.add_mentions("a", "b", 5)
         g.add_retweets("c", "d", 3)
         g.add_mentions("e", "f", 5)
-        values = raw_indicators(g)
+        values = indicator_map(g)
         assert values[("a", "b")] == values[("e", "f")] == (0.0, 5.0, 0.0)
         cfg = ReliabilityConfig.fixed(1.0)
         _, error = reference_fusion(g, cfg)
@@ -535,8 +536,8 @@ class TestSharedRecords:
     )
     def test_one_record_per_distinct_vector(self, cfg):
         g, _ = generate_synthetic(31, 300, 600, 1.0)
-        values = raw_indicators(g)
-        records = fuse_all(g, cfg)
+        values = indicator_map(g)
+        records = dict(fuse_all(g, cfg).items())
         assert len({id(r) for r in records.values()}) == len(set(values.values()))
         first = {}
         for edge, vec in values.items():
@@ -544,7 +545,7 @@ class TestSharedRecords:
 
     def test_records_are_frozen(self):
         g, _ = generate_synthetic(31, 300, 600, 1.0)
-        record = next(iter(fuse_all(g, ESTIMATED).values()))
+        _, record = next(iter(fuse_all(g, ESTIMATED).items()))
         with pytest.raises(dataclasses.FrozenInstanceError):
             record.inf = 0.5
 
@@ -566,7 +567,7 @@ class TestFusesEachDistinctVectorOnce:
 
     def test_fuse_configs_calls_fuse_edge_once_per_vector_and_config(self, monkeypatch):
         g, _ = generate_synthetic(31, 300, 600, 1.0)
-        distinct = set(raw_indicators(g).values())
+        distinct, _ = raw_indicators(g)
         configs = [
             ReliabilityConfig.fixed(0.2),
             ESTIMATED,
@@ -579,7 +580,7 @@ class TestFusesEachDistinctVectorOnce:
 
     def test_global_pre_pass_averages_distances_once_per_vector(self, monkeypatch):
         g, _ = generate_synthetic(31, 300, 600, 1.0)
-        distinct = set(raw_indicators(g).values())
+        distinct, _ = raw_indicators(g)
         calls = self.count_calls(monkeypatch, "average_distances")
         fuse_all(g, ReliabilityConfig.estimated(lam=5.0, global_reliability=True))
         assert len(calls) == len(distinct)

@@ -7,7 +7,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evimax.graph import (
@@ -20,7 +20,12 @@ from evimax.graph import (
     write_graph,
 )
 from evimax.synthetic import InvalidParametersError, generate_synthetic
-from tests.oracles import common_neighbors, same_graph
+from tests.oracles import (
+    common_neighbors,
+    indicator_map,
+    load_graph_reference,
+    same_graph,
+)
 
 
 def write(path, text):
@@ -60,7 +65,7 @@ class TestSocialGraph:
         getattr(g, add)("a", "b", 0)
         with pytest.raises(ValueError, match="largest float"):
             getattr(g, add)("a", "b", 1)
-        assert raw_indicators(g)[("a", "b")][column] == sys.float_info.max
+        assert indicator_map(g)[("a", "b")][column] == sys.float_info.max
 
     def test_adjacency_indexes_agree(self, dataset):
         g, _ = load_graph(*dataset)
@@ -107,6 +112,31 @@ class TestLoadGraph:
         assert g.has_edge("q", "z")
         assert g.mentions[("q", "z")] == 3
         assert activities["z"].tweets == 0  # dangling users get zero activity
+
+    def test_repeated_edge_row_keeps_the_first(self, tmp_path):
+        # A repeated edge row, padded or not, is the same edge: it keeps the
+        # place and the tuple of its first row.
+        edges = write(tmp_path / "e.csv", "src,dst\nann,bob\ncid,dan\n ann , bob\n")
+        g, _ = load_graph(edges)
+        assert list(g.edges()) == [("ann", "bob"), ("cid", "dan")]
+        assert list(g.users) == ["ann", "bob", "cid", "dan"]
+
+    def test_repeated_mention_and_retweet_rows_are_summed(self, tmp_path):
+        edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
+        mentions = write(tmp_path / "m.csv", "mentioner,mentioned,count\nb,a,2\nb,a,3\n")
+        retweets = write(
+            tmp_path / "r.csv", "retweeter,original_author,count\nb,a,4\nb,a,0\nb,a,1\n"
+        )
+        g, activities = load_graph(edges, mentions, retweets)
+        assert g.mentions == {("a", "b"): 5}
+        assert g.retweets == {("a", "b"): 5}
+        assert (activities["a"].mentions_received, activities["a"].retweets_received) == (5, 5)
+
+    def test_repeated_activity_row_replaces_the_earlier(self, tmp_path):
+        edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
+        activity = write(tmp_path / "a.csv", "user,tweets,followers\na,5,1\na,7,9\n")
+        _, activities = load_graph(edges, activity_path=activity)
+        assert (activities["a"].tweets, activities["a"].followers) == (7, 9)
 
     def test_blank_lines_ignored(self, tmp_path):
         edges = write(tmp_path / "e.csv", "src,dst\n\na,b\n\n\nb,c\n")
@@ -185,7 +215,7 @@ class TestLoadGraph:
         largest = int(sys.float_info.max)
         text = f"retweeter,original_author,count\nb,a,{largest}\nb,a,0\n"
         g, _ = load_graph(edges, retweets_path=write(tmp_path / "r.csv", text))
-        assert raw_indicators(g)[("a", "b")][2] == sys.float_info.max
+        assert indicator_map(g)[("a", "b")][2] == sys.float_info.max
         retweets = write(tmp_path / "r.csv", text + "b,a,1\n")
         with pytest.raises(ParseError) as err:
             load_graph(edges, retweets_path=retweets)
@@ -254,6 +284,114 @@ def written_graphs(draw):
         for user in users
     }
     return g, activities
+
+
+# Cells of the hostile files the loader must read exactly as its row-by-row
+# reference does: padded, quoted (holding a comma, a CR or a CRLF), empty
+# and all-whitespace ids, and counts int() alone would misread.  Valid cells
+# are listed several times, so that most files load and the rows after a
+# bad one are reached too.
+HOSTILE_IDS = (
+    ["a", "b", "c", "d", "e", "f", "g", " a ", "b\t", '"a,b"', '"a\rb"', '"c\r\nd"'] * 6
+    + ["", "  "]
+)
+HOSTILE_COUNTS = ["1", "5", "007", " 3 ", "\t12", "0"] * 12 + [
+    "+3", "-1", "-0", "１２", "1_000", "9" * 5000, "", "x",
+]
+HEADERS = {
+    "edges": "src,dst",
+    "mentions": "mentioner,mentioned,count",
+    "retweets": "retweeter,original_author,count",
+    "activity": "user,tweets,followers",
+}
+
+
+@st.composite
+def hostile_csvs(draw, kind):
+    """The text of one input file with hostile rows, widths and line endings."""
+    width = len(HEADERS[kind].split(","))
+    header = draw(st.sampled_from(
+        [HEADERS[kind]] * 20 + [" " + HEADERS[kind].replace(",", " , "), "src", ""]
+    ))
+    n_ids = 1 if kind == "activity" else 2
+    # Two ids of a row differ after stripping unless the row is a self-loop.
+    ids = st.lists(st.sampled_from(HOSTILE_IDS), min_size=n_ids, max_size=n_ids,
+                   unique_by=lambda cell: cell.strip(' "\t'))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 8))):
+        row = draw(ids) + [draw(st.sampled_from(HOSTILE_COUNTS)) for _ in range(width - n_ids)]
+        shape = draw(st.sampled_from(
+            ["row"] * 30 + ["self", "holes", "holes", "blank", "spaces", "short", "long"]
+        ))
+        if shape == "self" and n_ids == 2:
+            row[1] = row[0]
+        elif shape == "holes":  # some cells empty or whitespace
+            row = [draw(st.sampled_from(["", " ", cell])) for cell in row]
+        elif shape == "blank":
+            row = []
+        elif shape == "spaces":
+            row = [" "] * draw(st.integers(1, width + 1))
+        elif shape == "short":
+            row = row[:-1]
+        elif shape == "long":
+            row.append(draw(st.sampled_from(["", " ", "x"])))
+        lines.append(",".join(row))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text if text else text
+
+
+def load_outcome(load, paths):
+    """What a loader makes of the files: its graph and activity, or its error."""
+    try:
+        g, activities = load(*paths)
+    except Exception as exc:  # ParseError, or csv.Error from the reader
+        return type(exc), str(exc)
+    return (
+        list(g.users), list(g.edges()), list(g.mentions.items()),
+        list(g.retweets.items()), list(activities.items()),
+    )
+
+
+class TestLoaderMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        texts=st.tuples(*(hostile_csvs(kind) for kind in HEADERS)),
+        given_files=st.lists(st.sampled_from([True, True, False]), min_size=3, max_size=3),
+    )
+    # Rows of the expected width whose id cells are empty: blank rows are
+    # skipped, and the others are an empty id or a self-mention by ''.
+    @example(
+        texts=(
+            "src,dst\r\n , \r\na,b\r\n",
+            "mentioner,mentioned,count\n , ,\nb, a ,2\n , ,5\n",
+            "retweeter,original_author,count\n",
+            "user,tweets,followers\n , , \n",
+        ),
+        given_files=[True, True, True],
+    )
+    @example(
+        texts=(
+            "src,dst\na,b\n",
+            "mentioner,mentioned,count\n",
+            "retweeter,original_author,count\n",
+            "user,tweets,followers\n,,\n , ,7\n",
+        ),
+        given_files=[True, True, True],
+    )
+    @example(
+        texts=("src,dst\na,b\n ,b\n", "", "", ""),
+        given_files=[False, False, False],
+    )
+    def test_same_graph_or_same_error(self, tmp_path_factory, texts, given_files):
+        directory = tmp_path_factory.mktemp("hostile")
+        paths = []
+        for (kind, text), given_file in zip(zip(HEADERS, texts), [True, *given_files]):
+            path = directory / f"{kind}.csv"
+            path.write_bytes(text.encode("utf-8"))
+            paths.append(str(path) if given_file else None)
+        expected = load_outcome(load_graph_reference, paths)
+        assert load_outcome(load_graph, paths) == expected
 
 
 class TestRoundTrip:
@@ -402,12 +540,13 @@ class TestCommonNeighbors:
 class TestRawIndicators:
     def test_covers_every_edge_once(self, dataset):
         g, _ = load_graph(*dataset)
-        indicators = raw_indicators(g)
-        assert set(indicators) == set(g.edges())
+        vectors, column = raw_indicators(g)
+        assert len(column) == g.num_edges()
+        assert set(column) == set(range(len(vectors)))
 
     def test_values(self, dataset):
         g, _ = load_graph(*dataset)
-        indicators = raw_indicators(g)
+        indicators = indicator_map(g)
         # Edge (a, b): shared neighbor c, 7 mentions, no retweets.
         assert indicators[("a", "b")] == (1.0, 7.0, 0.0)
         # Edge (b, c): shared neighbor a, retweeted twice.
@@ -416,26 +555,33 @@ class TestRawIndicators:
     def test_quiet_edge_is_structural_only(self, tmp_path):
         edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
         g, _ = load_graph(edges)
-        assert raw_indicators(g)[("a", "b")] == (0.0, 0.0, 0.0)
+        assert raw_indicators(g) == ([(0.0, 0.0, 0.0)], [0])
 
     def test_keys_are_the_graph_edges_in_order(self):
+        # The column follows g.edges(), and vector ids are numbered in the
+        # order of their first edges.
         g, _ = generate_synthetic(seed=12, n_users=80, n_edges=400)
-        keys = list(raw_indicators(g))
-        edges = list(g.edges())
-        assert len(keys) == len(edges)
-        assert all(key is edge for key, edge in zip(keys, edges))
+        vectors, column = raw_indicators(g)
+        assert len(column) == g.num_edges()
+        assert list(dict.fromkeys(column)) == list(range(len(vectors)))
 
     def test_one_tuple_per_distinct_vector(self):
         g, _ = generate_synthetic(seed=31, n_users=300, n_edges=600)
-        values = raw_indicators(g)
-        first = {}
-        for vec in values.values():
-            assert vec is first.setdefault(vec, vec)
-        assert len(first) < len(values)
+        vectors, column = raw_indicators(g)
+        assert len(set(vectors)) == len(vectors)
+        assert len(vectors) < len(column)
+
+    def test_counts_reading_as_one_float_share_a_vector(self):
+        # 2**53 and 2**53 + 1 are distinct counts but the same float.
+        g = SocialGraph()
+        g.add_mentions("a", "b", 2**53)
+        g.add_mentions("c", "d", 2**53 + 1)
+        g.add_edge("e", "f")
+        assert raw_indicators(g) == ([(0.0, 2.0**53, 0.0), (0.0, 0.0, 0.0)], [0, 0, 1])
 
     def test_first_column_is_common_neighbors(self):
         g, _ = generate_synthetic(seed=12, n_users=80, n_edges=400)
-        indicators = raw_indicators(g)
+        indicators = indicator_map(g)
         assert any(vec[0] for vec in indicators.values())
         for (u, v), vec in indicators.items():
             assert vec[0] == common_neighbors(g, u, v)

@@ -6,14 +6,14 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evimax.fusion import ReliabilityConfig, fuse_all
 from evimax.maximize import InvalidKError, SeedSelection, select_celf
 from evimax.spread import InfluenceField, sigma
 from evimax.synthetic import generate_synthetic
-from tests.helpers import random_field, safe_weight_bound
+from tests.helpers import random_field, safe_weight_bound, synthetic_graphs
 from tests.oracles import (
     TooLargeError,
     marginal_gain,
@@ -156,6 +156,34 @@ class TestCelfOnFusedGraphs:
             assert [c.cumulative_sigma for c in celf.choices] == [
                 c.cumulative_sigma for c in naive.choices
             ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=synthetic_graphs(),
+        token=st.sampled_from(["fixed:0", "fixed:0.2", "estimated", "estimated-global"]),
+        k=st.integers(1, 12),
+    )
+    def test_field_from_the_column_equals_the_user_built_field(self, graph, token, k):
+        # from_graph reads each edge's weight off the vector-id column; the
+        # user-built field gets the same weights as an {edge: weight} map.
+        g, _ = graph
+        cfg = (
+            ReliabilityConfig.estimated(global_reliability=True)
+            if token == "estimated-global" else ReliabilityConfig.parse(token)
+        )
+        fused = fuse_all(g, cfg)
+        weights = {edge: record.inf for edge, record in fused.items()}
+        # The user-built field accepts only weights in [0, 1]; fusion may
+        # round a mass one ulp above 1, which from_graph keeps.
+        assume(all(w <= 1.0 for w in weights.values()))
+        column_field = InfluenceField.from_graph(g, fused)
+        user_field = InfluenceField(g.users, weights)
+        assert column_field._out == user_field._out
+        got, expected = select_celf(column_field, k), select_celf(user_field, k)
+        assert [(c.rank, c.user, c.gain, c.cumulative_sigma) for c in got.choices] == [
+            (c.rank, c.user, c.gain, c.cumulative_sigma) for c in expected.choices
+        ]
+        assert got.gain_evaluations == expected.gain_evaluations
 
     def test_all_zero_field_commits_by_id_almost_unevaluated(self):
         field = fused_field(41, 60, 150, "fixed:0")

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from evimax.graph import raw_indicators, write_graph
 from evimax.synthetic import generate_synthetic
 
@@ -16,7 +18,18 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
-def test_traced_runner_records_layer_spans(tmp_path):
+@pytest.mark.parametrize(
+    "command, spans",
+    [
+        pytest.param(["select", "--k", "5"],
+                     {"fusion.fuse_all", "maximize.select_celf"}, id="select"),
+        pytest.param(["evaluate", "--k", "5", "--configs", "fixed:0.2,estimated"],
+                     {"evaluate.compare_configs", "spread.InfluenceField.from_graph",
+                      "maximize.select_celf"}, id="evaluate"),
+        pytest.param(["dump-edges", "--alpha", "0.2"], {"fusion.fuse_all"}, id="dump-edges"),
+    ],
+)
+def test_traced_runner_records_layer_spans(tmp_path, command, spans):
     # perfbench/traced.py looks up every wrapped name in its module, so a
     # renamed or deleted function stops the traced run.
     g, activities = generate_synthetic(seed=3, n_users=30, n_edges=60)
@@ -27,15 +40,14 @@ def test_traced_runner_records_layer_spans(tmp_path):
         filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
     ))
     result = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(trace), "select",
+        [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(trace), *command,
          "--edges", csvs[0], "--mentions", csvs[1], "--retweets", csvs[2],
-         "--activity", csvs[3], "--k", "5", "--out", str(tmp_path / "seeds.csv")],
+         "--activity", csvs[3], "--out", str(tmp_path / "out.csv")],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     names = {span["name"] for span in json.loads(trace.read_text())["spans"]}
-    assert {"cli.main", "graph.load_graph", "fusion.fuse_all",
-            "maximize.select_celf"} <= names
+    assert {"cli.main", "graph.load_graph", "graph.raw_indicators"} | spans <= names
 
 
 def test_traced_select_counts_the_fusion_it_runs(tmp_path):
@@ -56,7 +68,7 @@ def test_traced_select_counts_the_fusion_it_runs(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     calls = json.loads(trace.read_text())["calls"]
-    distinct = set(raw_indicators(g).values())
+    distinct, _ = raw_indicators(g)
     assert calls["fusion.fuse_edge"]["calls"] == len(distinct)
     assert calls["belief.combine_dempster"]["calls"] > 0
 
