@@ -41,14 +41,16 @@ class MassFunction:
     omega: float
 
     def __post_init__(self) -> None:
+        # Both checks are written so that NaN, which compares False with
+        # everything, fails them.
         for name in ("influencer", "passive", "omega"):
             value = getattr(self, name)
-            if value < _NEGATIVE_TOLERANCE:
+            if not value >= _NEGATIVE_TOLERANCE:
                 raise ValueError(f"mass on {name!r} is negative: {value!r}")
             if value < 0.0:
                 object.__setattr__(self, name, 0.0)
         total = self.influencer + self.passive + self.omega
-        if abs(total - 1.0) > SUM_TOLERANCE:
+        if not abs(total - 1.0) <= SUM_TOLERANCE:
             raise ValueError(f"masses must sum to 1, got {total!r}")
 
     @classmethod

@@ -159,7 +159,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     # The activity records are not read; dropping them frees them before fusion.
     g = load_graph(args.edges, args.mentions, args.retweets, args.activity)[0]
     cfg = ReliabilityConfig(alpha=args.alpha, lam=args.lam)
-    influence_field = InfluenceField.from_graph(g, fuse_all(g, cfg))
+    influence_field = InfluenceField.from_graph(fuse_all(g, cfg))
     selection = select_celf(influence_field, args.k)
     write_csv(
         args.out,
@@ -217,7 +217,7 @@ def _cmd_dump_edges(args: argparse.Namespace) -> int:
         + tuple(f"w_{j + 1}" for j in range(n))
         + tuple(f"alpha_{j + 1}" for j in range(n))
         + ("inf",),
-        (edge + cells[i] for edge, i in zip(g.edges(), fused.column)),
+        (edge + row for edge, row in fused.per_edge(cells)),
     )
     return 0
 

@@ -87,7 +87,7 @@ def compare_configs(
     fused = fuse_configs(g, configs)
     for cfg in configs:
         try:
-            selection = select_celf(InfluenceField.from_graph(g, next(fused)), k)
+            selection = select_celf(InfluenceField.from_graph(next(fused)), k)
         except (FusionError, ValueError) as exc:
             raise EvaluationError(f"config {cfg.name}: {exc}") from exc
         entries.append(

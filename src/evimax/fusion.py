@@ -20,11 +20,14 @@ number of configs.  Within one config an edge's record depends only on its
 raw indicator vector, so each distinct vector is fused once, and a config's
 result is a ``FusedEdges``: one frozen record per distinct vector, and the
 vector-id column of ``raw_indicators`` that gives every edge its record.
-No per-edge mapping is built between the indicators and the influence
-field.  Interaction counts repeat heavily: the generated workloads have 32
-distinct vectors among 71,027 edges at paper scale and 32 among 400,000 at
-five times that, so ``fuse_edge`` runs 32 times per config there (about
-1 ms in all on a 2.0 GHz Xeon) and 32 records are built.
+That result is all fusion hands on, and it is the one reader of the column:
+``FusedEdges.per_edge`` pairs each edge with its vector's value, so the
+influence field and ``dump-edges`` walk the edges without a per-edge
+mapping and without knowing the column's layout.  Interaction counts
+repeat heavily: the generated workloads have 32 distinct vectors among
+71,027 edges at paper scale and 32 among 400,000 at five times that, so
+``fuse_edge`` runs 32 times per config there (about 1 ms in all on a
+2.0 GHz Xeon) and 32 records are built.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from .belief import MassFunction, combine_dempster, discount, jousselme_distance
 from .graph import SocialGraph, raw_indicators
@@ -274,7 +277,8 @@ class FusedEdges:
     ``records[i]`` is the ``EdgeInfluence`` of the i-th distinct indicator
     vector, and ``column[j]`` the vector id of the j-th edge of
     ``graph.edges()``, shared by every config of a sweep.  No per-edge
-    mapping is built: ``items`` pairs the edges with their records lazily.
+    mapping is built: ``per_edge`` pairs the edges with any per-vector
+    values lazily, so no reader outside this class needs the column.
     """
 
     graph: SocialGraph
@@ -284,9 +288,13 @@ class FusedEdges:
     def __len__(self) -> int:
         return len(self.column)
 
+    def per_edge(self, values: Sequence[Any]) -> Iterator[tuple[tuple[str, str], Any]]:
+        """Each edge of ``graph.edges()`` with ``values`` at its vector id, in edge order."""
+        return zip(self.graph.edges(), map(values.__getitem__, self.column))
+
     def items(self) -> Iterator[tuple[tuple[str, str], EdgeInfluence]]:
         """Each edge with its record, in edge order."""
-        return zip(self.graph.edges(), map(self.records.__getitem__, self.column))
+        return self.per_edge(self.records)
 
 
 def edge_bba_sets(

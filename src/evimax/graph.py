@@ -118,6 +118,13 @@ class SocialGraph:
     def _add_count(
         self, counts: dict[tuple[str, str], int], verb: str, src: str, dst: str, count: int
     ) -> None:
+        # A count is a nonnegative int, as the loader reads it: a negative
+        # one would lower the normalization minimum, and a float (NaN
+        # included) or a bool would be summed into the total as it is.
+        if type(count) is not int or count < 0:
+            raise ValueError(
+                f"{verb} count of {src!r} by {dst!r} must be a nonnegative int, got {count!r}"
+            )
         edge = self.add_edge(src, dst)
         if count:
             total = counts.get(edge, 0) + count
@@ -286,7 +293,9 @@ def load_graph(
                 except ValueError as exc:  # a total beyond the float range
                     raise ParseError(path, rows.line_num, str(exc)) from None
 
-    activities = {user: UserActivity(user) for user in g.users}
+    # Each activity row makes its user's record, replacing an earlier row's;
+    # a user without a row gets zero counts once the file is read.
+    activities: dict[str, Any] = dict.fromkeys(g.users)
     if activity_path is not None:
         with open(activity_path, newline="", encoding="utf-8-sig") as handle:
             rows = _data_rows(handle, activity_path, ("user", "tweets", "followers"))
@@ -302,11 +311,14 @@ def load_graph(
                         continue
                     raise ParseError(activity_path, rows.line_num, "empty user id")
                 user = g.add_user(user)
-                record = activities.get(user)
-                if record is None:
-                    record = activities[user] = UserActivity(user)
-                record.tweets = _count(activity_path, rows.line_num, tweets, "tweets")
-                record.followers = _count(activity_path, rows.line_num, followers, "followers")
+                activities[user] = UserActivity(
+                    user,
+                    _count(activity_path, rows.line_num, tweets, "tweets"),
+                    _count(activity_path, rows.line_num, followers, "followers"),
+                )
+    for user, record in activities.items():
+        if record is None:
+            activities[user] = UserActivity(user)
 
     add_received_totals(g, activities)
     return g, activities

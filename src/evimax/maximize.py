@@ -95,7 +95,7 @@ class _SelectionState:
         self.evaluations += 1
         spread_gain = 0.0
         for v, c in self.field.seed_contributions(w).items():
-            if v != w and v not in self.seeds:
+            if v not in self.seeds:
                 spread_gain += c
         # Adding w turns its own influence-received term into membership.
         return 1.0 - self.acc.get(w, 0.0) + spread_gain

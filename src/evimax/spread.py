@@ -12,8 +12,9 @@ field over its two-hop out-frontier, which is an exact restructuring (all
 terms outside the frontier are zero); the literal per-user form lives in
 ``tests/oracles.py`` as a check on it.  The field stores the graph once, as
 out-adjacency keyed by user, which also serves as its user list.
-``from_graph`` fills it in one walk of the graph's edges beside fusion's
-vector-id column, reading each weight off the column's record.
+``from_graph`` takes fusion's ``FusedEdges`` alone and fills the field in
+one walk of its ``per_edge`` pairs, each weight the ``inf`` of the edge's
+record; it never sees how fusion lines its records up with the edges.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .fusion import FusedEdges
-from .graph import SocialGraph, UnknownUserError
+from .graph import UnknownUserError
 
 
 class InfluenceField:
@@ -49,29 +50,21 @@ class InfluenceField:
             self._out[u].append((v, w))
 
     @classmethod
-    def from_graph(cls, g: SocialGraph, fused: FusedEdges) -> "InfluenceField":
-        """Build a field from a graph and ``fuse_all``'s result, in one pass.
+    def from_graph(cls, fused: FusedEdges) -> "InfluenceField":
+        """Build a field from ``fuse_all``'s result alone, in one pass.
 
-        The i-th edge of ``g.edges()`` gets the ``inf`` of record
-        ``fused.records[fused.column[i]]``, so each user's out-edges keep
-        the graph's insertion order and zero weights are kept.  A result
-        whose column does not have one entry per edge of ``g`` raises
-        ``ValueError``; the weights are not rechecked, since fusion built
-        them.  Dempster's normalization can round a fused mass one ulp above
-        1 (1.0000000000000002), and such a weight is kept:
-        ``singleton_spread_bounds`` and CELF need only nonnegative weights,
-        which fusion guarantees.
+        The users are those of ``fused.graph``, and each of its edges gets
+        the ``inf`` of its record, so each user's out-edges keep the graph's
+        insertion order and zero weights are kept.  The weights are not
+        rechecked, since fusion built them.  Dempster's normalization can
+        round a fused mass one ulp above 1 (1.0000000000000002), and such a
+        weight is kept: ``singleton_spread_bounds`` and CELF need only
+        nonnegative weights, which fusion guarantees.
         """
-        if len(fused.column) != g.num_edges():
-            raise ValueError(
-                f"fused result covers {len(fused.column)} edges, "
-                f"the graph has {g.num_edges()}"
-            )
-        field = cls(g.users, {})
+        field = cls(fused.graph.users, {})
         out = field._out
-        weights = [record.inf for record in fused.records]
-        for (u, v), i in zip(g.edges(), fused.column):
-            out[u].append((v, weights[i]))
+        for (u, v), w in fused.per_edge([record.inf for record in fused.records]):
+            out[u].append((v, w))
         return field
 
     @property

@@ -24,6 +24,11 @@ MAX_ACTIVITY_DRAWS = 10**7
 # A user's tweet count is one exponential draw around the mean; a mean of a
 # million tweets, about 144,000 times the crawl's, is far beyond any account.
 MAX_MEAN_TWEETS = 10**6
+# The graph is built in memory, so its sizes are capped at five times the
+# 200,000 users and 400,000 edges of the largest benchmark workload: a
+# mistyped size fails at once instead of filling memory.
+MAX_USERS = 10**6
+MAX_EDGES = 2 * 10**6
 
 
 class InvalidParametersError(ValueError):
@@ -42,10 +47,10 @@ def generate_synthetic(
     counts in the activity records equal the number of edges each user is
     the source of (its followers under the followee -> follower convention).
     """
-    if n_users < 1:
-        raise InvalidParametersError(f"n_users must be >= 1, got {n_users}")
-    if n_edges < 0:
-        raise InvalidParametersError(f"n_edges must be >= 0, got {n_edges}")
+    if not 1 <= n_users <= MAX_USERS:
+        raise InvalidParametersError(f"n_users must lie in [1, {MAX_USERS}], got {n_users}")
+    if not 0 <= n_edges <= MAX_EDGES:
+        raise InvalidParametersError(f"n_edges must lie in [0, {MAX_EDGES}], got {n_edges}")
     if n_edges > n_users * (n_users - 1):
         raise InvalidParametersError(
             f"{n_edges} edges do not fit in a simple digraph on {n_users} users"

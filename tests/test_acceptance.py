@@ -198,7 +198,7 @@ def test_criterion_6_degenerate_alpha_algebra():
 
     zeroed = fuse_all(g, ReliabilityConfig.fixed(0.0))
     all_zero = all(r.inf == 0.0 for _, r in zeroed.items())
-    field = InfluenceField.from_graph(g, zeroed)
+    field = InfluenceField.from_graph(zeroed)
     users = list(field.users)
     sigma_is_cardinality = True
     for _ in range(50):
@@ -247,7 +247,7 @@ def test_criterion_8_scale_check():
     g, activities = generate_synthetic(seed=1001, n_users=36274, n_edges=71027)
     started = time.perf_counter()
     influences = fuse_all(g, ReliabilityConfig.estimated(lam=5.0))
-    field = InfluenceField.from_graph(g, influences)
+    field = InfluenceField.from_graph(influences)
     selection = select_celf(field, 50)
     curve = quality_curve(selection, activities)
     elapsed = time.perf_counter() - started

@@ -39,10 +39,18 @@ class TestMassFunction:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             MassFunction(0.5, 0.5, 0.5)
+        with pytest.raises(ValueError):
+            MassFunction(0.5, 0.5, float("nan"))
+        with pytest.raises(ValueError, match="must sum to 1"):
+            MassFunction(float("inf"), 0.0, 0.0)
 
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):
             MassFunction(-0.1, 0.6, 0.5)
+        for masses in ((float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5),
+                       (0.5, 0.5, float("nan"))):
+            with pytest.raises(ValueError, match="is negative: nan"):
+                MassFunction(*masses)
 
     def test_clamps_negative_noise(self):
         m = MassFunction(-1e-13, 0.4, 0.6)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from evimax import cli, evaluate
+from evimax import cli, evaluate, synthetic
 from evimax.cli import main
 
 
@@ -89,6 +89,30 @@ class TestGenerate:
         assert code == 1
         assert "activity_intensity" in capsys.readouterr().err
 
+    # The bounds are lowered so that no run of this test can build a large
+    # graph, whatever the generator does.
+    @pytest.mark.parametrize("bound, users, edges, name", [
+        ("MAX_USERS", "51", "0", "n_users"),
+        ("MAX_EDGES", "20", "51", "n_edges"),
+    ])
+    def test_size_beyond_its_bound_exits_1_naming_it(
+        self, paths, capsys, monkeypatch, bound, users, edges, name
+    ):
+        monkeypatch.setattr(synthetic, bound, 50)
+        code = run(
+            "generate", "--users", users, "--n-edges", edges,
+            "--edges", paths["edges"], "--mentions", paths["mentions"],
+            "--retweets", paths["retweets"], "--activity", paths["activity"],
+        )
+        assert code == 1
+        assert f"{name} must lie in [" in capsys.readouterr().err
+        assert not Path(paths["edges"]).exists()
+        at_bound = {"n_users": ("50", "0"), "n_edges": ("20", "50")}[name]
+        generate(paths, users=at_bound[0], edges=at_bound[1])
+
+    def test_size_bounds_admit_the_largest_benchmark_workload(self):
+        assert synthetic.MAX_USERS >= 200_000 and synthetic.MAX_EDGES >= 400_000
+
     def test_out_flag_rejected(self, paths, capsys):
         code = run(
             "generate", "--users", "10", "--n-edges", "12",
@@ -126,6 +150,25 @@ class TestSelect:
             "select", *input_flags(paths), "--alpha", "0.2", "--k", "5",
             "--out", paths["out"],
         ) == 0
+
+    def test_activity_only_user_is_a_candidate_seed(self, paths):
+        # A user named only in the activity file is a user with no edges.  At
+        # alpha 0 every gain is 1.0, and ties go to the smaller id, so "0z"
+        # ranks before "a" and "b".
+        Path(paths["edges"]).write_text("src,dst\na,b\n", encoding="utf-8")
+        Path(paths["activity"]).write_text(
+            "user,tweets,followers\na,1,1\n0z,5,0\n", encoding="utf-8"
+        )
+        assert run(
+            "select", "--edges", paths["edges"], "--activity", paths["activity"],
+            "--alpha", "0", "--k", "3", "--out", paths["out"],
+        ) == 0
+        assert Path(paths["out"]).read_text(encoding="utf-8") == (
+            "rank,user,marginal_gain,cumulative_sigma\n"
+            "1,0z,1.000000,1.000000\n"
+            "2,a,1.000000,2.000000\n"
+            "3,b,1.000000,3.000000\n"
+        )
 
     def test_missing_edges_file_exits_1_naming_path(self, paths, capsys):
         code = run("select", "--edges", paths["edges"], "--out", paths["out"])

@@ -67,6 +67,20 @@ class TestSocialGraph:
             getattr(g, add)("a", "b", 1)
         assert indicator_map(g)[("a", "b")][column] == sys.float_info.max
 
+    @pytest.mark.parametrize("add, column", [("add_mentions", 1), ("add_retweets", 2)])
+    @pytest.mark.parametrize("count", [-3, -1, 2.0, float("nan"), True, "2", None])
+    def test_counts_must_be_nonnegative_ints(self, add, column, count):
+        g = SocialGraph()
+        verb = add[len("add_"):-1]
+        with pytest.raises(ValueError, match=f"{verb} count of 'a' by 'b' must be a nonnegative int"):
+            getattr(g, add)("a", "b", count)
+        # A rejected count records nothing, not even the edge.
+        assert g.num_edges() == 0 and not getattr(g, add[len("add_"):])
+        getattr(g, add)("a", "b", 0)
+        getattr(g, add)("c", "d", 2)
+        assert indicator_map(g)[("a", "b")][column] == 0.0
+        assert indicator_map(g)[("c", "d")][column] == 2.0
+
     def test_adjacency_indexes_agree(self, dataset):
         g, _ = load_graph(*dataset)
 

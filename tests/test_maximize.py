@@ -138,7 +138,7 @@ class TestCelfAgainstNaive:
 
 def fused_field(seed: int, n_users: int, n_edges: int, token: str) -> InfluenceField:
     g, _ = generate_synthetic(seed=seed, n_users=n_users, n_edges=n_edges)
-    return InfluenceField.from_graph(g, fuse_all(g, ReliabilityConfig.parse(token)))
+    return InfluenceField.from_graph(fuse_all(g, ReliabilityConfig.parse(token)))
 
 
 class TestCelfOnFusedGraphs:
@@ -176,7 +176,7 @@ class TestCelfOnFusedGraphs:
         # The user-built field accepts only weights in [0, 1]; fusion may
         # round a mass one ulp above 1, which from_graph keeps.
         assume(all(w <= 1.0 for w in weights.values()))
-        column_field = InfluenceField.from_graph(g, fused)
+        column_field = InfluenceField.from_graph(fused)
         user_field = InfluenceField(g.users, weights)
         assert column_field._out == user_field._out
         got, expected = select_celf(column_field, k), select_celf(user_field, k)
