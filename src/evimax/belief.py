@@ -46,7 +46,8 @@ class MassFunction:
         for name in ("influencer", "passive", "omega"):
             value = getattr(self, name)
             if not value >= _NEGATIVE_TOLERANCE:
-                raise ValueError(f"mass on {name!r} is negative: {value!r}")
+                problem = "is not a number" if value != value else "is negative"
+                raise ValueError(f"mass on {name!r} {problem}: {value!r}")
             if value < 0.0:
                 object.__setattr__(self, name, 0.0)
         total = self.influencer + self.passive + self.omega

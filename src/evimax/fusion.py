@@ -321,7 +321,9 @@ def fuse_configs(
     The raw indicators, their id column and their normalization bounds are
     computed once and shared by every config; each result is built only
     when the next one is requested, so a caller that drops it first holds
-    one config's records at a time.
+    one config's records at a time.  ``compare_configs`` keeps every
+    result, one record per distinct vector beside the shared column, and
+    hands them to the processes that build the fields.
 
     Raises:
         FusionError: naming the first edge in edge order whose sources

@@ -183,15 +183,19 @@ def raw_indicators(
             common[edge] = len(nu & nv)
     del neighbors
     mentions, retweets = g.mentions, g.retweets
-    ids: dict[tuple[float, float, float], int] = {}
+    ids: dict[tuple[int, int, int], int] = {}
     column = [
-        ids.setdefault(
-            (float(common.get(e, 0)), float(mentions.get(e, 0)), float(retweets.get(e, 0))),
-            len(ids),
-        )
+        ids.setdefault((common.get(e, 0), mentions.get(e, 0), retweets.get(e, 0)), len(ids))
         for e in g.edges()
     ]
-    return list(ids), column
+    # Each distinct count triple is converted once.  Counts above 2**53 can
+    # round to one float triple; those ids are merged onto the first one.
+    vectors: dict[tuple[float, float, float], int] = {}
+    merged = [vectors.setdefault((float(c), float(m), float(r)), len(vectors))
+              for c, m, r in ids]
+    if len(vectors) < len(merged):
+        column = [merged[i] for i in column]
+    return list(vectors), column
 
 
 # -- CSV files -------------------------------------------------------------

@@ -136,7 +136,10 @@ class InfluenceField:
         for u, edges in out.items():
             total = 0.0
             for x, w in edges:
-                total += w * two_plus_sums[x]
+                # Weights are >= 0, so a zero weight adds +0.0 or -0.0, and
+                # skipping it leaves the sum bit-identical.
+                if w:
+                    total += w * two_plus_sums[x]
             bounds[u] = (1.0 + total) * margin if total else 1.0
         return bounds
 

@@ -3,9 +3,11 @@
 The package holds only the pipeline that ``select``, ``evaluate`` and
 ``dump-edges`` run.  What exists only to check it lives here: subset-indexed
 views of a mass function, graph equality and common neighbours read off the
-public user and edge lists, the fused BBA of a record, the literal per-user
-influence, the naive and exhaustive seed selections, and the row-by-row
-CSV loader that ``load_graph``'s per-file loops replaced.
+public user and edge lists, the raw indicators converted edge by edge, the
+fused BBA of a record, the literal per-user influence, the singleton spread
+bounds with every zero-weight term added, the naive and exhaustive seed
+selections, and the row-by-row CSV loader that ``load_graph``'s per-file
+loops replaced.
 ``select_greedy_naive`` uses CELF's own ``_SelectionState``, so the two agree
 bit for bit.
 """
@@ -94,6 +96,27 @@ def common_neighbors(g: SocialGraph, u: str, v: str) -> int:
         return {b if a == x else a for a, b in g.edges() if x in (a, b)}
 
     return len(neighbors(u) & neighbors(v))
+
+
+def raw_indicators_reference(
+    g: SocialGraph,
+) -> tuple[list[tuple[float, float, float]], list[int]]:
+    """``raw_indicators`` keyed edge by edge by the float triple itself.
+
+    The vectors are converted per edge and numbered in first-edge order, so
+    distinct counts that read as one float triple share a vector by
+    construction.
+    """
+    ids: dict[tuple[float, float, float], int] = {}
+    column = [
+        ids.setdefault(
+            (float(common_neighbors(g, u, v)), float(g.mentions.get((u, v), 0)),
+             float(g.retweets.get((u, v), 0))),
+            len(ids),
+        )
+        for u, v in g.edges()
+    ]
+    return list(ids), column
 
 
 def indicator_map(g: SocialGraph) -> dict[tuple[str, str], tuple[float, float, float]]:
@@ -198,6 +221,25 @@ def influence(field: InfluenceField, a: str, b: str) -> float:
         if v == b:
             return w
     return 0.0
+
+
+def singleton_spread_bounds_reference(field: InfluenceField) -> dict[str, float]:
+    """``singleton_spread_bounds`` with every out-edge's term added, zero or not."""
+    out = field._out
+    two_plus_sums: dict[str, float] = {}
+    for x, edges in out.items():
+        total = 0.0
+        for _, w in edges:
+            total += w
+        two_plus_sums[x] = 2.0 + total
+    margin = 1.0 + (2 * sum(map(len, out.values())) + 3) * 2.0**-52
+    bounds: dict[str, float] = {}
+    for u, edges in out.items():
+        total = 0.0
+        for x, w in edges:
+            total += w * two_plus_sums[x]
+        bounds[u] = (1.0 + total) * margin if total else 1.0
+    return bounds
 
 
 def influence_on(field: InfluenceField, seeds: set[str], v: str) -> float:

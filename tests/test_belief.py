@@ -45,11 +45,11 @@ class TestMassFunction:
             MassFunction(float("inf"), 0.0, 0.0)
 
     def test_rejects_negative_mass(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'influencer' is negative: -0.1"):
             MassFunction(-0.1, 0.6, 0.5)
         for masses in ((float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5),
                        (0.5, 0.5, float("nan"))):
-            with pytest.raises(ValueError, match="is negative: nan"):
+            with pytest.raises(ValueError, match="is not a number: nan"):
                 MassFunction(*masses)
 
     def test_clamps_negative_noise(self):

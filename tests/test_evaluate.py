@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import threading
+
 import pytest
 from hypothesis import given, settings
 
 from evimax.evaluate import EvaluationError, compare_configs, quality_curve
 from evimax.fusion import ReliabilityConfig
 from evimax.graph import SocialGraph, UserActivity
-from evimax.maximize import SeedChoice, SeedSelection
+from evimax.maximize import InvalidKError, SeedChoice, SeedSelection
+from evimax.spread import InfluenceField
 from evimax.synthetic import generate_synthetic
 from tests.helpers import synthetic_graphs
 
@@ -115,7 +119,7 @@ class TestCompareConfigs:
 
     def test_rejects_bad_k_and_empty_sweep(self):
         g, activities = generate_synthetic(seed=25, n_users=10, n_edges=20)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidKError):
             compare_configs(g, activities, SWEEP, k=0)
         with pytest.raises(ValueError):
             compare_configs(g, activities, [], k=5)
@@ -155,3 +159,127 @@ class TestCompareConfigs:
             e.selection.users() for e in r2.entries
         ]
         assert [e.curve for e in r1.entries] == [e.curve for e in r2.entries]
+
+
+# Four configs whose fused records carry their alpha as every reliability.
+FIXED = [ReliabilityConfig.fixed(alpha) for alpha in (0.1, 0.2, 0.3, 0.4)]
+
+
+def plant_failures(monkeypatch, alphas):
+    """Make the field build of every fixed config in ``alphas`` raise.
+
+    The message names the process it was raised in; a forked worker
+    inherits the patch.
+    """
+    real = InfluenceField.from_graph
+
+    def from_graph(cls, fused):
+        alpha = fused.records[0].reliabilities[0]
+        if alpha in alphas:
+            raise ValueError(f"planted failure in process {os.getpid()}")
+        return real(fused)
+
+    monkeypatch.setattr(InfluenceField, "from_graph", classmethod(from_graph))
+
+
+def forbid_fork(monkeypatch):
+    def fork():
+        raise AssertionError("os.fork was called")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """The sweep's configs run on up to one process per usable CPU."""
+
+    def test_worker_error_names_its_config(self, monkeypatch):
+        g, activities = generate_synthetic(seed=27, n_users=40, n_edges=100)
+        plant_failures(monkeypatch, {0.2})
+        with pytest.raises(EvaluationError, match="^config fixed:0.2: planted") as err:
+            compare_configs(g, activities, FIXED, k=5)
+        if len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1:
+            # Config 1 of 4 runs in the one worker of a 2-CPU host, or in a
+            # worker of its own on a larger one.
+            assert f"process {os.getpid()}" not in str(err.value)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "failing, reported",
+        [({0.2, 0.3}, "fixed:0.2"), ({0.3, 0.4}, "fixed:0.3"), ({0.1, 0.4}, "fixed:0.1")],
+    )
+    def test_first_failing_config_in_config_order_is_reported(
+        self, monkeypatch, failing, reported
+    ):
+        g, activities = generate_synthetic(seed=27, n_users=40, n_edges=100)
+        plant_failures(monkeypatch, failing)
+        with pytest.raises(EvaluationError, match=f"^config {reported}: planted"):
+            compare_configs(g, activities, FIXED, k=5)
+        assert_no_child_left()
+
+    def test_worker_that_dies_without_a_result_is_an_error(self, monkeypatch):
+        if not hasattr(os, "fork") or threading.active_count() > 1:
+            pytest.skip("compare_configs forks no worker here")
+        g, activities = generate_synthetic(seed=27, n_users=40, n_edges=100)
+        real, caller = InfluenceField.from_graph, os.getpid()
+
+        def from_graph(cls, fused):
+            if os.getpid() != caller:
+                os._exit(3)
+            return real(fused)
+
+        monkeypatch.setattr(InfluenceField, "from_graph", classmethod(from_graph))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(RuntimeError, match="ended with status 3 before sending"):
+            compare_configs(g, activities, FIXED, k=5)
+        assert_no_child_left()
+
+    def test_one_usable_cpu_runs_in_this_process(self, monkeypatch):
+        g, activities = generate_synthetic(seed=28, n_users=60, n_edges=150)
+        expected = compare_configs(g, activities, FIXED, k=7)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        forbid_fork(monkeypatch)
+        assert compare_configs(g, activities, FIXED, k=7) == expected
+
+    def test_another_thread_keeps_the_sweep_in_this_process(self, monkeypatch):
+        g, activities = generate_synthetic(seed=28, n_users=60, n_edges=150)
+        expected = compare_configs(g, activities, FIXED, k=7)
+        forbid_fork(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert compare_configs(g, activities, FIXED, k=7) == expected
+        finally:
+            release.set()
+            thread.join()
+
+    def test_a_failed_fork_leaves_its_configs_to_this_process(self, monkeypatch):
+        g, activities = generate_synthetic(seed=28, n_users=60, n_edges=150)
+        expected = compare_configs(g, activities, FIXED, k=7)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        real_fork, forks = os.fork, []
+
+        def fork():
+            # The first worker starts; the second finds no process to spare.
+            if forks:
+                raise BlockingIOError("Resource temporarily unavailable")
+            forks.append(True)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert compare_configs(g, activities, FIXED, k=7) == expected
+        assert_no_child_left()
+
+    def test_report_larger_than_a_pipe_buffer(self):
+        # At k=1500 a worker's pickled selection is about 70 KB, more than
+        # the 64 KiB a pipe holds before its writer blocks.
+        g, activities = generate_synthetic(seed=29, n_users=2000, n_edges=4000)
+        report = compare_configs(g, activities, SWEEP, k=1500)
+        assert [len(entry.selection) for entry in report.entries] == [1500] * 3
+        assert report.entries[1] == compare_configs(g, activities, SWEEP[1:2], k=1500).entries[0]
+        assert_no_child_left()

@@ -20,10 +20,12 @@ from evimax.graph import (
     write_graph,
 )
 from evimax.synthetic import InvalidParametersError, generate_synthetic
+from tests.helpers import synthetic_graphs
 from tests.oracles import (
     common_neighbors,
     indicator_map,
     load_graph_reference,
+    raw_indicators_reference,
     same_graph,
 )
 
@@ -592,6 +594,24 @@ class TestRawIndicators:
         g.add_mentions("c", "d", 2**53 + 1)
         g.add_edge("e", "f")
         assert raw_indicators(g) == ([(0.0, 2.0**53, 0.0), (0.0, 0.0, 0.0)], [0, 0, 1])
+
+    def test_merged_counts_keep_first_edge_order(self):
+        # The later of two merged count triples takes the first one's id,
+        # and the ids after it close up.
+        g = SocialGraph()
+        g.add_retweets("a", "b", 2**53 + 1)
+        g.add_edge("c", "d")
+        g.add_retweets("e", "f", 2**53)
+        g.add_mentions("g", "h", 3)
+        assert raw_indicators(g) == raw_indicators_reference(g) == (
+            [(0.0, 0.0, 2.0**53), (0.0, 0.0, 0.0), (0.0, 3.0, 0.0)], [0, 1, 0, 2]
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph=synthetic_graphs())
+    def test_equals_the_per_edge_float_reference(self, graph):
+        g, _ = graph
+        assert raw_indicators(g) == raw_indicators_reference(g)
 
     def test_first_column_is_common_neighbors(self):
         g, _ = generate_synthetic(seed=12, n_users=80, n_edges=400)

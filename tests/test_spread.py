@@ -20,7 +20,13 @@ from tests.helpers import (
     random_field,
     safe_weight_bound,
 )
-from tests.oracles import AlreadyInSetError, influence, influence_on, marginal_gain
+from tests.oracles import (
+    AlreadyInSetError,
+    influence,
+    influence_on,
+    marginal_gain,
+    singleton_spread_bounds_reference,
+)
 
 TOL = 1e-9
 
@@ -283,6 +289,16 @@ class TestSingletonSpreadBounds:
         for u, bound in bounds.items():
             assert bound >= sigma(field, {u})
             assert bound >= state.gain(u)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mixed_weight_fields())
+    def test_skipping_zero_weights_is_bit_identical(self, case):
+        # The bounds skip zero-weight terms; the reference adds every term.
+        field, _ = case
+        bounds = field.singleton_spread_bounds()
+        reference = singleton_spread_bounds_reference(field)
+        assert list(bounds) == list(reference)
+        assert [b.hex() for b in bounds.values()] == [b.hex() for b in reference.values()]
 
     @settings(max_examples=100, deadline=None)
     @given(case=mixed_weight_fields())
