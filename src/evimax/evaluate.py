@@ -20,7 +20,7 @@ from typing import BinaryIO
 
 from .fusion import FusedEdges, FusionError, ReliabilityConfig, fuse_configs
 from .graph import SocialGraph, UserActivity
-from .maximize import InvalidKError, SeedSelection, select_celf
+from .maximize import SeedSelection, _effective_k, select_celf
 from .spread import InfluenceField
 
 
@@ -91,8 +91,7 @@ def compare_configs(
     spread over up to one process per usable CPU (see ``_select_all``).
     An error names the first failing config in config order.
     """
-    if k < 1:
-        raise InvalidKError(f"k must be >= 1, got {k}")
+    k_eff = _effective_k(g.num_users(), k)
     if not configs:
         raise ValueError("at least one configuration is required")
     fused: list[FusedEdges] = []
@@ -109,7 +108,7 @@ def compare_configs(
         if isinstance(outcome, Exception):
             raise outcome
         entries.append(ReportEntry(cfg.name, outcome, quality_curve(outcome, activities)))
-    return ComparisonReport(min(k, g.num_users()), entries)
+    return ComparisonReport(k_eff, entries)
 
 
 def _select_each(

@@ -10,6 +10,8 @@ The influence of u over v is then the combined mass on {influencer}.
 Reliability estimation follows "the farther from the others, the less
 reliable": with ``c`` the average distance, reliability is
 ``(1 - c**lam) ** (1/lam)``, a decreasing map of c for any ``lam > 0``.
+A ``ReliabilityConfig`` is either that per-edge estimate for one ``lam``
+or a fixed alpha shared by every indicator on every edge.
 
 One implementation of the pipeline lives here, on ``belief``'s
 ``MassFunction`` operators: ``indicator_bba``, ``estimate_reliabilities`` and
@@ -61,15 +63,13 @@ class ReliabilityConfig:
     With ``alpha`` set, the same constant reliability applies everywhere
     (``fixed``); with ``alpha`` None, one reliability per indicator per edge
     is estimated from pairwise BBA distances (``estimated``).  ``lam`` shapes
-    the distance-to-reliability map (best results around 5).
-    ``global_reliability`` makes the estimate average distances over all
-    edges before mapping, yielding one alpha per indicator for the whole
-    graph.
+    the distance-to-reliability map (best results around 5).  ``name`` is
+    the config's ``--configs`` token, and ``parse`` reads it back to an
+    equal config given the same ``lam``.
     """
 
     alpha: float | None = None
     lam: float = 5.0
-    global_reliability: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.lam < math.inf:
@@ -77,16 +77,17 @@ class ReliabilityConfig:
         if self.alpha is not None:
             if not 0.0 <= self.alpha <= 1.0:
                 raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-            if self.global_reliability:
-                raise ValueError("global reliability applies only to estimated mode")
+            if self.alpha == 0.0:
+                # -0.0 would print as "-0" in names and in dump-edges cells.
+                object.__setattr__(self, "alpha", 0.0)
 
     @classmethod
     def fixed(cls, alpha: float, lam: float = 5.0) -> "ReliabilityConfig":
         return cls(alpha=alpha, lam=lam)
 
     @classmethod
-    def estimated(cls, lam: float = 5.0, global_reliability: bool = False) -> "ReliabilityConfig":
-        return cls(lam=lam, global_reliability=global_reliability)
+    def estimated(cls, lam: float = 5.0) -> "ReliabilityConfig":
+        return cls(lam=lam)
 
     @classmethod
     def parse(cls, text: str, lam: float = 5.0) -> "ReliabilityConfig":
@@ -104,12 +105,12 @@ class ReliabilityConfig:
 
     @property
     def name(self) -> str:
-        if self.alpha is not None:
-            # ``:g`` keeps 6 significant digits; a longer alpha gets the
-            # shortest text that parses back to it, so names stay distinct.
-            text = f"{self.alpha:g}"
-            return f"fixed:{text if float(text) == self.alpha else repr(self.alpha)}"
-        return "estimated" if not self.global_reliability else "estimated-global"
+        if self.alpha is None:
+            return "estimated"
+        # ``:g`` keeps 6 significant digits; a longer alpha gets the
+        # shortest text that parses back to it, so names stay distinct.
+        text = f"{self.alpha:g}"
+        return f"fixed:{text if float(text) == self.alpha else repr(self.alpha)}"
 
 
 @dataclass(frozen=True)
@@ -228,46 +229,16 @@ def fuse_edge(ebs: EdgeBBASet) -> EdgeInfluence:
     )
 
 
-def _indicator_bbas(
-    vec: tuple[float, ...], bounds: tuple[tuple[float, float], ...]
-) -> tuple[MassFunction, ...]:
-    return tuple(indicator_bba(x, low, high) for x, (low, high) in zip(vec, bounds))
-
-
 def _edge_bba_set(
     vec: tuple[float, ...],
     bounds: tuple[tuple[float, float], ...],
     cfg: ReliabilityConfig,
-    shared: tuple[float, ...] | None,
 ) -> EdgeBBASet:
-    """The ``EdgeBBASet`` of a raw vector; ``shared`` holds estimated-global alphas."""
-    bbas = _indicator_bbas(vec, bounds)
+    """The ``EdgeBBASet`` of a raw indicator vector."""
+    bbas = tuple(indicator_bba(x, low, high) for x, (low, high) in zip(vec, bounds))
     return EdgeBBASet(
-        tuple(m.influencer for m in bbas),
-        bbas,
-        shared if shared is not None else estimate_reliabilities(bbas, cfg),
+        tuple(m.influencer for m in bbas), bbas, estimate_reliabilities(bbas, cfg)
     )
-
-
-def _global_alphas(
-    vectors: list[tuple[float, ...]],
-    column: list[int],
-    bounds: tuple[tuple[float, float], ...],
-    cfg: ReliabilityConfig,
-) -> tuple[float, ...] | None:
-    """The alphas every edge shares under global reliability, else ``None``.
-
-    Each distinct vector's average distances are computed once, but they are
-    added into the sums once per edge, in edge order.
-    """
-    if not (cfg.global_reliability and column):
-        return None
-    distances = [average_distances(_indicator_bbas(vec, bounds)) for vec in vectors]
-    sums = [0.0] * len(bounds)
-    for i in column:
-        for j, c in enumerate(distances[i]):
-            sums[j] += c
-    return tuple(reliability_from_distance(s / len(column), cfg.lam) for s in sums)
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,13 +275,11 @@ def edge_bba_sets(
 
     Pairs are yielded one at a time, so the edge set is never held twice.
     A weight is its BBA's mass on {influencer}, 0 for a constant indicator.
-    Global reliability averages the distances over every edge in a pre-pass.
     """
     vectors, column = raw_indicators(g)
     bounds = _bounds(vectors)
-    shared = _global_alphas(vectors, column, bounds, cfg)
     for edge, i in zip(g.edges(), column):
-        yield edge, _edge_bba_set(vectors[i], bounds, cfg, shared)
+        yield edge, _edge_bba_set(vectors[i], bounds, cfg)
 
 
 def fuse_configs(
@@ -333,7 +302,21 @@ def fuse_configs(
     vectors, column = raw_indicators(g)
     bounds = _bounds(vectors)
     for cfg in configs:
-        yield _fuse_vectors(g, vectors, column, bounds, cfg)
+        # Each distinct raw vector is fused once (see the module docstring).
+        # Equal vectors are identical inputs to fuse_edge: the raw values are
+        # float(int) of nonnegative counts, so there is no -0.0 (equal to 0.0
+        # but not bitwise) and no NaN (never equal to itself).  Vectors are
+        # fused in the order of their first edges, so the first that fails is
+        # the one a per-edge run would meet first, and the error names its
+        # first edge.
+        records: list[EdgeInfluence] = []
+        for vec in vectors:
+            try:
+                records.append(fuse_edge(_edge_bba_set(vec, bounds, cfg)))
+            except ValueError as exc:  # TotalConflictError is one too
+                u, v = next(islice(g.edges(), column.index(len(records)), None))
+                raise FusionError(f"edge {u!r} -> {v!r}: {exc}") from exc
+        yield FusedEdges(g, column, records)
 
 
 def fuse_all(g: SocialGraph, cfg: ReliabilityConfig) -> FusedEdges:
@@ -342,28 +325,3 @@ def fuse_all(g: SocialGraph, cfg: ReliabilityConfig) -> FusedEdges:
     The one-config case of ``fuse_configs``.
     """
     return next(fuse_configs(g, (cfg,)))
-
-
-def _fuse_vectors(
-    g: SocialGraph,
-    vectors: list[tuple[float, ...]],
-    column: list[int],
-    bounds: tuple[tuple[float, float], ...],
-    cfg: ReliabilityConfig,
-) -> FusedEdges:
-    # Each distinct raw vector is fused once (see the module docstring).
-    # Equal vectors are identical inputs to fuse_edge: the raw values are
-    # float(int) of nonnegative counts, so there is no -0.0 (equal to 0.0
-    # but not bitwise) and no NaN (never equal to itself).  Vectors are
-    # fused in the order of their first edges, so the first that fails is
-    # the one a per-edge run would meet first, and the error names its
-    # first edge.
-    shared = _global_alphas(vectors, column, bounds, cfg)
-    records: list[EdgeInfluence] = []
-    for vec in vectors:
-        try:
-            records.append(fuse_edge(_edge_bba_set(vec, bounds, cfg, shared)))
-        except ValueError as exc:  # TotalConflictError is one too
-            u, v = next(islice(g.edges(), column.index(len(records)), None))
-            raise FusionError(f"edge {u!r} -> {v!r}: {exc}") from exc
-    return FusedEdges(g, column, records)

@@ -109,15 +109,16 @@ class _SelectionState:
         return self.sigma_value
 
 
-def _effective_k(influence_field: InfluenceField, k: int) -> int:
+def _effective_k(num_users: int, k: int) -> int:
+    """The number of seeds a request for k among ``num_users`` users selects."""
     if k < 1:
         raise InvalidKError(f"k must be >= 1, got {k}")
-    return min(k, influence_field.num_users())
+    return min(k, num_users)
 
 
 def select_celf(influence_field: InfluenceField, k: int) -> SeedSelection:
     """Lazy-greedy selection of min(k, number of users) seeds."""
-    k_eff = _effective_k(influence_field, k)
+    k_eff = _effective_k(influence_field.num_users(), k)
     state = _SelectionState(influence_field)
 
     # Stamp -1 marks a bound, evaluated the first time it reaches the top; a

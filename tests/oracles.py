@@ -280,7 +280,7 @@ class TooLargeError(ValueError):
 
 def select_greedy_naive(influence_field: InfluenceField, k: int) -> SeedSelection:
     """Plain greedy: every round rescans every remaining candidate."""
-    k_eff = _effective_k(influence_field, k)
+    k_eff = _effective_k(influence_field.num_users(), k)
     state = _SelectionState(influence_field)
 
     choices: list[SeedChoice] = []
@@ -304,7 +304,7 @@ def select_exhaustive(influence_field: InfluenceField, k: int) -> set[str]:
 
     Ties resolve to the lexicographically first subset in user-id order.
     """
-    k_eff = _effective_k(influence_field, k)
+    k_eff = _effective_k(influence_field.num_users(), k)
     n = influence_field.num_users()
     if math.comb(n, k_eff) > 10**6:
         raise TooLargeError(

@@ -312,7 +312,8 @@ class TestEvaluate:
         [
             ("fixed:0,fixed:0.2,fixed:0.20", "fixed:0.20", "fixed:0.2"),
             ("estimated,fixed:1, estimated", "estimated", "estimated"),
-            ("fixed:0,fixed:-0", "fixed:-0", "fixed:-0"),
+            # A zero alpha is stored as +0.0, so -0 repeats fixed:0.
+            ("fixed:0,fixed:-0", "fixed:-0", "fixed:0"),
         ],
     )
     def test_repeated_config_exits_1(self, paths, capsys, sweep, token, name):
@@ -368,6 +369,13 @@ class TestDumpEdges:
         first = Path(paths["out"]).read_bytes()
         run("dump-edges", *input_flags(paths), "--out", paths["out"])
         assert Path(paths["out"]).read_bytes() == first
+
+    def test_negative_zero_alpha_writes_the_zero_alpha_file(self, paths):
+        generate(paths, users="30", edges="60")
+        assert run("dump-edges", *input_flags(paths), "--alpha", "0", "--out", paths["out"]) == 0
+        zero = Path(paths["out"]).read_bytes()
+        assert run("dump-edges", *input_flags(paths), "--alpha", "-0", "--out", paths["out"]) == 0
+        assert Path(paths["out"]).read_bytes() == zero
 
 
 class TestFusedMassAboveOne:

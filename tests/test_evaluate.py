@@ -145,7 +145,7 @@ class TestCompareConfigs:
         cfgs = [
             ReliabilityConfig.fixed(0.2),
             ReliabilityConfig.estimated(lam=5.0),
-            ReliabilityConfig.estimated(lam=2.0, global_reliability=True),
+            ReliabilityConfig.estimated(lam=2.0),
         ]
         report = compare_configs(g, activities, cfgs, k=4)
         singles = [compare_configs(g, activities, [cfg], k=4).entries[0] for cfg in cfgs]

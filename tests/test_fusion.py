@@ -50,6 +50,8 @@ class TestReliabilityConfig:
     def test_fixed_name(self):
         assert ReliabilityConfig.fixed(0.2).name == "fixed:0.2"
         assert ReliabilityConfig.fixed(0.0).name == "fixed:0"
+        # A zero alpha is stored as +0.0, whatever its sign.
+        assert ReliabilityConfig.fixed(-0.0).name == "fixed:0"
         assert ReliabilityConfig.fixed(1e-07).name == "fixed:1e-07"
         # Past :g's 6 significant digits the name keeps every digit needed.
         assert ReliabilityConfig.fixed(0.1234567).name == "fixed:0.1234567"
@@ -59,6 +61,7 @@ class TestReliabilityConfig:
     @example(0.1234567)
     @example(0.30000000000000004)
     @example(5e-324)
+    @example(-0.0)
     def test_fixed_name_parses_back_to_its_alpha(self, alpha):
         assert ReliabilityConfig.parse(ReliabilityConfig.fixed(alpha).name).alpha == alpha
 
@@ -71,11 +74,9 @@ class TestReliabilityConfig:
             dict(alpha=-0.1),
             dict(lam=float("nan")),
             dict(lam=float("inf")),
-            dict(alpha=0.2, global_reliability=True),
-            # A NaN alpha is set, not estimated; alpha 0 is set though falsy.
+            # A NaN alpha is set, not estimated.
             dict(alpha=float("nan")),
             dict(alpha=float("inf")),
-            dict(alpha=0.0, global_reliability=True),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -205,6 +206,18 @@ class TestFuseEdge:
         )
         assert fuse_edge(ebs).inf == pytest.approx(0.6, abs=1e-6)
 
+    def test_near_total_conflict_fails_the_mass_sum_check(self):
+        # Alphas within about 1e-8 of 1 on contradicting committed BBAs leave
+        # too few digits in Dempster's normalizer for the masses to sum to 1.
+        ebs = EdgeBBASet(
+            (0.0, 1.0, 0.0),
+            (committed(0.0), committed(1.0), committed(0.0)),
+            (0.9999986018879158, 0.9999999892243477, 0.9999999892243477),
+        )
+        with pytest.raises(ValueError) as err:
+            fuse_edge(ebs)
+        assert str(err.value) == "masses must sum to 1, got 1.0000000031054714"
+
     @given(data=st.lists(bbas(max_commitment=0.95), min_size=2, max_size=5))
     def test_permutation_invariant(self, data):
         reference = None
@@ -303,14 +316,6 @@ class TestFuseAll:
             (e, r.inf) for e, r in second.items()
         ]
 
-    def test_global_reliability_shares_alphas(self):
-        g, _ = generate_synthetic(seed=16, n_users=50, n_edges=140)
-        cfg = ReliabilityConfig.estimated(lam=5.0, global_reliability=True)
-        alphas = {ebs.reliabilities for _, ebs in edge_bba_sets(g, cfg)}
-        assert len(alphas) == 1
-        for _, r in fuse_all(g, cfg).items():
-            assert -TOL <= r.inf <= 1.0 + TOL
-
     def test_empty_graph(self):
         assert dict(fuse_all(SocialGraph(), ESTIMATED).items()) == {}
 
@@ -338,7 +343,6 @@ class TestDiagnosticsRecords:
         [
             ReliabilityConfig.fixed(0.2),
             ESTIMATED,
-            ReliabilityConfig.estimated(lam=5.0, global_reliability=True),
         ],
         ids=lambda cfg: cfg.name,
     )
@@ -352,11 +356,6 @@ class TestDiagnosticsRecords:
             edge: tuple(indicator_bba(vec[j], lows[j], highs[j]) for j in range(n))
             for edge, vec in values.items()
         }
-        sums = [0.0] * n
-        for edge_bbas in bbas.values():
-            for j, c in enumerate(average_distances(edge_bbas)):
-                sums[j] += c
-        shared = tuple(reliability_from_distance(s / len(bbas), cfg.lam) for s in sums)
 
         records = dict(fuse_all(g, cfg).items())
         assert list(records) == list(values)
@@ -366,10 +365,7 @@ class TestDiagnosticsRecords:
                 (vec[j] - lows[j]) / (highs[j] - lows[j]) if highs[j] > lows[j] else 0.0
                 for j in range(n)
             )
-            alphas = (
-                shared if cfg.global_reliability
-                else estimate_reliabilities(bbas[edge], cfg)
-            )
+            alphas = estimate_reliabilities(bbas[edge], cfg)
             assert record.reliabilities == alphas
             reference = fuse_edge(EdgeBBASet(record.weights, bbas[edge], alphas))
             assert record == reference
@@ -379,17 +375,13 @@ class TestDiagnosticsRecords:
 
 @st.composite
 def reliability_configs(draw):
-    """Fixed alphas at and near the endpoints, and estimated modes with random lambda."""
-    mode = draw(st.sampled_from(["fixed", "estimated", "estimated-global"]))
-    if mode == "fixed":
+    """Fixed alphas at and near the endpoints, and the estimate with random lambda."""
+    if draw(st.booleans()):
         alpha = draw(
             st.sampled_from([0.0, 1.0, 1.0 - 1e-13]) | st.floats(0.0, 1.0)
         )
         return ReliabilityConfig.fixed(alpha)
-    return ReliabilityConfig.estimated(
-        lam=draw(st.floats(0.1, 20.0)),
-        global_reliability=mode == "estimated-global",
-    )
+    return ReliabilityConfig.estimated(lam=draw(st.floats(0.1, 20.0)))
 
 
 def reference_fusion(g, cfg):
@@ -410,15 +402,10 @@ def reference_fusion(g, cfg):
 class TestKernelMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(graph=synthetic_graphs(), cfg=reliability_configs())
-    # Total conflict at alpha 1 and just below it, and a mass-sum failure
-    # after a near-total conflict under estimated-global at lambda 12.
+    # Total conflict at alpha 1 and just below it.
     @example(graph=generate_synthetic(0, 5, 15, 0.3), cfg=ReliabilityConfig.fixed(1.0))
     @example(
         graph=generate_synthetic(0, 5, 15, 0.3), cfg=ReliabilityConfig.fixed(1.0 - 1e-13)
-    )
-    @example(
-        graph=generate_synthetic(0, 5, 15, 0.3),
-        cfg=ReliabilityConfig.estimated(lam=12.0, global_reliability=True),
     )
     def test_fuse_all_equals_reference_exactly(self, graph, cfg):
         g, _ = graph
@@ -443,7 +430,6 @@ CACHE_CONFIGS = [
     ReliabilityConfig.fixed(0.2),
     ReliabilityConfig.fixed(1.0),
     ESTIMATED,
-    ReliabilityConfig.estimated(lam=5.0, global_reliability=True),
 ]
 
 
@@ -530,7 +516,6 @@ class TestSharedRecords:
             ReliabilityConfig.fixed(0.0),
             ReliabilityConfig.fixed(0.2),
             ESTIMATED,
-            ReliabilityConfig.estimated(lam=5.0, global_reliability=True),
         ],
         ids=lambda cfg: cfg.name,
     )
@@ -571,16 +556,9 @@ class TestFusesEachDistinctVectorOnce:
         configs = [
             ReliabilityConfig.fixed(0.2),
             ESTIMATED,
-            ReliabilityConfig.estimated(lam=5.0, global_reliability=True),
+            ReliabilityConfig.estimated(lam=2.0),
         ]
         calls = self.count_calls(monkeypatch, "fuse_edge")
         sweeps = [len(records) for records in fuse_configs(g, configs)]
         assert sweeps == [g.num_edges()] * 3
         assert len(calls) == 3 * len(distinct)
-
-    def test_global_pre_pass_averages_distances_once_per_vector(self, monkeypatch):
-        g, _ = generate_synthetic(31, 300, 600, 1.0)
-        distinct, _ = raw_indicators(g)
-        calls = self.count_calls(monkeypatch, "average_distances")
-        fuse_all(g, ReliabilityConfig.estimated(lam=5.0, global_reliability=True))
-        assert len(calls) == len(distinct)

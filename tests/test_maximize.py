@@ -160,18 +160,14 @@ class TestCelfOnFusedGraphs:
     @settings(max_examples=60, deadline=None)
     @given(
         graph=synthetic_graphs(),
-        token=st.sampled_from(["fixed:0", "fixed:0.2", "estimated", "estimated-global"]),
+        token=st.sampled_from(["fixed:0", "fixed:0.2", "estimated"]),
         k=st.integers(1, 12),
     )
     def test_field_from_the_column_equals_the_user_built_field(self, graph, token, k):
         # from_graph reads each edge's weight off the vector-id column; the
         # user-built field gets the same weights as an {edge: weight} map.
         g, _ = graph
-        cfg = (
-            ReliabilityConfig.estimated(global_reliability=True)
-            if token == "estimated-global" else ReliabilityConfig.parse(token)
-        )
-        fused = fuse_all(g, cfg)
+        fused = fuse_all(g, ReliabilityConfig.parse(token))
         weights = {edge: record.inf for edge, record in fused.items()}
         # The user-built field accepts only weights in [0, 1]; fusion may
         # round a mass one ulp above 1, which from_graph keeps.

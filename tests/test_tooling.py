@@ -1,4 +1,4 @@
-"""Repository tooling: the traced benchmark runner and the stdlib-only rule."""
+"""Repository tooling: the traced benchmark runner, the stdlib-only rule and unused helpers."""
 
 from __future__ import annotations
 
@@ -88,3 +88,25 @@ def test_package_imports_only_the_standard_library():
                 if top != "evimax" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}: {module}")
     assert foreign == []
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # A module-level ``_name`` that nothing in the package refers to is left
+    # over from a deletion: remove it with its last caller.
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in sorted((SRC / "evimax").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                defined[node.name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined
+    assert sorted(f"{module}: {name}" for name, module in defined.items()
+                  if name not in used) == []
