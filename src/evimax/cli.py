@@ -156,9 +156,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
+    cfg = ReliabilityConfig(alpha=args.alpha, lam=args.lam)
     # The activity records are not read; dropping them frees them before fusion.
     g = load_graph(args.edges, args.mentions, args.retweets, args.activity)[0]
-    cfg = ReliabilityConfig(alpha=args.alpha, lam=args.lam)
     influence_field = InfluenceField.from_graph(fuse_all(g, cfg))
     selection = select_celf(influence_field, args.k)
     write_csv(
@@ -172,7 +172,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    g, activities = load_graph(args.edges, args.mentions, args.retweets, args.activity)
     # Blocks of the output are told apart by config name, so every token
     # must name a config, and a different one from every token before it.
     configs: list[ReliabilityConfig] = []
@@ -183,6 +182,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         if cfg in configs:
             raise ValueError(f"--configs: {token.strip()!r} repeats config {cfg.name}")
         configs.append(cfg)
+    g, activities = load_graph(args.edges, args.mentions, args.retweets, args.activity)
     report = compare_configs(g, activities, configs, args.k)
     write_csv(
         args.out,
@@ -198,9 +198,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_edges(args: argparse.Namespace) -> int:
+    cfg = ReliabilityConfig(alpha=args.alpha, lam=args.lam)
     # The activity records are not read; dropping them frees them before fusion.
     g = load_graph(args.edges, args.mentions, args.retweets, args.activity)[0]
-    cfg = ReliabilityConfig(alpha=args.alpha, lam=args.lam)
     fused = fuse_all(g, cfg)
     # Every edge of one indicator vector prints the same numbers, so each
     # record's cells are formatted once.

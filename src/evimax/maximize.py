@@ -12,8 +12,8 @@ naive full-rescan greedy, while evaluating far fewer gains.
 Round 0 does not evaluate every user's gain.  The heap starts from
 ``InfluenceField.singleton_spread_bounds``: each entry is a stale upper bound
 on the user's float round-0 gain, evaluated the first time it reaches the
-top, except that a bound of exactly 1.0 (a user with no nonzero out-weight)
-is that gain and starts fresh.  The commit is still the naive argmax: every
+top, except that a bound of exactly 1.0 (a user without out-edges: the
+field stores only nonzero weights) is that gain and starts fresh.  The commit is still the naive argmax: every
 key is at least its user's gain in the current round, because float gains
 never grow as seeds are added (the accumulated field only gains nonnegative
 terms, the spread sum only loses them, and float addition is monotone in
@@ -56,8 +56,8 @@ class SeedSelection:
     """Ranked seed list with per-rank gains and cumulative spread values.
 
     ``gain_evaluations`` counts fresh marginal-gain computations.  In
-    ``select_celf`` a user whose singleton spread is exactly 1 (no nonzero
-    out-weight) is not evaluated in round 0, and no other user is evaluated
+    ``select_celf`` a user whose singleton spread is exactly 1 (no stored
+    out-edge) is not evaluated in round 0, and no other user is evaluated
     before its bound reaches the top of the heap.
     """
 

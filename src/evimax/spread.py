@@ -15,10 +15,19 @@ out-adjacency keyed by user, which also serves as its user list.
 ``from_graph`` takes fusion's ``FusedEdges`` alone and fills the field in
 one walk of its ``per_edge`` pairs, each weight the ``inf`` of the edge's
 record; it never sees how fusion lines its records up with the edges.
+
+Only nonzero weights are stored, by either constructor: most fused edges
+are exact zeros (every edge under a zero alpha), and a zero-weight edge adds
+only +0.0 terms to the spread, the gains and the bounds.  Dropping it can
+still reorder a sum: a seed's contributions are summed in the order the seed
+first reaches each user, and a zero edge can reach a user first.  So a
+spread or gain equals the zero-keeping field's up to the rounding of that
+reordered sum, not always bit for bit.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .fusion import FusedEdges
@@ -28,10 +37,11 @@ from .graph import UnknownUserError
 class InfluenceField:
     """Immutable per-edge influence values over a fixed user set.
 
-    One dict maps each user to its weighted out-edges in insertion order;
-    its keys are the user set.  A field built from given weights checks that
-    every weight lies in [0, 1] and that edges connect known, distinct users;
-    after construction the field is read-only and safe to share.
+    One dict maps each user to its nonzero weighted out-edges in insertion
+    order; its keys are the user set.  A field built from given weights
+    checks that every weight lies in [0, 1] and that edges connect known,
+    distinct users, then drops the zero weights (0.0 and -0.0); after
+    construction the field is read-only and safe to share.
     """
 
     def __init__(
@@ -47,23 +57,27 @@ class InfluenceField:
                 raise ValueError(f"self-loop weight for {u!r}")
             if not 0.0 <= w <= 1.0:
                 raise ValueError(f"influence weight must lie in [0, 1], got {w!r}")
-            self._out[u].append((v, w))
+            if w:
+                self._out[u].append((v, w))
 
     @classmethod
     def from_graph(cls, fused: FusedEdges) -> "InfluenceField":
         """Build a field from ``fuse_all``'s result alone, in one pass.
 
-        The users are those of ``fused.graph``, and each of its edges gets
-        the ``inf`` of its record, so each user's out-edges keep the graph's
-        insertion order and zero weights are kept.  The weights are not
-        rechecked, since fusion built them.  Dempster's normalization can
-        round a fused mass one ulp above 1 (1.0000000000000002), and such a
-        weight is kept: ``singleton_spread_bounds`` and CELF need only
-        nonnegative weights, which fusion guarantees.
+        The users are those of ``fused.graph``, and each of its edges with a
+        nonzero ``inf`` gets that weight, so each user's out-edges keep the
+        graph's insertion order and zero weights are dropped, as the
+        constructor drops them.  The weights are not rechecked, since fusion
+        built them.  Dempster's normalization can round a fused mass one ulp
+        above 1 (1.0000000000000002), and such a weight is kept:
+        ``singleton_spread_bounds`` and CELF need only nonnegative weights,
+        which fusion guarantees.
         """
         field = cls(fused.graph.users, {})
         out = field._out
-        for (u, v), w in fused.per_edge([record.inf for record in fused.records]):
+        for (u, v), w in filter(
+            itemgetter(1), fused.per_edge([record.inf for record in fused.records])
+        ):
             out[u].append((v, w))
         return field
 
@@ -97,16 +111,18 @@ class InfluenceField:
 
         The exact singleton spread is 1 + sum_x w_ux * (2 + sum_{v != u} w_xv),
         which is at most 1 + sum_x w_ux * (2 + S_x) with S_x the sum of x's
-        out-weights.  A user whose out-weights are all 0.0 gets exactly 1.0:
-        every term its spread would add is 0.0, so 1.0 is also its float
-        singleton spread and its first marginal gain.
+        out-weights.  A user without stored out-edges gets exactly 1.0: its
+        spread adds no term to the 1, so 1.0 is also its float singleton
+        spread and its first marginal gain.
 
         Every other bound is that sum scaled by m = 1 + (2E + 3) * 2**-52, E the
-        number of edges, so that it also bounds the float value that ``sigma``
-        and the greedy gain compute.  With eps = 2**-53 and all terms
-        nonnegative, a rounding moves a value by a factor within
-        [1 - eps, 1 + eps], and a sum of n terms, in any order or grouping,
-        passes each term through at most n - 1 roundings:
+        number of stored edges, so that it also bounds the float value that
+        ``sigma`` and the greedy gain compute.  The field stores no zero
+        weight, and a dropped edge adds no term to either side, so the
+        counts below hold with E the stored edges alone.  With eps = 2**-53
+        and all terms nonnegative, a rounding moves a value by a factor
+        within [1 - eps, 1 + eps], and a sum of n terms, in any order or
+        grouping, passes each term through at most n - 1 roundings:
 
         * The float spread adds at most E + 1 terms (the 1, u's own weights
           doubled, and one product per out-edge of each x; those edge sets are
@@ -125,22 +141,20 @@ class InfluenceField:
         this leaves on a bound of at least 1.
         """
         out = self._out
+        active = [(u, edges) for u, edges in out.items() if edges]
         two_plus_sums: dict[str, float] = {}
-        for x, edges in out.items():
+        for x, edges in active:
             total = 0.0
             for _, w in edges:
                 total += w
             two_plus_sums[x] = 2.0 + total
         margin = 1.0 + (2 * sum(map(len, out.values())) + 3) * 2.0**-52
-        bounds: dict[str, float] = {}
-        for u, edges in out.items():
+        bounds = dict.fromkeys(out, 1.0)
+        for u, edges in active:
             total = 0.0
             for x, w in edges:
-                # Weights are >= 0, so a zero weight adds +0.0 or -0.0, and
-                # skipping it leaves the sum bit-identical.
-                if w:
-                    total += w * two_plus_sums[x]
-            bounds[u] = (1.0 + total) * margin if total else 1.0
+                total += w * two_plus_sums.get(x, 2.0)
+            bounds[u] = (1.0 + total) * margin
         return bounds
 
     def _require(self, user: str) -> None:

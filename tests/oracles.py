@@ -4,10 +4,10 @@ The package holds only the pipeline that ``select``, ``evaluate`` and
 ``dump-edges`` run.  What exists only to check it lives here: subset-indexed
 views of a mass function, graph equality and common neighbours read off the
 public user and edge lists, the raw indicators converted edge by edge, the
-fused BBA of a record, the literal per-user influence, the singleton spread
-bounds with every zero-weight term added, the naive and exhaustive seed
-selections, and the row-by-row CSV loader that ``load_graph``'s per-file
-loops replaced.
+fused BBA of a record, the literal per-user influence, a field that keeps
+its zero weights, the singleton spread bounds with every zero-weight term
+added, the naive and exhaustive seed selections, and the row-by-row CSV
+loader that ``load_graph``'s per-file loops replaced.
 ``select_greedy_naive`` uses CELF's own ``_SelectionState``, so the two agree
 bit for bit.
 """
@@ -18,7 +18,7 @@ import csv
 import itertools
 import math
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from evimax.belief import MassFunction
 from evimax.fusion import EdgeInfluence
@@ -223,8 +223,39 @@ def influence(field: InfluenceField, a: str, b: str) -> float:
     return 0.0
 
 
+def field_with_zeros(
+    users: Iterable[str], weighted_edges: Iterable[tuple[tuple[str, str], float]]
+) -> InfluenceField:
+    """A field that keeps every zero-weight edge, in the order given.
+
+    Both ``InfluenceField`` constructors drop zero weights; this one fills
+    the adjacency past them, as the field stored it before they did, so the
+    zero-free field can be checked against it.
+    """
+    field = InfluenceField(users, {})
+    for (u, v), w in weighted_edges:
+        field._out[u].append((v, w))
+    return field
+
+
+def reordered_sum_tolerance(n_terms: int, magnitude: float) -> float:
+    """Widest gap between two float sums of the same nonnegative terms.
+
+    Each sum of n terms, in any order, lies within a factor
+    (1 +- 2**-53)**(n - 1) of the exact sum, so two orders of the same terms
+    differ by at most about 2 * (n - 1) * 2**-53 times a sum no larger than
+    ``magnitude``; 4 * n * 2**-53 leaves room for the second-order terms.
+    """
+    return 4 * n_terms * 2.0**-53 * magnitude
+
+
 def singleton_spread_bounds_reference(field: InfluenceField) -> dict[str, float]:
-    """``singleton_spread_bounds`` with every out-edge's term added, zero or not."""
+    """``singleton_spread_bounds`` with every out-edge's term added, zero or not.
+
+    Every user is walked, and E in the margin counts the nonzero weights,
+    so a field from ``field_with_zeros`` gets the bounds of its zero-free
+    twin.
+    """
     out = field._out
     two_plus_sums: dict[str, float] = {}
     for x, edges in out.items():
@@ -232,7 +263,8 @@ def singleton_spread_bounds_reference(field: InfluenceField) -> dict[str, float]
         for _, w in edges:
             total += w
         two_plus_sums[x] = 2.0 + total
-    margin = 1.0 + (2 * sum(map(len, out.values())) + 3) * 2.0**-52
+    stored = sum(1 for edges in out.values() for _, w in edges if w)
+    margin = 1.0 + (2 * stored + 3) * 2.0**-52
     bounds: dict[str, float] = {}
     for u, edges in out.items():
         total = 0.0

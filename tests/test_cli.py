@@ -437,6 +437,26 @@ class TestOutputQuoting:
         assert {row[column] for row in body for column in id_columns} == {"a\rb", "c", "d"}
 
 
+class TestConfigBeforeInput:
+    """A bad config option is reported before any input file is read."""
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("select", ["--alpha", "2"], "alpha must lie in [0, 1], got 2.0"),
+            ("select", ["--lambda", "0"], "lambda must be finite and positive, got 0.0"),
+            ("dump-edges", ["--alpha", "nan"], "alpha must lie in [0, 1], got nan"),
+            ("evaluate", ["--configs", "bogus"], "bad config token 'bogus'"),
+        ],
+    )
+    def test_missing_edges_file_is_not_read(self, paths, capsys, command, flags, message):
+        code = run(command, "--edges", paths["edges"], *flags, "--out", paths["out"])
+        assert code == 1
+        error = capsys.readouterr().err
+        assert f"evimax {command}: error: {message}" in error
+        assert "edges.csv" not in error
+
+
 class TestUsage:
     def test_help_exits_0(self):
         assert run("--help") == 0

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import os
-import threading
-
 import pytest
 from hypothesis import given, settings
 
@@ -166,47 +163,26 @@ FIXED = [ReliabilityConfig.fixed(alpha) for alpha in (0.1, 0.2, 0.3, 0.4)]
 
 
 def plant_failures(monkeypatch, alphas):
-    """Make the field build of every fixed config in ``alphas`` raise.
-
-    The message names the process it was raised in; a forked worker
-    inherits the patch.
-    """
+    """Make the field build of every fixed config in ``alphas`` raise."""
     real = InfluenceField.from_graph
 
     def from_graph(cls, fused):
         alpha = fused.records[0].reliabilities[0]
         if alpha in alphas:
-            raise ValueError(f"planted failure in process {os.getpid()}")
+            raise ValueError(f"planted failure at alpha {alpha}")
         return real(fused)
 
     monkeypatch.setattr(InfluenceField, "from_graph", classmethod(from_graph))
 
 
-def forbid_fork(monkeypatch):
-    def fork():
-        raise AssertionError("os.fork was called")
+class TestSweep:
+    """The sweep runs its configs one after another in this process."""
 
-    monkeypatch.setattr(os, "fork", fork)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-class TestWorkers:
-    """The sweep's configs run on up to one process per usable CPU."""
-
-    def test_worker_error_names_its_config(self, monkeypatch):
+    def test_error_names_its_config(self, monkeypatch):
         g, activities = generate_synthetic(seed=27, n_users=40, n_edges=100)
         plant_failures(monkeypatch, {0.2})
-        with pytest.raises(EvaluationError, match="^config fixed:0.2: planted") as err:
+        with pytest.raises(EvaluationError, match="^config fixed:0.2: planted"):
             compare_configs(g, activities, FIXED, k=5)
-        if len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1:
-            # Config 1 of 4 runs in the one worker of a 2-CPU host, or in a
-            # worker of its own on a larger one.
-            assert f"process {os.getpid()}" not in str(err.value)
-        assert_no_child_left()
 
     @pytest.mark.parametrize(
         "failing, reported",
@@ -219,67 +195,24 @@ class TestWorkers:
         plant_failures(monkeypatch, failing)
         with pytest.raises(EvaluationError, match=f"^config {reported}: planted"):
             compare_configs(g, activities, FIXED, k=5)
-        assert_no_child_left()
 
-    def test_worker_that_dies_without_a_result_is_an_error(self, monkeypatch):
-        if not hasattr(os, "fork") or threading.active_count() > 1:
-            pytest.skip("compare_configs forks no worker here")
-        g, activities = generate_synthetic(seed=27, n_users=40, n_edges=100)
-        real, caller = InfluenceField.from_graph, os.getpid()
+    def test_a_config_fails_before_a_later_one_is_fused(self, monkeypatch):
+        # fixed:1 meets total conflict in fusion; fixed:0.1 fails later in
+        # its pipeline, at the field build, but comes first in the sweep.
+        g = SocialGraph()
+        g.add_edge("a", "b")
+        g.add_edge("c", "d")
+        g.add_mentions("a", "b", 5)
+        g.add_retweets("c", "d", 3)
+        plant_failures(monkeypatch, {0.1})
+        configs = [ReliabilityConfig.fixed(0.1), ReliabilityConfig.fixed(1.0)]
+        with pytest.raises(EvaluationError, match="^config fixed:0.1: planted"):
+            compare_configs(g, {}, configs, k=2)
+        with pytest.raises(EvaluationError, match="^config fixed:1: "):
+            compare_configs(g, {}, configs[::-1], k=2)
 
-        def from_graph(cls, fused):
-            if os.getpid() != caller:
-                os._exit(3)
-            return real(fused)
-
-        monkeypatch.setattr(InfluenceField, "from_graph", classmethod(from_graph))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        with pytest.raises(RuntimeError, match="ended with status 3 before sending"):
-            compare_configs(g, activities, FIXED, k=5)
-        assert_no_child_left()
-
-    def test_one_usable_cpu_runs_in_this_process(self, monkeypatch):
-        g, activities = generate_synthetic(seed=28, n_users=60, n_edges=150)
-        expected = compare_configs(g, activities, FIXED, k=7)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        forbid_fork(monkeypatch)
-        assert compare_configs(g, activities, FIXED, k=7) == expected
-
-    def test_another_thread_keeps_the_sweep_in_this_process(self, monkeypatch):
-        g, activities = generate_synthetic(seed=28, n_users=60, n_edges=150)
-        expected = compare_configs(g, activities, FIXED, k=7)
-        forbid_fork(monkeypatch)
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            assert compare_configs(g, activities, FIXED, k=7) == expected
-        finally:
-            release.set()
-            thread.join()
-
-    def test_a_failed_fork_leaves_its_configs_to_this_process(self, monkeypatch):
-        g, activities = generate_synthetic(seed=28, n_users=60, n_edges=150)
-        expected = compare_configs(g, activities, FIXED, k=7)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        real_fork, forks = os.fork, []
-
-        def fork():
-            # The first worker starts; the second finds no process to spare.
-            if forks:
-                raise BlockingIOError("Resource temporarily unavailable")
-            forks.append(True)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
-        assert compare_configs(g, activities, FIXED, k=7) == expected
-        assert_no_child_left()
-
-    def test_report_larger_than_a_pipe_buffer(self):
-        # At k=1500 a worker's pickled selection is about 70 KB, more than
-        # the 64 KiB a pipe holds before its writer blocks.
+    def test_deep_sweep_entry_equals_its_one_config_sweep(self):
         g, activities = generate_synthetic(seed=29, n_users=2000, n_edges=4000)
         report = compare_configs(g, activities, SWEEP, k=1500)
         assert [len(entry.selection) for entry in report.entries] == [1500] * 3
         assert report.entries[1] == compare_configs(g, activities, SWEEP[1:2], k=1500).entries[0]
-        assert_no_child_left()

@@ -9,14 +9,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from evimax.fusion import ReliabilityConfig, fuse_all
+from evimax.fusion import FusionError, ReliabilityConfig, fuse_all
 from evimax.maximize import InvalidKError, SeedSelection, select_celf
 from evimax.spread import InfluenceField, sigma
 from evimax.synthetic import generate_synthetic
 from tests.helpers import random_field, safe_weight_bound, synthetic_graphs
 from tests.oracles import (
     TooLargeError,
+    field_with_zeros,
     marginal_gain,
+    reordered_sum_tolerance,
     select_exhaustive,
     select_greedy_naive,
 )
@@ -142,7 +144,7 @@ def fused_field(seed: int, n_users: int, n_edges: int, token: str) -> InfluenceF
 
 
 class TestCelfOnFusedGraphs:
-    """Fused fields hold exact zero weights, so many gains tie at exactly 1.0."""
+    """Fused weights are mostly exact zeros, so many gains tie at exactly 1.0."""
 
     @pytest.mark.parametrize("token", ["fixed:0", "fixed:0.2", "estimated"])
     def test_identical_to_naive(self, token):
@@ -180,6 +182,44 @@ class TestCelfOnFusedGraphs:
             (c.rank, c.user, c.gain, c.cumulative_sigma) for c in expected.choices
         ]
         assert got.gain_evaluations == expected.gain_evaluations
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        graph=synthetic_graphs(),
+        token=st.sampled_from(["fixed:0", "fixed:0.2", "estimated", "fixed:1"]),
+        k=st.integers(1, 30),
+    )
+    def test_zero_free_field_selects_as_the_field_with_zeros(self, graph, token, k):
+        # Each gain is the same float sum over the seed's contributions in
+        # the field with zeros, up to its order (see TestZeroFreeField in
+        # test_spread.py), so the rankings agree up to the first rank where
+        # two gains tie within that rounding, and every gain agrees to it.
+        g, _ = graph
+        try:
+            fused = fuse_all(g, ReliabilityConfig.parse(token))
+        except FusionError:  # fixed:1 can meet total conflict
+            assume(False)
+        field = InfluenceField.from_graph(fused)
+        got = select_celf(field, k).choices
+        expected = select_celf(field_with_zeros(
+            g.users, fused.per_edge([record.inf for record in fused.records])
+        ), k).choices
+        assert len(got) == len(expected)
+        # A gain's sum over the candidate's contributions is at most its
+        # singleton spread, and the influence it loses to the seeds at most
+        # the spread so far: this bounds every value the two runs round.
+        scale = (
+            1.0 + max(field.singleton_spread_bounds().values())
+            + max(c.cumulative_sigma for c in got + expected)
+        )
+        gain_tolerance = reordered_sum_tolerance(len(g.users) + 1, scale)
+        for a, b in zip(got, expected):
+            assert abs(a.gain - b.gain) <= gain_tolerance
+            if a.user != b.user:
+                break
+            assert abs(a.cumulative_sigma - b.cumulative_sigma) <= a.rank * (
+                gain_tolerance + reordered_sum_tolerance(2, scale)
+            )
 
     def test_all_zero_field_commits_by_id_almost_unevaluated(self):
         field = fused_field(41, 60, 150, "fixed:0")

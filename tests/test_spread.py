@@ -7,24 +7,28 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from evimax.fusion import FusedEdges
+from evimax.fusion import FusedEdges, FusionError, ReliabilityConfig, fuse_all
 from evimax.graph import SocialGraph, UnknownUserError
 from evimax.maximize import _SelectionState
 from evimax.spread import InfluenceField, sigma
+from evimax.synthetic import generate_synthetic
 from tests.helpers import (
     brute_force_influence_on,
     brute_force_sigma,
     random_field,
     safe_weight_bound,
+    synthetic_graphs,
 )
 from tests.oracles import (
     AlreadyInSetError,
+    field_with_zeros,
     influence,
     influence_on,
     marginal_gain,
+    reordered_sum_tolerance,
     singleton_spread_bounds_reference,
 )
 
@@ -78,6 +82,57 @@ class TestInfluenceField:
         field = InfluenceField.from_graph(FusedEdges(g, [0], [SimpleNamespace(inf=above_one)]))
         assert influence(field, "a", "b") == above_one
         assert field.singleton_spread_bounds()["a"] >= sigma(field, {"a"})
+
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_weight_stores_no_out_edge(self, zero):
+        field = InfluenceField(["a", "b"], {("a", "b"): zero})
+        assert field._out == {"a": [], "b": []}
+
+    def test_from_graph_of_a_zero_alpha_fusion_stores_no_edge(self):
+        g, _ = generate_synthetic(seed=31, n_users=40, n_edges=100)
+        field = InfluenceField.from_graph(fuse_all(g, ReliabilityConfig.fixed(0.0)))
+        assert list(field.users) == list(g.users)
+        assert not any(field._out.values())
+
+
+class TestZeroFreeField:
+    """Dropping a zero weight drops only +0.0 terms.
+
+    A seed's contribution to each user is the same float with or without
+    the zero-weight edges.  A spread sums those contributions in the order
+    the users were first reached, and a zero-weight edge can reach a user
+    first, so the spread is the same sum taken in another order: equal up
+    to the rounding of a reordered sum, not always bit for bit.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        graph=synthetic_graphs(),
+        token=st.sampled_from(["fixed:0", "fixed:0.2", "estimated", "fixed:1"]),
+        data=st.data(),
+    )
+    def test_contributions_bit_identical_and_sigma_reordered(self, graph, token, data):
+        g, _ = graph
+        try:
+            fused = fuse_all(g, ReliabilityConfig.parse(token))
+        except FusionError:  # fixed:1 can meet total conflict
+            assume(False)
+        field = InfluenceField.from_graph(fused)
+        reference = field_with_zeros(
+            g.users, fused.per_edge([record.inf for record in fused.records])
+        )
+        for u in g.users:
+            nonzero = [
+                {v: c.hex() for v, c in f.seed_contributions(u).items() if c}
+                for f in (field, reference)
+            ]
+            assert nonzero[0] == nonzero[1]
+        seeds = data.draw(st.sets(st.sampled_from(list(g.users))))
+        got, expected = sigma(field, seeds), sigma(reference, seeds)
+        assert abs(got - expected) <= reordered_sum_tolerance(
+            field.num_users() + 1, max(got, expected)
+        )
 
 
 class TestInfluenceOn:
@@ -249,10 +304,10 @@ class TestObjectiveShape:
         assert sigma(field, {"a", "b"}) < sigma(field, {"a"})
 
 
-# Exact zeros and ones, values a rounding away from 1, tiny and subnormal
-# values, and anything in [0, 1].
+# Exact zeros of either sign and ones, values a rounding away from 1, tiny
+# and subnormal values, and anything in [0, 1].
 _weights = st.one_of(
-    st.sampled_from([0.0, 1.0, math.nextafter(1.0, 0.0), 1.0 - 1e-12, 1e-9, 5e-324]),
+    st.sampled_from([0.0, -0.0, 1.0, math.nextafter(1.0, 0.0), 1.0 - 1e-12, 1e-9, 5e-324]),
     st.floats(0.0, 1.0),
 )
 
@@ -293,10 +348,12 @@ class TestSingletonSpreadBounds:
     @settings(max_examples=300, deadline=None)
     @given(case=mixed_weight_fields())
     def test_skipping_zero_weights_is_bit_identical(self, case):
-        # The bounds skip zero-weight terms; the reference adds every term.
-        field, _ = case
+        # The field drops zero weights; the reference keeps and adds them.
+        field, weights = case
         bounds = field.singleton_spread_bounds()
-        reference = singleton_spread_bounds_reference(field)
+        reference = singleton_spread_bounds_reference(
+            field_with_zeros(field.users, weights.items())
+        )
         assert list(bounds) == list(reference)
         assert [b.hex() for b in bounds.values()] == [b.hex() for b in reference.values()]
 
