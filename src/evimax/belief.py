@@ -10,7 +10,7 @@ conflict away.  Three primitives are provided:
 * :func:`jousselme_distance` -- subset-similarity-weighted distance in [0, 1].
 
 Everything here is a pure function over immutable values, so instances can be
-shared freely across workers.
+shared freely.
 """
 
 from __future__ import annotations

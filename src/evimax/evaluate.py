@@ -1,11 +1,13 @@
 """Seed-quality curves and side-by-side configuration comparison.
 
 A selection is judged by four accumulated statistics along its ranking:
-followers, mentions received, retweets received, and tweets authored.  The
-comparison runner computes the raw indicators and their normalization once
-and, config by config in one process, fuses the graph, builds the influence
-field and runs its CELF selection, then aligns the resulting curves in
-config order, mirroring the fixed-alpha versus estimated-alpha protocol.
+followers and tweets from the activity records, and the mentions and
+retweets received, which ``received_totals`` sums from the graph's counters.
+The comparison runner computes the raw indicators and their normalization
+once and, config by config in one process, fuses the graph, builds the
+influence field and runs its CELF selection, then aligns the resulting
+curves in config order, mirroring the fixed-alpha versus estimated-alpha
+protocol.
 """
 
 from __future__ import annotations
@@ -48,8 +50,19 @@ class ComparisonReport:
     entries: list[ReportEntry]
 
 
+def received_totals(g: SocialGraph) -> dict[str, list[int]]:
+    """Each user's ``[mentions, retweets]`` received on its out-edges, if either is nonzero."""
+    totals: dict[str, list[int]] = {}
+    for j, counts in enumerate((g.mentions, g.retweets)):
+        for (u, _), count in counts.items():
+            totals.setdefault(u, [0, 0])[j] += count
+    return totals
+
+
 def quality_curve(
-    selection: SeedSelection, activities: dict[str, UserActivity]
+    selection: SeedSelection,
+    activities: dict[str, UserActivity],
+    received: dict[str, list[int]],
 ) -> QualityCurve:
     """Accumulate the four statistics over the ranking; missing users count zero."""
     curve = QualityCurve([], [], [], [])
@@ -58,9 +71,10 @@ def quality_curve(
         record = activities.get(choice.user)
         if record is not None:
             follows += record.followers
-            mentions += record.mentions_received
-            retweets += record.retweets_received
             tweets += record.tweets
+        m, r = received.get(choice.user, (0, 0))
+        mentions += m
+        retweets += r
         curve.follows.append(follows)
         curve.mentions.append(mentions)
         curve.retweets.append(retweets)
@@ -79,18 +93,21 @@ def compare_configs(
     The configs run one after another, sharing one indicator prefix through
     ``fuse_configs``: each is fused, its field built and its CELF run before
     the next is fused, so one config's records and field are alive at a
-    time.  An error of a config's fusion, field build or CELF run names the
-    config, and the first failing config in config order stops the sweep.
+    time, beside the received totals summed once for the sweep.  An error of
+    a config's fusion, field build or CELF run names the config, and the
+    first failing config in config order stops the sweep.
     """
     k_eff = _effective_k(g.num_users(), k)
     if not configs:
         raise ValueError("at least one configuration is required")
     entries: list[ReportEntry] = []
+    received = received_totals(g)
     stream = fuse_configs(g, configs)
     for cfg in configs:
         try:
             selection = select_celf(InfluenceField.from_graph(next(stream)), k)
         except (FusionError, ValueError) as exc:
             raise EvaluationError(f"config {cfg.name}: {exc}") from exc
-        entries.append(ReportEntry(cfg.name, selection, quality_curve(selection, activities)))
+        curve = quality_curve(selection, activities, received)
+        entries.append(ReportEntry(cfg.name, selection, curve))
     return ComparisonReport(k_eff, entries)

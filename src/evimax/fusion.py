@@ -11,7 +11,7 @@ Reliability estimation follows "the farther from the others, the less
 reliable": with ``c`` the average distance, reliability is
 ``(1 - c**lam) ** (1/lam)``, a decreasing map of c for any ``lam > 0``.
 A ``ReliabilityConfig`` is either that per-edge estimate for one ``lam``
-or a fixed alpha shared by every indicator on every edge.
+or a fixed alpha shared by every indicator on every edge, with no ``lam``.
 
 One implementation of the pipeline lives here, on ``belief``'s
 ``MassFunction`` operators: ``indicator_bba``, ``estimate_reliabilities`` and
@@ -63,27 +63,31 @@ class ReliabilityConfig:
     With ``alpha`` set, the same constant reliability applies everywhere
     (``fixed``); with ``alpha`` None, one reliability per indicator per edge
     is estimated from pairwise BBA distances (``estimated``).  ``lam`` shapes
-    the distance-to-reliability map (best results around 5).  ``name`` is
-    the config's ``--configs`` token, and ``parse`` reads it back to an
-    equal config given the same ``lam``.
+    the distance-to-reliability map (best results around 5); a fixed config
+    checks a given ``lam``, then holds None, so configs are equal exactly
+    when they fuse alike.  ``name`` is the config's ``--configs`` token, and
+    ``parse`` reads it back to an equal config given the same ``lam`` (any
+    valid one for a fixed config).
     """
 
     alpha: float | None = None
-    lam: float = 5.0
+    lam: float | None = 5.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.lam < math.inf:
-            raise ValueError(f"lambda must be finite and positive, got {self.lam!r}")
+        if self.lam is not None or self.alpha is None:
+            if self.lam is None or not 0.0 < self.lam < math.inf:
+                raise ValueError(f"lambda must be finite and positive, got {self.lam!r}")
         if self.alpha is not None:
             if not 0.0 <= self.alpha <= 1.0:
                 raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
             if self.alpha == 0.0:
                 # -0.0 would print as "-0" in names and in dump-edges cells.
                 object.__setattr__(self, "alpha", 0.0)
+            object.__setattr__(self, "lam", None)
 
     @classmethod
-    def fixed(cls, alpha: float, lam: float = 5.0) -> "ReliabilityConfig":
-        return cls(alpha=alpha, lam=lam)
+    def fixed(cls, alpha: float) -> "ReliabilityConfig":
+        return cls(alpha=alpha)
 
     @classmethod
     def estimated(cls, lam: float = 5.0) -> "ReliabilityConfig":
@@ -91,17 +95,17 @@ class ReliabilityConfig:
 
     @classmethod
     def parse(cls, text: str, lam: float = 5.0) -> "ReliabilityConfig":
-        """Parse a config token: ``estimated`` or ``fixed:<alpha>``."""
+        """Parse ``estimated`` or ``fixed:<alpha>``; ``lam`` is checked for both."""
         token = text.strip()
         if token == "estimated":
-            return cls.estimated(lam=lam)
-        if token.startswith("fixed:"):
-            try:
-                alpha = float(token[len("fixed:"):])
-            except ValueError:
-                raise ValueError(f"bad fixed alpha in config token {text!r}") from None
-            return cls.fixed(alpha, lam=lam)
-        raise ValueError(f"bad config token {text!r}, expected 'estimated' or 'fixed:<alpha>'")
+            return cls(lam=lam)
+        if not token.startswith("fixed:"):
+            raise ValueError(f"bad config token {text!r}, expected 'estimated' or 'fixed:<alpha>'")
+        try:
+            alpha = float(token[len("fixed:"):])
+        except ValueError:
+            raise ValueError(f"bad fixed alpha in config token {text!r}") from None
+        return cls(alpha, lam)
 
     @property
     def name(self) -> str:

@@ -29,13 +29,14 @@ with ``csv.reader`` as one row per record, ids intact.
 
 A graph holds each user and each edge once: one ``str`` per user id and one
 tuple per edge, shared by the edge map, the mention/retweet counters and the
-activity records.  The undirected neighbour sets of the common-neighbour
+activity records, one per activity row (a user without a row reads as zero
+counts).  The undirected neighbour sets of the common-neighbour
 indicator exist only during a ``raw_indicators`` call, which returns the
 edges' indicator vectors as a list of distinct vectors and one vector id
 per edge, the column that fusion and the influence field share.
 
 Graph construction is single-writer; after loading, instances are treated as
-immutable and may be shared read-only across workers.
+immutable.
 """
 
 from __future__ import annotations
@@ -62,13 +63,11 @@ class UnknownUserError(ValueError):
 
 @dataclass(slots=True)
 class UserActivity:
-    """Per-user statistics feeding the seed-quality criteria."""
+    """One activity row: a user's tweets authored and followers."""
 
     user: str
     tweets: int = 0
     followers: int = 0
-    mentions_received: int = 0
-    retweets_received: int = 0
 
 
 class SocialGraph:
@@ -247,7 +246,8 @@ def load_graph(
 
     Only the edges file is required.  Mention/retweet rows naming pairs that
     are not follow edges create the edge; users appearing anywhere are added
-    to the graph, with zero activity unless the activity file says otherwise.
+    to the graph.  The activity map holds a record per user with an activity
+    row, in first-row order; any other user has none and reads as zero.
     """
     # One loop per file (see the module docstring).  utf-8-sig drops a
     # leading byte-order mark, which would otherwise be read into the first
@@ -297,9 +297,8 @@ def load_graph(
                 except ValueError as exc:  # a total beyond the float range
                     raise ParseError(path, rows.line_num, str(exc)) from None
 
-    # Each activity row makes its user's record, replacing an earlier row's;
-    # a user without a row gets zero counts once the file is read.
-    activities: dict[str, Any] = dict.fromkeys(g.users)
+    # Each activity row makes its user's record, replacing an earlier row's.
+    activities: dict[str, UserActivity] = {}
     if activity_path is not None:
         with open(activity_path, newline="", encoding="utf-8-sig") as handle:
             rows = _data_rows(handle, activity_path, ("user", "tweets", "followers"))
@@ -320,20 +319,7 @@ def load_graph(
                     _count(activity_path, rows.line_num, tweets, "tweets"),
                     _count(activity_path, rows.line_num, followers, "followers"),
                 )
-    for user, record in activities.items():
-        if record is None:
-            activities[user] = UserActivity(user)
-
-    add_received_totals(g, activities)
     return g, activities
-
-
-def add_received_totals(g: SocialGraph, activities: dict[str, UserActivity]) -> None:
-    """Add each edge's mention and retweet counts to its source's received totals."""
-    for (u, _), count in g.mentions.items():
-        activities[u].mentions_received += count
-    for (u, _), count in g.retweets.items():
-        activities[u].retweets_received += count
 
 
 def write_csv(
@@ -363,14 +349,7 @@ def write_graph(
     retweets_path: str | Path,
     activity_path: str | Path,
 ) -> None:
-    """Write a graph back to the four CSV formats accepted by load_graph."""
-
-    def activity_rows() -> Iterator[tuple[str, str, str]]:
-        idle = UserActivity("")  # the zero counts of a user with no record
-        for user in g.users:
-            record = activities.get(user, idle)
-            yield user, str(record.tweets), str(record.followers)
-
+    """Write a graph, and one activity row per record, in load_graph's four formats."""
     write_csv(edges_path, ("src", "dst"), g.edges())
     write_csv(
         mentions_path,
@@ -382,4 +361,5 @@ def write_graph(
         ("retweeter", "original_author", "count"),
         ((v, u, str(count)) for (u, v), count in g.retweets.items() if count > 0),
     )
-    write_csv(activity_path, ("user", "tweets", "followers"), activity_rows())
+    write_csv(activity_path, ("user", "tweets", "followers"),
+              ((r.user, str(r.tweets), str(r.followers)) for r in activities.values()))

@@ -14,7 +14,7 @@ import math
 import random
 from collections import Counter
 
-from .graph import SocialGraph, UserActivity, add_received_totals
+from .graph import SocialGraph, UserActivity
 
 MENTIONS_PER_FOLLOW = 20300 / 71027
 RETWEETS_PER_FOLLOW = 9789 / 71027
@@ -138,5 +138,4 @@ def generate_synthetic(
     for user in ids:
         tweets = int(rng.expovariate(1.0 / mean_tweets)) if mean_tweets > 0 else 0
         activities[user] = UserActivity(user, tweets=tweets, followers=followers[user])
-    add_received_totals(g, activities)
     return g, activities

@@ -28,7 +28,6 @@ from evimax.graph import (
     UnknownUserError,
     UserActivity,
     _count,
-    add_received_totals,
     raw_indicators,
 )
 from evimax.maximize import SeedChoice, SeedSelection, _effective_k, _SelectionState
@@ -154,7 +153,10 @@ def load_graph_reference(
     retweets_path: str | Path | None = None,
     activity_path: str | Path | None = None,
 ) -> tuple[SocialGraph, dict[str, UserActivity]]:
-    """``load_graph`` as one generator of stripped, width-checked rows per file."""
+    """``load_graph`` as one generator of stripped, width-checked rows per file.
+
+    As in ``load_graph``, only users with an activity row get a record.
+    """
     g = SocialGraph()
     for line, (src, dst) in _rows(edges_path, ("src", "dst")):
         if src == dst:
@@ -180,7 +182,7 @@ def load_graph_reference(
             except ValueError as exc:  # a total beyond the float range
                 raise ParseError(path, line, str(exc)) from None
 
-    activities = {user: UserActivity(user) for user in g.users}
+    activities: dict[str, UserActivity] = {}
     if activity_path is not None:
         for line, (user, tweets, followers) in _rows(
             activity_path, ("user", "tweets", "followers")
@@ -188,13 +190,9 @@ def load_graph_reference(
             if not user:
                 raise ParseError(activity_path, line, "empty user id")
             user = g.add_user(user)
-            record = activities.get(user)
-            if record is None:
-                record = activities[user] = UserActivity(user)
+            record = activities.setdefault(user, UserActivity(user))
             record.tweets = _count(activity_path, line, tweets, "tweets")
             record.followers = _count(activity_path, line, followers, "followers")
-
-    add_received_totals(g, activities)
     return g, activities
 
 

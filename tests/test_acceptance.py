@@ -17,7 +17,7 @@ from evimax.belief import (
     discount,
     jousselme_distance,
 )
-from evimax.evaluate import compare_configs, quality_curve
+from evimax.evaluate import compare_configs, quality_curve, received_totals
 from evimax.fusion import (
     EdgeBBASet,
     ReliabilityConfig,
@@ -249,7 +249,7 @@ def test_criterion_8_scale_check():
     influences = fuse_all(g, ReliabilityConfig.estimated(lam=5.0))
     field = InfluenceField.from_graph(influences)
     selection = select_celf(field, 50)
-    curve = quality_curve(selection, activities)
+    curve = quality_curve(selection, activities, received_totals(g))
     elapsed = time.perf_counter() - started
     monotone = all(
         all(a <= b for a, b in zip(series, series[1:]))

@@ -314,6 +314,8 @@ class TestEvaluate:
             ("estimated,fixed:1, estimated", "estimated", "estimated"),
             # A zero alpha is stored as +0.0, so -0 repeats fixed:0.
             ("fixed:0,fixed:-0", "fixed:-0", "fixed:0"),
+            # float() reads "0.2_5" as 0.25 (see TestConfigValueGrammar).
+            ("fixed:0.2_5,fixed:0.25", "fixed:0.25", "fixed:0.25"),
         ],
     )
     def test_repeated_config_exits_1(self, paths, capsys, sweep, token, name):
@@ -348,6 +350,57 @@ class TestEvaluate:
         run("evaluate", *input_flags(paths), "--k", "5", "--out", paths["out"])
         first = Path(paths["out"]).read_bytes()
         run("evaluate", *input_flags(paths), "--k", "5", "--out", paths["out"])
+        assert Path(paths["out"]).read_bytes() == first
+
+
+class TestConfigValueGrammar:
+    """Config values are read by Python's ``float()``.
+
+    Input-file counts are not: ``tests/test_graph.py``'s
+    ``test_count_must_be_ascii_digits`` rejects "1_000" and "１２" there.
+    """
+
+    def test_underscored_alpha_names_its_block_by_value(self, paths):
+        generate(paths)
+        assert run("evaluate", *input_flags(paths), "--k", "2",
+                   "--configs", "fixed:0.2_5,fixed:０.２", "--out", paths["out"]) == 0
+        with open(paths["out"], newline="", encoding="utf-8") as handle:
+            names = [row[0] for row in csv.reader(handle)][1:]
+        assert names == ["fixed:0.25"] * 2 + ["fixed:0.2"] * 2
+
+    def test_underscored_alpha_flag_runs_at_its_value(self, paths):
+        generate(paths)
+        outputs = []
+        for alpha in ("0.2_5", "0.25", "0.2"):
+            assert run("select", *input_flags(paths), "--alpha", alpha, "--k", "10",
+                       "--out", paths["out"]) == 0
+            outputs.append(Path(paths["out"]).read_bytes())
+        assert outputs[0] == outputs[1] != outputs[2]
+
+
+class TestActivityReachesOnlyIds:
+    """``select`` and ``dump-edges`` read the activity file only for its user ids."""
+
+    def test_dump_edges_ignores_the_activity_file(self, paths):
+        generate(paths, users="300", edges="700")
+        outputs = []
+        for flags in (input_flags(paths), input_flags(paths)[:-2]):
+            assert run("dump-edges", *flags, "--out", paths["out"]) == 0
+            outputs.append(Path(paths["out"]).read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flags", [["--k", "20"], ["--alpha", "0.2", "--k", "280"]])
+    def test_select_ignores_the_activity_counts(self, paths, flags):
+        generate(paths, users="300", edges="700")
+        assert run("select", *input_flags(paths), *flags, "--out", paths["out"]) == 0
+        first = Path(paths["out"]).read_bytes()
+        # Every tweets and followers count changes; the user ids stay.
+        with open(paths["activity"], newline="", encoding="utf-8") as handle:
+            header, *rows = csv.reader(handle)
+        rows = [(user, str(7 * int(t) + 1), str(3 * int(f) + 11)) for user, t, f in rows]
+        with open(paths["activity"], "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows([header, *rows])
+        assert run("select", *input_flags(paths), *flags, "--out", paths["out"]) == 0
         assert Path(paths["out"]).read_bytes() == first
 
 
@@ -447,6 +500,13 @@ class TestConfigBeforeInput:
             ("select", ["--lambda", "0"], "lambda must be finite and positive, got 0.0"),
             ("dump-edges", ["--alpha", "nan"], "alpha must lie in [0, 1], got nan"),
             ("evaluate", ["--configs", "bogus"], "bad config token 'bogus'"),
+            # A fixed config holds no lambda, but a given one is still checked.
+            ("select", ["--alpha", "0.2", "--lambda", "0"],
+             "lambda must be finite and positive, got 0.0"),
+            ("evaluate", ["--configs", "fixed:0.2", "--lambda", "-1"],
+             "lambda must be finite and positive, got -1.0"),
+            ("dump-edges", ["--alpha", "0", "--lambda", "inf"],
+             "lambda must be finite and positive, got inf"),
         ],
     )
     def test_missing_edges_file_is_not_read(self, paths, capsys, command, flags, message):

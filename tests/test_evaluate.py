@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from evimax.evaluate import EvaluationError, compare_configs, quality_curve
+from evimax.evaluate import EvaluationError, compare_configs, quality_curve, received_totals
 from evimax.fusion import ReliabilityConfig
 from evimax.graph import SocialGraph, UserActivity
 from evimax.maximize import InvalidKError, SeedChoice, SeedSelection
@@ -33,41 +33,50 @@ class TestQualityCurve:
             "u1": UserActivity("u1", tweets=1, followers=10),
             "u2": UserActivity("u2", tweets=2, followers=5),
         }
-        curve = quality_curve(selection_of("u1", "u2"), activities)
+        curve = quality_curve(selection_of("u1", "u2"), activities, {})
         assert curve.follows == [10, 15]
         assert curve.tweets == [1, 3]
 
     def test_zero_activity_gives_zero_curves(self):
         activities = {"u1": UserActivity("u1"), "u2": UserActivity("u2")}
-        curve = quality_curve(selection_of("u1", "u2"), activities)
+        curve = quality_curve(selection_of("u1", "u2"), activities, {})
         assert curve.follows == [0, 0]
         assert curve.mentions == [0, 0]
         assert curve.retweets == [0, 0]
         assert curve.tweets == [0, 0]
 
     def test_single_seed_criteria_order(self):
-        activities = {
-            "u1": UserActivity(
-                "u1", tweets=3, followers=7, mentions_received=2, retweets_received=1
-            )
-        }
-        curve = quality_curve(selection_of("u1"), activities)
+        activities = {"u1": UserActivity("u1", tweets=3, followers=7)}
+        curve = quality_curve(selection_of("u1"), activities, {"u1": [2, 1]})
         assert (curve.follows, curve.mentions, curve.retweets, curve.tweets) == (
             [7], [2], [1], [3]
         )
 
     def test_missing_activity_counts_zero(self):
-        curve = quality_curve(selection_of("ghost"), {})
-        assert curve.follows == [0]
+        curve = quality_curve(selection_of("ghost"), {}, {})
+        assert (curve.follows, curve.mentions, curve.retweets, curve.tweets) == (
+            [0], [0], [0], [0]
+        )
+
+    def test_received_and_activity_are_read_apart(self):
+        # u1 has received counts but no activity row, u2 the reverse.
+        activities = {"u2": UserActivity("u2", tweets=4, followers=6)}
+        curve = quality_curve(selection_of("u1", "u2"), activities, {"u1": [3, 5]})
+        assert (curve.follows, curve.mentions, curve.retweets, curve.tweets) == (
+            [0, 6], [3, 3], [5, 5], [0, 4]
+        )
 
     def test_truncated_selection_is_a_prefix(self):
         activities = {
             f"u{i}": UserActivity(f"u{i}", tweets=i, followers=2 * i) for i in range(6)
         }
         users = [f"u{i}" for i in range(6)]
-        full = quality_curve(selection_of(*users), activities)
-        half = quality_curve(selection_of(*users[:3]), activities)
+        received = {f"u{i}": [i, 3 * i] for i in range(6)}
+        full = quality_curve(selection_of(*users), activities, received)
+        half = quality_curve(selection_of(*users[:3]), activities, received)
         assert half.follows == full.follows[:3]
+        assert half.mentions == full.mentions[:3]
+        assert half.retweets == full.retweets[:3]
         assert half.tweets == full.tweets[:3]
 
     def test_curves_are_monotone(self):
@@ -81,6 +90,32 @@ class TestQualityCurve:
                 entry.curve.tweets,
             ):
                 assert all(a <= b for a, b in zip(series, series[1:]))
+
+
+class TestReceivedTotals:
+    def test_sums_each_source_over_its_out_edges(self):
+        g = SocialGraph()
+        g.add_edge("a", "b")
+        g.add_mentions("a", "b", 2)
+        g.add_mentions("a", "c", 3)
+        g.add_retweets("a", "c", 4)
+        g.add_retweets("b", "c", 1)
+        g.add_mentions("c", "a", 0)  # a zero count creates the edge only
+        assert received_totals(g) == {"a": [5, 4], "b": [0, 1]}
+
+    def test_curves_read_the_graph_counters(self):
+        # Every seed's mentions and retweets are its out-edges' counts.
+        g, activities = generate_synthetic(seed=28, n_users=60, n_edges=150)
+        report = compare_configs(g, activities, SWEEP, k=10)
+        for entry in report.entries:
+            mentions = retweets = 0
+            for i, user in enumerate(entry.selection.users()):
+                mentions += sum(n for (u, _), n in g.mentions.items() if u == user)
+                retweets += sum(n for (u, _), n in g.retweets.items() if u == user)
+                assert (entry.curve.mentions[i], entry.curve.retweets[i]) == (
+                    mentions, retweets
+                )
+            assert entry.curve.mentions[-1] > 0
 
 
 class TestCompareConfigs:

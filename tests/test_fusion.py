@@ -77,11 +77,34 @@ class TestReliabilityConfig:
             # A NaN alpha is set, not estimated.
             dict(alpha=float("nan")),
             dict(alpha=float("inf")),
+            # An estimated config needs a lambda, and a fixed one checks a given one.
+            dict(lam=None),
+            dict(alpha=0.2, lam=0.0),
+            dict(alpha=0.2, lam=float("nan")),
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ReliabilityConfig(**kwargs)
+
+    def test_fixed_holds_no_lambda(self):
+        cfg = ReliabilityConfig.fixed(0.2)
+        assert cfg.lam is None
+        assert ReliabilityConfig(alpha=0.2, lam=3.0) == cfg
+        assert ReliabilityConfig(alpha=0.2, lam=None) == cfg
+        assert ReliabilityConfig.estimated(lam=3.0) != ESTIMATED
+
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, exclude_min=True, allow_infinity=False) | st.sampled_from([5.0, 1e-300]),
+    )
+    def test_parse_reads_a_fixed_name_back_under_any_lambda(self, alpha, lam):
+        cfg = ReliabilityConfig.fixed(alpha)
+        assert ReliabilityConfig.parse(cfg.name, lam=lam) == cfg
+
+    def test_parse_checks_lambda_for_a_fixed_token(self):
+        with pytest.raises(ValueError, match="lambda must be finite and positive, got 0.0"):
+            ReliabilityConfig.parse("fixed:0.2", lam=0.0)
 
     def test_parse(self):
         assert ReliabilityConfig.parse("estimated") == ESTIMATED

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evimax.evaluate import received_totals
 from evimax.graph import (
     ParseError,
     SocialGraph,
@@ -108,9 +109,9 @@ class TestLoadGraph:
         assert g.retweets[("b", "c")] == 2
         assert activities["a"].tweets == 10
         assert activities["a"].followers == 100
-        assert activities["a"].mentions_received == 7
-        assert activities["b"].retweets_received == 2
-        assert activities["c"].tweets == 0
+        assert received_totals(g) == {"a": [7, 0], "b": [0, 2]}
+        # One record per activity row: c has none, and reads as zero.
+        assert list(activities) == ["a", "b"]
 
     def test_users_in_first_appearance_order(self, tmp_path):
         edges = write(tmp_path / "e.csv", "src,dst\nb,a\nc,a\na,b\nd,c\n")
@@ -127,7 +128,7 @@ class TestLoadGraph:
         g, activities = load_graph(edges, mentions)
         assert g.has_edge("q", "z")
         assert g.mentions[("q", "z")] == 3
-        assert activities["z"].tweets == 0  # dangling users get zero activity
+        assert activities == {}  # no activity file, so no user has a record
 
     def test_repeated_edge_row_keeps_the_first(self, tmp_path):
         # A repeated edge row, padded or not, is the same edge: it keeps the
@@ -146,7 +147,8 @@ class TestLoadGraph:
         g, activities = load_graph(edges, mentions, retweets)
         assert g.mentions == {("a", "b"): 5}
         assert g.retweets == {("a", "b"): 5}
-        assert (activities["a"].mentions_received, activities["a"].retweets_received) == (5, 5)
+        assert received_totals(g) == {"a": [5, 5]}
+        assert activities == {}
 
     def test_repeated_activity_row_replaces_the_earlier(self, tmp_path):
         edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
