@@ -28,7 +28,7 @@ import json
 import sys
 from typing import Sequence
 
-from .evaluate import EvaluationError, compare_configs
+from .evaluate import CURVE_COLUMNS, EvaluationError, compare_configs
 from .fusion import FusionError, ReliabilityConfig, fuse_all
 from .graph import INDICATOR_NAMES, load_graph, write_csv, write_graph
 from .maximize import select_celf
@@ -183,16 +183,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             raise ValueError(f"--configs: {token.strip()!r} repeats config {cfg.name}")
         configs.append(cfg)
     g, activities = load_graph(args.edges, args.mentions, args.retweets, args.activity)
-    report = compare_configs(g, activities, configs, args.k)
+    entries = compare_configs(g, activities, configs, args.k)
     write_csv(
         args.out,
-        ("config", "rank", "user",
-         "follows_acc", "mentions_acc", "retweets_acc", "tweets_acc"),
-        ((entry.name, str(choice.rank), choice.user, *map(str, counts))
-         for entry in report.entries
-         for choice, *counts in zip(entry.selection.choices, entry.curve.follows,
-                                    entry.curve.mentions, entry.curve.retweets,
-                                    entry.curve.tweets)),
+        ("config", "rank", "user", *CURVE_COLUMNS),
+        ((entry.name, str(choice.rank), choice.user, *map(str, row))
+         for entry in entries
+         for choice, row in zip(entry.selection.choices, entry.curve)),
     )
     return 0
 

@@ -1,23 +1,28 @@
 """Seed-quality curves and side-by-side configuration comparison.
 
-A selection is judged by four accumulated statistics along its ranking:
-followers and tweets from the activity records, and the mentions and
-retweets received, which ``received_totals`` sums from the graph's counters.
+A selection is judged by four accumulated statistics along its ranking, in
+``CURVE_COLUMNS`` order: followers and tweets from the activity records, and
+the mentions and retweets received, which ``received_totals`` sums from the
+graph's counters.  A curve is one row of running totals per rank, the rows
+that ``evaluate --out`` writes after each seed's config, rank and user.
 The comparison runner computes the raw indicators and their normalization
 once and, config by config in one process, fuses the graph, builds the
-influence field and runs its CELF selection, then aligns the resulting
-curves in config order, mirroring the fixed-alpha versus estimated-alpha
-protocol.
+influence field and runs its CELF selection, mirroring the fixed-alpha
+versus estimated-alpha protocol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .fusion import FusionError, ReliabilityConfig, fuse_configs
 from .graph import SocialGraph, UserActivity
 from .maximize import SeedSelection, _effective_k, select_celf
 from .spread import InfluenceField
+
+# The header of each curve row's cells, in the order a row holds them.
+CURVE_COLUMNS = ("follows_acc", "mentions_acc", "retweets_acc", "tweets_acc")
 
 
 class EvaluationError(RuntimeError):
@@ -25,29 +30,12 @@ class EvaluationError(RuntimeError):
 
 
 @dataclass
-class QualityCurve:
-    """Prefix sums of the four per-user statistics along a seed ranking."""
-
-    follows: list[int]
-    mentions: list[int]
-    retweets: list[int]
-    tweets: list[int]
-
-    def __len__(self) -> int:
-        return len(self.follows)
-
-
-@dataclass
 class ReportEntry:
+    """One config's seeds and, per rank, its ``CURVE_COLUMNS`` running totals."""
+
     name: str
     selection: SeedSelection
-    curve: QualityCurve
-
-
-@dataclass
-class ComparisonReport:
-    k: int
-    entries: list[ReportEntry]
+    curve: list[tuple[int, int, int, int]]
 
 
 def received_totals(g: SocialGraph) -> dict[str, list[int]]:
@@ -60,26 +48,23 @@ def received_totals(g: SocialGraph) -> dict[str, list[int]]:
 
 
 def quality_curve(
-    selection: SeedSelection,
+    users: Iterable[str],
     activities: dict[str, UserActivity],
     received: dict[str, list[int]],
-) -> QualityCurve:
-    """Accumulate the four statistics over the ranking; missing users count zero."""
-    curve = QualityCurve([], [], [], [])
+) -> list[tuple[int, int, int, int]]:
+    """One row of running ``CURVE_COLUMNS`` totals per ranked user; missing users add zero."""
+    rows = []
     follows = mentions = retweets = tweets = 0
-    for choice in selection.choices:
-        record = activities.get(choice.user)
+    for user in users:
+        record = activities.get(user)
         if record is not None:
             follows += record.followers
             tweets += record.tweets
-        m, r = received.get(choice.user, (0, 0))
+        m, r = received.get(user, (0, 0))
         mentions += m
         retweets += r
-        curve.follows.append(follows)
-        curve.mentions.append(mentions)
-        curve.retweets.append(retweets)
-        curve.tweets.append(tweets)
-    return curve
+        rows.append((follows, mentions, retweets, tweets))
+    return rows
 
 
 def compare_configs(
@@ -87,8 +72,8 @@ def compare_configs(
     activities: dict[str, UserActivity],
     configs: list[ReliabilityConfig],
     k: int,
-) -> ComparisonReport:
-    """Select k seeds under each configuration and align their curves.
+) -> list[ReportEntry]:
+    """Select k seeds under each configuration, with their curves, in config order.
 
     The configs run one after another, sharing one indicator prefix through
     ``fuse_configs``: each is fused, its field built and its CELF run before
@@ -97,7 +82,7 @@ def compare_configs(
     a config's fusion, field build or CELF run names the config, and the
     first failing config in config order stops the sweep.
     """
-    k_eff = _effective_k(g.num_users(), k)
+    _effective_k(g.num_users(), k)
     if not configs:
         raise ValueError("at least one configuration is required")
     entries: list[ReportEntry] = []
@@ -108,6 +93,6 @@ def compare_configs(
             selection = select_celf(InfluenceField.from_graph(next(stream)), k)
         except (FusionError, ValueError) as exc:
             raise EvaluationError(f"config {cfg.name}: {exc}") from exc
-        curve = quality_curve(selection, activities, received)
+        curve = quality_curve(selection.users(), activities, received)
         entries.append(ReportEntry(cfg.name, selection, curve))
-    return ComparisonReport(k_eff, entries)
+    return entries

@@ -167,26 +167,22 @@ def raw_indicators(
     by v, and retweets of u's content by v.  ``vectors`` lists each distinct
     vector once, in the order of its first edge in ``g.edges()``, and
     ``column[i]`` is the index into ``vectors`` of the i-th edge's vector.
-    The undirected neighbour sets exist only during this call, and are freed
-    before the column is built.
+    The undirected neighbour sets exist only during this call, and the
+    column is built in the one edge walk that counts common neighbours.
     """
     neighbors: dict[str, set[str]] = {user: set() for user in g.users}
     for u, v in g.edges():
         neighbors[u].add(v)
         neighbors[v].add(u)
-    # Most endpoints share no neighbour, so only the nonzero counts are kept.
-    common: dict[tuple[str, str], int] = {}
-    for edge in g.edges():
-        nu, nv = neighbors[edge[0]], neighbors[edge[1]]
-        if not nu.isdisjoint(nv):
-            common[edge] = len(nu & nv)
-    del neighbors
     mentions, retweets = g.mentions, g.retweets
     ids: dict[tuple[int, int, int], int] = {}
-    column = [
-        ids.setdefault((common.get(e, 0), mentions.get(e, 0), retweets.get(e, 0)), len(ids))
-        for e in g.edges()
-    ]
+    column: list[int] = []
+    for e in g.edges():
+        # Most endpoints share no neighbour, so the intersection is rarely built.
+        nu, nv = neighbors[e[0]], neighbors[e[1]]
+        common = 0 if nu.isdisjoint(nv) else len(nu & nv)
+        column.append(ids.setdefault((common, mentions.get(e, 0), retweets.get(e, 0)), len(ids)))
+    del neighbors
     # Each distinct count triple is converted once.  Counts above 2**53 can
     # round to one float triple; those ids are merged onto the first one.
     vectors: dict[tuple[float, float, float], int] = {}

@@ -249,11 +249,11 @@ def test_criterion_8_scale_check():
     influences = fuse_all(g, ReliabilityConfig.estimated(lam=5.0))
     field = InfluenceField.from_graph(influences)
     selection = select_celf(field, 50)
-    curve = quality_curve(selection, activities, received_totals(g))
+    curve = quality_curve(selection.users(), activities, received_totals(g))
     elapsed = time.perf_counter() - started
     monotone = all(
         all(a <= b for a, b in zip(series, series[1:]))
-        for series in (curve.follows, curve.mentions, curve.retweets, curve.tweets)
+        for series in zip(*curve)
     )
     report(
         8,
@@ -265,15 +265,16 @@ def test_criterion_8_scale_check():
 
 def test_criterion_9_estimated_alpha_beats_zero_alpha():
     g, activities = generate_synthetic(seed=2026, n_users=6000, n_edges=12000)
-    report_cfg = compare_configs(
+    entries = compare_configs(
         g,
         activities,
         [ReliabilityConfig.fixed(0.0), ReliabilityConfig.estimated(lam=5.0)],
         k=50,
     )
-    by_name = {entry.name: entry.curve for entry in report_cfg.entries}
-    fixed0 = by_name["fixed:0"].follows[-1]
-    estimated = by_name["estimated"].follows[-1]
+    # The first cell of a curve row is its accumulated follows.
+    by_name = {entry.name: entry.curve for entry in entries}
+    fixed0 = by_name["fixed:0"][-1][0]
+    estimated = by_name["estimated"][-1][0]
     report(
         9,
         "estimated-alpha accumulated follows at rank 50 >= fixed alpha=0 baseline",

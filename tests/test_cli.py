@@ -12,6 +12,7 @@ import pytest
 
 from evimax import cli, evaluate, synthetic
 from evimax.cli import main
+from evimax.graph import load_graph
 
 
 def run(*argv: str) -> int:
@@ -376,6 +377,26 @@ class TestConfigValueGrammar:
                        "--out", paths["out"]) == 0
             outputs.append(Path(paths["out"]).read_bytes())
         assert outputs[0] == outputs[1] != outputs[2]
+
+
+class TestIntegerFlagGrammar:
+    """Integer flags (``--k``, ``--users``, ``--n-edges``, ``--seed``) are read by ``int()``.
+
+    So they take "1_0" and fullwidth "３", which input-file counts reject.
+    """
+
+    @pytest.mark.parametrize("k, seeds", [("1_0", 10), ("３", 3)])
+    def test_select_k_runs_at_its_value(self, paths, k, seeds):
+        generate(paths)
+        assert run("select", *input_flags(paths), "--k", k, "--out", paths["out"]) == 0
+        lines = Path(paths["out"]).read_text().splitlines()
+        assert len(lines) == 1 + seeds
+
+    def test_generate_users_runs_at_its_value(self, paths):
+        generate(paths, users="1_00", edges="200")
+        g = load_graph(paths["edges"], paths["mentions"], paths["retweets"],
+                       paths["activity"])[0]
+        assert g.num_users() == 100
 
 
 class TestActivityReachesOnlyIds:

@@ -5,10 +5,16 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from evimax.evaluate import EvaluationError, compare_configs, quality_curve, received_totals
+from evimax.evaluate import (
+    CURVE_COLUMNS,
+    EvaluationError,
+    compare_configs,
+    quality_curve,
+    received_totals,
+)
 from evimax.fusion import ReliabilityConfig
 from evimax.graph import SocialGraph, UserActivity
-from evimax.maximize import InvalidKError, SeedChoice, SeedSelection
+from evimax.maximize import InvalidKError
 from evimax.spread import InfluenceField
 from evimax.synthetic import generate_synthetic
 from tests.helpers import synthetic_graphs
@@ -21,50 +27,34 @@ SWEEP = [
 ]
 
 
-def selection_of(*users: str) -> SeedSelection:
-    return SeedSelection(
-        [SeedChoice(i + 1, u, 1.0, float(i + 1)) for i, u in enumerate(users)]
-    )
-
-
 class TestQualityCurve:
     def test_prefix_sums_follow_ranking(self):
         activities = {
             "u1": UserActivity("u1", tweets=1, followers=10),
             "u2": UserActivity("u2", tweets=2, followers=5),
         }
-        curve = quality_curve(selection_of("u1", "u2"), activities, {})
-        assert curve.follows == [10, 15]
-        assert curve.tweets == [1, 3]
+        curve = quality_curve(["u1", "u2"], activities, {})
+        assert curve == [(10, 0, 0, 1), (15, 0, 0, 3)]
 
     def test_zero_activity_gives_zero_curves(self):
         activities = {"u1": UserActivity("u1"), "u2": UserActivity("u2")}
-        curve = quality_curve(selection_of("u1", "u2"), activities, {})
-        assert curve.follows == [0, 0]
-        assert curve.mentions == [0, 0]
-        assert curve.retweets == [0, 0]
-        assert curve.tweets == [0, 0]
+        curve = quality_curve(["u1", "u2"], activities, {})
+        assert curve == [(0, 0, 0, 0), (0, 0, 0, 0)]
 
     def test_single_seed_criteria_order(self):
         activities = {"u1": UserActivity("u1", tweets=3, followers=7)}
-        curve = quality_curve(selection_of("u1"), activities, {"u1": [2, 1]})
-        assert (curve.follows, curve.mentions, curve.retweets, curve.tweets) == (
-            [7], [2], [1], [3]
-        )
+        curve = quality_curve(["u1"], activities, {"u1": [2, 1]})
+        assert curve == [(7, 2, 1, 3)]
+        assert CURVE_COLUMNS == ("follows_acc", "mentions_acc", "retweets_acc", "tweets_acc")
 
     def test_missing_activity_counts_zero(self):
-        curve = quality_curve(selection_of("ghost"), {}, {})
-        assert (curve.follows, curve.mentions, curve.retweets, curve.tweets) == (
-            [0], [0], [0], [0]
-        )
+        assert quality_curve(["ghost"], {}, {}) == [(0, 0, 0, 0)]
 
     def test_received_and_activity_are_read_apart(self):
         # u1 has received counts but no activity row, u2 the reverse.
         activities = {"u2": UserActivity("u2", tweets=4, followers=6)}
-        curve = quality_curve(selection_of("u1", "u2"), activities, {"u1": [3, 5]})
-        assert (curve.follows, curve.mentions, curve.retweets, curve.tweets) == (
-            [0, 6], [3, 3], [5, 5], [0, 4]
-        )
+        curve = quality_curve(["u1", "u2"], activities, {"u1": [3, 5]})
+        assert curve == [(0, 3, 5, 0), (6, 3, 5, 4)]
 
     def test_truncated_selection_is_a_prefix(self):
         activities = {
@@ -72,24 +62,19 @@ class TestQualityCurve:
         }
         users = [f"u{i}" for i in range(6)]
         received = {f"u{i}": [i, 3 * i] for i in range(6)}
-        full = quality_curve(selection_of(*users), activities, received)
-        half = quality_curve(selection_of(*users[:3]), activities, received)
-        assert half.follows == full.follows[:3]
-        assert half.mentions == full.mentions[:3]
-        assert half.retweets == full.retweets[:3]
-        assert half.tweets == full.tweets[:3]
+        full = quality_curve(users, activities, received)
+        half = quality_curve(users[:3], activities, received)
+        assert len(full) == 6
+        assert half == full[:3]
 
     def test_curves_are_monotone(self):
         g, activities = generate_synthetic(seed=21, n_users=40, n_edges=100)
-        report = compare_configs(g, activities, SWEEP, k=10)
-        for entry in report.entries:
-            for series in (
-                entry.curve.follows,
-                entry.curve.mentions,
-                entry.curve.retweets,
-                entry.curve.tweets,
-            ):
-                assert all(a <= b for a, b in zip(series, series[1:]))
+        entries = compare_configs(g, activities, SWEEP, k=10)
+        for entry in entries:
+            series = list(zip(*entry.curve))
+            assert len(series) == 4
+            for column in series:
+                assert all(a <= b for a, b in zip(column, column[1:]))
 
 
 class TestReceivedTotals:
@@ -106,16 +91,14 @@ class TestReceivedTotals:
     def test_curves_read_the_graph_counters(self):
         # Every seed's mentions and retweets are its out-edges' counts.
         g, activities = generate_synthetic(seed=28, n_users=60, n_edges=150)
-        report = compare_configs(g, activities, SWEEP, k=10)
-        for entry in report.entries:
+        entries = compare_configs(g, activities, SWEEP, k=10)
+        for entry in entries:
             mentions = retweets = 0
             for i, user in enumerate(entry.selection.users()):
                 mentions += sum(n for (u, _), n in g.mentions.items() if u == user)
                 retweets += sum(n for (u, _), n in g.retweets.items() if u == user)
-                assert (entry.curve.mentions[i], entry.curve.retweets[i]) == (
-                    mentions, retweets
-                )
-            assert entry.curve.mentions[-1] > 0
+                assert entry.curve[i][1:3] == (mentions, retweets)
+            assert entry.curve[-1][1] > 0
 
 
 class TestCompareConfigs:
@@ -123,31 +106,44 @@ class TestCompareConfigs:
         # Zero reliability zeroes every influence value, so every candidate
         # gains exactly 1 and the tie-break picks ids in ascending order.
         g, activities = generate_synthetic(seed=22, n_users=30, n_edges=80)
-        report = compare_configs(
+        (entry,) = compare_configs(
             g, activities, [ReliabilityConfig.fixed(0.0)], k=5
         )
         expected = sorted(g.users)[:5]
-        assert report.entries[0].selection.users() == expected
+        assert entry.selection.users() == expected
         follows = [activities[u].followers for u in expected]
-        assert report.entries[0].curve.follows == [
+        assert [row[0] for row in entry.curve] == [
             sum(follows[: i + 1]) for i in range(5)
         ]
 
     def test_identical_configs_give_identical_curves(self):
         g, activities = generate_synthetic(seed=23, n_users=40, n_edges=110)
         cfgs = [ReliabilityConfig.estimated(), ReliabilityConfig.estimated()]
-        report = compare_configs(g, activities, cfgs, k=8)
-        first, second = report.entries
+        first, second = compare_configs(g, activities, cfgs, k=8)
         assert first.selection.users() == second.selection.users()
         assert first.curve == second.curve
 
     def test_k_is_honored(self):
         g, activities = generate_synthetic(seed=24, n_users=60, n_edges=150)
-        report = compare_configs(g, activities, SWEEP, k=12)
-        assert report.k == 12
-        for entry in report.entries:
+        entries = compare_configs(g, activities, SWEEP, k=12)
+        for entry in entries:
             assert len(entry.selection) == 12
             assert len(entry.curve) == 12
+
+    def test_k_above_the_user_count_ranks_every_user(self):
+        g, activities = generate_synthetic(seed=24, n_users=10, n_edges=20)
+        entries = compare_configs(g, activities, SWEEP, k=25)
+        assert len(entries) == len(SWEEP)
+        for entry in entries:
+            assert len(entry.selection) == g.num_users()
+            assert len(entry.curve) == g.num_users()
+            # Every user is ranked, so the last row sums every user's statistics.
+            assert entry.curve[-1] == (
+                sum(a.followers for a in activities.values()),
+                sum(g.mentions.values()),
+                sum(g.retweets.values()),
+                sum(a.tweets for a in activities.values()),
+            )
 
     def test_rejects_bad_k_and_empty_sweep(self):
         g, activities = generate_synthetic(seed=25, n_users=10, n_edges=20)
@@ -179,18 +175,16 @@ class TestCompareConfigs:
             ReliabilityConfig.estimated(lam=5.0),
             ReliabilityConfig.estimated(lam=2.0),
         ]
-        report = compare_configs(g, activities, cfgs, k=4)
-        singles = [compare_configs(g, activities, [cfg], k=4).entries[0] for cfg in cfgs]
-        assert report.entries == singles
+        entries = compare_configs(g, activities, cfgs, k=4)
+        singles = [compare_configs(g, activities, [cfg], k=4)[0] for cfg in cfgs]
+        assert entries == singles
 
     def test_deterministic(self):
         g, activities = generate_synthetic(seed=26, n_users=40, n_edges=100)
         r1 = compare_configs(g, activities, SWEEP, k=6)
         r2 = compare_configs(g, activities, SWEEP, k=6)
-        assert [e.selection.users() for e in r1.entries] == [
-            e.selection.users() for e in r2.entries
-        ]
-        assert [e.curve for e in r1.entries] == [e.curve for e in r2.entries]
+        assert [e.selection.users() for e in r1] == [e.selection.users() for e in r2]
+        assert [e.curve for e in r1] == [e.curve for e in r2]
 
 
 # Four configs whose fused records carry their alpha as every reliability.
@@ -248,6 +242,6 @@ class TestSweep:
 
     def test_deep_sweep_entry_equals_its_one_config_sweep(self):
         g, activities = generate_synthetic(seed=29, n_users=2000, n_edges=4000)
-        report = compare_configs(g, activities, SWEEP, k=1500)
-        assert [len(entry.selection) for entry in report.entries] == [1500] * 3
-        assert report.entries[1] == compare_configs(g, activities, SWEEP[1:2], k=1500).entries[0]
+        entries = compare_configs(g, activities, SWEEP, k=1500)
+        assert [len(entry.selection) for entry in entries] == [1500] * 3
+        assert entries[1] == compare_configs(g, activities, SWEEP[1:2], k=1500)[0]

@@ -1,4 +1,5 @@
-"""Repository tooling: the traced benchmark runner, the stdlib-only rule and unused helpers."""
+"""Repository tooling: the traced benchmark runner, the stdlib-only rule, CPU-count
+independence and unused helpers."""
 
 from __future__ import annotations
 
@@ -88,6 +89,26 @@ def test_package_imports_only_the_standard_library():
                 if top != "evimax" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}: {module}")
     assert foreign == []
+
+
+def test_package_reads_no_cpu_count():
+    # Every command runs in one process whatever CPUs it may use, so its
+    # output cannot depend on the CPU affinity mask.
+    names = {"sched_getaffinity", "cpu_count", "fork"}
+    found = []
+    for path in sorted((SRC / "evimax").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.split(".")[-1]
+            else:
+                continue
+            if name in names:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
 
 
 def test_every_private_helper_is_used_in_the_package():
