@@ -7,12 +7,6 @@ same inputs and flags, output files are byte-identical.  Every file is
 written by ``graph.write_csv``, so the ``--out`` files quote ids the way the
 input files do and read back with ``csv.reader`` one row per seed or edge.
 
-An optional JSON config file (``--config``) can supply any long-option
-value of the command it is given to, and nothing else.  Each value must be a
-JSON string or number and is parsed exactly as the flag's text would be, so
-``{"k": 2.0}`` is rejected like ``--k 2.0``.  Explicit flags always win
-(precedence: flag > file > the default that ``--help`` shows).
-
 Each command runs with the cyclic garbage collector paused.  The pipeline
 builds one object per user or edge and no reference cycles, so reference
 counting frees all of it, while the collector would re-walk every live
@@ -24,9 +18,8 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .evaluate import CURVE_COLUMNS, EvaluationError, compare_configs
 from .fusion import FusionError, ReliabilityConfig, fuse_all
@@ -43,31 +36,30 @@ _CONFIG_ERRORS = (FusionError, EvaluationError, ValueError, OSError)
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors reported on exit code 1, not 2."""
 
-    # Names where the text being parsed came from; set to the config file
-    # while its values are parsed.
-    source = ""
-
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {self.source}{message}", file=sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser and each command's own parser, by name."""
+def _build_parser() -> _Parser:
+    """The parser of every command; ``args.run(args)`` runs the one given."""
     parser = _Parser(prog="evimax", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, help: str, outputs: bool = False) -> _Parser:
+    def add_command(
+        name: str, help: str, run: Callable[[argparse.Namespace], int], outputs: bool = False
+    ) -> _Parser:
         p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         role = "output" if outputs else "input"
-        p.add_argument("--edges", help=f"edges CSV {role} (src,dst)")
-        p.add_argument("--mentions", help=f"mentions CSV {role}")
-        p.add_argument("--retweets", help=f"retweets CSV {role}")
-        p.add_argument("--activity", help=f"per-user activity CSV {role}")
-        p.add_argument("--config", help="JSON file of option values")
+        # generate writes all four files; the other commands read the edges
+        # file and any of the other three that is given.
+        p.add_argument("--edges", required=True, help=f"edges CSV {role} (src,dst)")
+        p.add_argument("--mentions", required=outputs, help=f"mentions CSV {role}")
+        p.add_argument("--retweets", required=outputs, help=f"retweets CSV {role}")
+        p.add_argument("--activity", required=outputs, help=f"per-user activity CSV {role}")
         if not outputs:
-            p.add_argument("--out", help="output file path")
+            p.add_argument("--out", required=True, help="output file path")
             p.add_argument("--lambda", dest="lam", type=float, default=5.0,
                            help="reliability shape parameter (default: %(default)s)")
         return p
@@ -82,7 +74,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                             "indicators fully contradict (conflict K >= 1 - 1e-12) "
                             "stops the run with exit 1 naming that edge")
 
-    p_gen = add_command("generate", "emit a synthetic four-file dataset", outputs=True)
+    p_gen = add_command("generate", "emit a synthetic four-file dataset", _cmd_generate,
+                        outputs=True)
     p_gen.add_argument("--users", type=int, default=1000,
                        help="number of users (default: %(default)s)")
     p_gen.add_argument("--n-edges", dest="n_edges", type=int, default=2000,
@@ -93,55 +86,18 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                             "may result (default: %(default)s)")
     p_gen.add_argument("--seed", type=int, default=42, help="RNG seed (default: %(default)s)")
 
-    p_sel = add_command("select", "select a top-k influencer seed set")
+    p_sel = add_command("select", "select a top-k influencer seed set", _cmd_select)
     add_alpha(p_sel)
     add_k(p_sel)
 
-    p_eval = add_command("evaluate", "compare reliability configurations")
+    p_eval = add_command("evaluate", "compare reliability configurations", _cmd_evaluate)
     add_k(p_eval)
     p_eval.add_argument("--configs", default="fixed:0,fixed:0.2,estimated",
                         help="comma-separated sweep of estimated and fixed:<alpha> "
                              "(default: %(default)s)")
 
-    add_alpha(add_command("dump-edges", "per-edge fusion diagnostics"))
-    return parser, sub.choices
-
-
-_KEY_ALIASES = {"lambda": "lam"}
-
-
-def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
-    """Parse the command line, then again over its ``--config`` file's values.
-
-    The file's values become string defaults of the command's own parser, so
-    the second parse converts and checks each one with the flag's own action,
-    and a flag on the command line still wins.  The keys allowed are the
-    command's own options: every option the command defines is an attribute
-    of the first parse's namespace.
-    """
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
-    if args.config is None:
-        return args
-    command = commands[args.command]
-    # The flags parsed once already, so every error from here on is the file's.
-    command.source = f"--config {args.config}: "
-    try:
-        with open(args.config, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError) as exc:
-        command.error(str(exc))
-    if not isinstance(data, dict):
-        command.error("top-level JSON object required")
-    known = vars(args).keys() - {"command", "config"}
-    for key, value in data.items():
-        name = _KEY_ALIASES.get(key.replace("-", "_"), key.replace("-", "_"))
-        if name not in known:
-            command.error(f"unknown option {key!r}")
-        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            command.error(f"{key!r} must be a JSON string or number, not {json.dumps(value)}")
-        command.set_defaults(**{name: str(value)})
-    return parser.parse_args(argv)
+    add_alpha(add_command("dump-edges", "per-edge fusion diagnostics", _cmd_dump_edges))
+    return parser
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -219,16 +175,6 @@ def _cmd_dump_edges(args: argparse.Namespace) -> int:
     return 0
 
 
-# Each command and the options it needs.  argparse's ``required`` would not
-# count a value that a config file supplies, so main checks these itself.
-_COMMANDS = {
-    "generate": (_cmd_generate, ("edges", "mentions", "retweets", "activity")),
-    "select": (_cmd_select, ("edges", "out")),
-    "evaluate": (_cmd_evaluate, ("edges", "out")),
-    "dump-edges": (_cmd_dump_edges, ("edges", "out")),
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
@@ -241,15 +187,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _run(argv: Sequence[str] | None) -> int:
     try:
-        args = _parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    command, required = _COMMANDS[args.command]
     try:
-        for name in required:
-            if getattr(args, name) is None:
-                raise ValueError(f"missing required option --{name}")
-        return command(args)
+        return args.run(args)
     except _CONFIG_ERRORS as exc:
         print(f"evimax {args.command}: error: {exc}", file=sys.stderr)
         return 1

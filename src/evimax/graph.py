@@ -19,7 +19,8 @@ replaces the earlier one.  ``load_graph`` reads each file in one loop over
 ``csv.reader``'s rows: a row of the file's width has its cells stripped in
 place and is skipped if all are empty, and a row of any other width is
 skipped if blank and rejected otherwise.  Every ``ParseError`` names the
-file and line.
+file, and the line unless the file is not UTF-8 (the text is decoded ahead
+of the rows, in chunks, so the bad byte's line is not known).
 
 This module owns the CSV dialect of all seven files evimax reads or writes:
 ``load_graph`` reads the four above, and ``write_csv`` writes them and the
@@ -43,16 +44,18 @@ from __future__ import annotations
 
 import csv
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Iterable, Iterator
 
 
 class ParseError(ValueError):
-    """A malformed input row, reported with its file and line number."""
+    """A malformed input file, reported with its file and, where known, line."""
 
-    def __init__(self, path: str | Path, line: int, message: str) -> None:
-        super().__init__(f"{path}:{line}: {message}")
+    def __init__(self, path: str | Path, line: int | None, message: str) -> None:
+        where = path if line is None else f"{path}:{line}"
+        super().__init__(f"{where}: {message}")
         self.path = str(path)
         self.line = line
 
@@ -196,15 +199,30 @@ def raw_indicators(
 # -- CSV files -------------------------------------------------------------
 
 
-def _data_rows(handle: TextIO, path: str | Path, header: tuple[str, ...]) -> Any:
-    """A ``csv.reader`` over ``handle`` positioned after its checked header."""
-    reader = csv.reader(handle)
-    first = next(reader, None)
-    if first is None:
-        raise ParseError(path, 1, f"missing header, expected {','.join(header)}")
-    if tuple(cell.strip() for cell in first) != header:
-        raise ParseError(path, 1, f"bad header {first!r}, expected {','.join(header)}")
-    return reader
+@contextmanager
+def _data_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[Any]:
+    """Open ``path`` and yield a ``csv.reader`` positioned after its checked header.
+
+    A ``csv.Error`` or a decoding error, from the header or from the rows the
+    ``with`` block reads, is raised as a ``ParseError``.  utf-8-sig drops a
+    leading byte-order mark, which would otherwise be read into the first
+    header cell.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise ParseError(path, 1, f"missing header, expected {','.join(header)}")
+            if tuple(cell.strip() for cell in first) != header:
+                raise ParseError(path, 1, f"bad header {first!r}, expected {','.join(header)}")
+            yield reader
+        except csv.Error as exc:
+            raise ParseError(path, reader.line_num, str(exc)) from None
+        except UnicodeDecodeError as exc:
+            # The text layer decodes ahead of the reader in chunks, so neither
+            # the reader's line nor the error's position is the bad byte's.
+            raise ParseError(path, None, f"not UTF-8 text ({exc.reason})") from None
 
 
 def _require_blank(path: str | Path, rows: Any, row: list[str], width: int) -> None:
@@ -245,13 +263,10 @@ def load_graph(
     to the graph.  The activity map holds a record per user with an activity
     row, in first-row order; any other user has none and reads as zero.
     """
-    # One loop per file (see the module docstring).  utf-8-sig drops a
-    # leading byte-order mark, which would otherwise be read into the first
-    # header cell.
+    # One loop per file (see the module docstring).
     g = SocialGraph()
     add_edge = g.add_edge
-    with open(edges_path, newline="", encoding="utf-8-sig") as handle:
-        rows = _data_rows(handle, edges_path, ("src", "dst"))
+    with _data_rows(edges_path, ("src", "dst")) as rows:
         for row in rows:
             if len(row) != 2:
                 _require_blank(edges_path, rows, row, 2)
@@ -272,8 +287,7 @@ def load_graph(
     ):
         if path is None:
             continue
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows = _data_rows(handle, path, header)
+        with _data_rows(path, header) as rows:
             for row in rows:
                 if len(row) != 3:
                     _require_blank(path, rows, row, 3)
@@ -296,8 +310,7 @@ def load_graph(
     # Each activity row makes its user's record, replacing an earlier row's.
     activities: dict[str, UserActivity] = {}
     if activity_path is not None:
-        with open(activity_path, newline="", encoding="utf-8-sig") as handle:
-            rows = _data_rows(handle, activity_path, ("user", "tweets", "followers"))
+        with _data_rows(activity_path, ("user", "tweets", "followers")) as rows:
             for row in rows:
                 if len(row) != 3:
                     _require_blank(activity_path, rows, row, 3)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import gc
-import json
 import re
 from pathlib import Path
 
@@ -52,6 +51,15 @@ def input_flags(paths) -> list[str]:
         "--retweets", paths["retweets"],
         "--activity", paths["activity"],
     ]
+
+
+# The options each command requires.
+REQUIRED = {
+    "generate": ("edges", "mentions", "retweets", "activity"),
+    "select": ("edges", "out"),
+    "evaluate": ("edges", "out"),
+    "dump-edges": ("edges", "out"),
+}
 
 
 class TestGenerate:
@@ -181,6 +189,19 @@ class TestSelect:
         assert code == 1
         assert "--edges" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, option",
+        [(command, option) for command, required in REQUIRED.items() for option in required],
+    )
+    def test_missing_required_option_exits_1(self, paths, capsys, command, option):
+        flags = [text for key in REQUIRED[command] if key != option
+                 for text in (f"--{key}", paths[key])]
+        code = run(command, *flags)
+        assert code == 1
+        assert (f"evimax {command}: error: the following arguments are required: --{option}"
+                in capsys.readouterr().err)
+        assert not any(paths["dir"].iterdir())  # neither --out nor a generated file
+
     def test_bad_k_exits_1(self, paths, capsys):
         generate(paths)
         code = run("select", *input_flags(paths), "--k", "0", "--out", paths["out"])
@@ -230,6 +251,35 @@ class TestSelect:
         assert code == 1
         assert "edges.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, row",
+        [("edges", "{long},u0001"), ("mentions", "u0001,{long},1")],
+        ids=["edges", "mentions"],
+    )
+    def test_field_beyond_the_csv_limit_exits_1_naming_file_and_line(
+        self, paths, capsys, kind, row
+    ):
+        generate(paths)
+        limit = csv.field_size_limit()
+        with open(paths[kind], "a", encoding="utf-8") as handle:
+            handle.write(row.format(long="x" * (limit + 1)) + "\n")
+        lines = Path(paths[kind]).read_text(encoding="utf-8").count("\n")
+        code = run("select", *input_flags(paths), "--out", paths["out"])
+        assert code == 1
+        message = f"{paths[kind]}:{lines}: field larger than field limit ({limit})"
+        assert capsys.readouterr().err == f"evimax select: error: {message}\n"
+        assert not (paths["dir"] / "out.csv").exists()
+
+    def test_non_utf8_file_exits_1_naming_it(self, paths, capsys):
+        generate(paths)
+        with open(paths["activity"], "ab") as handle:
+            handle.write(b"\xff,1,1\n")
+        code = run("select", *input_flags(paths), "--out", paths["out"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"evimax select: error: {paths['activity']}: not UTF-8 text (invalid start byte)\n"
+        )
+
     def test_underscored_count_exits_1_naming_file_and_line(self, paths, capsys):
         generate(paths)
         with open(paths["mentions"], "a", encoding="utf-8") as handle:
@@ -240,30 +290,6 @@ class TestSelect:
         assert f"mentions.csv:{lines}: count must be an integer, got '1_000'" in (
             capsys.readouterr().err
         )
-
-    def test_config_file_provides_defaults_flags_override(self, paths):
-        generate(paths)
-        cfg = paths["dir"] / "run.json"
-        cfg.write_text(json.dumps({"k": 2, "alpha": 0.2, "lambda": 4.0}))
-        run("select", *input_flags(paths), "--config", str(cfg), "--out", paths["out"])
-        assert len(Path(paths["out"]).read_text().splitlines()) == 3  # file k=2
-        run(
-            "select", *input_flags(paths), "--config", str(cfg), "--k", "4",
-            "--out", paths["out"],
-        )
-        assert len(Path(paths["out"]).read_text().splitlines()) == 5  # flag wins
-
-    def test_config_file_rejects_unknown_keys(self, paths, capsys):
-        generate(paths)
-        cfg = paths["dir"] / "run.json"
-        for key in ("kay", "threads"):
-            cfg.write_text(json.dumps({key: 2}))
-            code = run(
-                "select", *input_flags(paths), "--config", str(cfg), "--out", paths["out"]
-            )
-            assert code == 1
-            assert key in capsys.readouterr().err
-
 
 class TestEvaluate:
     def test_default_sweep_has_three_blocks(self, paths):
@@ -550,7 +576,11 @@ class TestUsage:
 
 
 class TestConfigFileKeys:
-    """A config file may set only the options of the command it is given to."""
+    """A command accepts only its own options: the keys a run is configured by.
+
+    Run settings come from flags alone (there is no config file), so an
+    option of another command is an unrecognized argument.
+    """
 
     @pytest.mark.parametrize(
         "command, key, value",
@@ -568,54 +598,44 @@ class TestConfigFileKeys:
         self, paths, capsys, command, key, value
     ):
         generate(paths, users="30", edges="60")
-        cfg = paths["dir"] / "run.json"
-        cfg.write_text(json.dumps({key: value}))
+        before = {path.name: path.read_bytes() for path in paths["dir"].iterdir()}
+        capsys.readouterr()
         extra = ["--users", "10", "--n-edges", "12"] if command == "generate" else [
             "--out", paths["out"]
         ]
-        code = run(command, *input_flags(paths), *extra, "--config", str(cfg))
+        code = run(command, *input_flags(paths), *extra, f"--{key}", str(value))
         assert code == 1
-        assert repr(key) in capsys.readouterr().err
+        assert f"error: unrecognized arguments: --{key} {value}" in capsys.readouterr().err
+        # Rejected while parsing: no file is written or rewritten.
+        assert {path.name: path.read_bytes() for path in paths["dir"].iterdir()} == before
 
     def test_each_command_reads_its_own_keys(self, paths):
-        cfg = paths["dir"] / "run.json"
-        files = {key: paths[key] for key in ("edges", "mentions", "retweets", "activity")}
-        cfg.write_text(json.dumps(
-            {**files, "users": 30, "n-edges": 60, "intensity": 2.0, "seed": 3}
-        ))
-        assert run("generate", "--config", str(cfg)) == 0
-        assert run(
-            "generate", *input_flags(paths), "--users", "30", "--n-edges", "60",
-            "--intensity", "2.0", "--seed", "3",
-        ) == 0
-        flagged = Path(paths["edges"]).read_bytes()
-        assert run("generate", "--config", str(cfg)) == 0
-        assert Path(paths["edges"]).read_bytes() == flagged
+        own = ["--users", "30", "--n-edges", "60", "--intensity", "2.0", "--seed", "3"]
+        assert run("generate", *input_flags(paths), *own) == 0
+        first = Path(paths["edges"]).read_bytes()
+        assert run("generate", *input_flags(paths), *own) == 0
+        assert Path(paths["edges"]).read_bytes() == first
 
-        cfg.write_text(json.dumps(
-            {**files, "out": paths["out"], "k": 3, "lambda": 4.0,
-             "configs": "fixed:0.2,estimated"}
-        ))
-        assert run("evaluate", "--config", str(cfg)) == 0
+        assert run(
+            "evaluate", *input_flags(paths), "--out", paths["out"], "--k", "3",
+            "--lambda", "4.0", "--configs", "fixed:0.2,estimated",
+        ) == 0
         assert len(Path(paths["out"]).read_text().splitlines()) == 1 + 2 * 3
 
-        cfg.write_text(json.dumps({**files, "out": paths["out"], "alpha": 0.2}))
-        assert run("dump-edges", "--config", str(cfg)) == 0
+        assert run(
+            "dump-edges", *input_flags(paths), "--out", paths["out"], "--alpha", "0.2"
+        ) == 0
         rows = Path(paths["out"]).read_text().splitlines()[1:]
         assert rows and all(row.split(",")[5] == "0.200000" for row in rows)
 
 
-# Every option of every command but --config, with a value unlike its
-# default; None marks a path, filled in from the ``paths`` fixture.
+# Every option of every command.
 OPTIONS = {
-    "generate": {"edges": None, "mentions": None, "retweets": None, "activity": None,
-                 "users": 40, "n-edges": 90, "intensity": 1.5, "seed": 7},
-    "select": {"edges": None, "mentions": None, "retweets": None, "activity": None,
-               "out": None, "lambda": 2.5, "alpha": 0.30000000000000004, "k": 7},
-    "evaluate": {"edges": None, "mentions": None, "retweets": None, "activity": None,
-                 "out": None, "lambda": 0.7, "k": 4, "configs": "fixed:0.5,estimated"},
-    "dump-edges": {"edges": None, "mentions": None, "retweets": None, "activity": None,
-                   "out": None, "lambda": 2.5, "alpha": 0.30000000000000004},
+    "generate": {"edges", "mentions", "retweets", "activity",
+                 "users", "n-edges", "intensity", "seed"},
+    "select": {"edges", "mentions", "retweets", "activity", "out", "lambda", "alpha", "k"},
+    "evaluate": {"edges", "mentions", "retweets", "activity", "out", "lambda", "k", "configs"},
+    "dump-edges": {"edges", "mentions", "retweets", "activity", "out", "lambda", "alpha"},
 }
 DEFAULTS = {
     "generate": {"users": "1000", "n-edges": "2000", "intensity": "1.0", "seed": "42"},
@@ -626,29 +646,7 @@ DEFAULTS = {
 
 
 class TestOneOptionPath:
-    """A config-file value goes through the same argparse action as the flag."""
-
-    @pytest.mark.parametrize(
-        "command, option",
-        [(command, option) for command, options in OPTIONS.items() for option in options],
-    )
-    def test_file_value_gives_the_flag_output(self, paths, command, option):
-        generate(paths, users="40", edges="90")
-        options = {key: paths[key] if value is None else value
-                   for key, value in OPTIONS[command].items()}
-        written = ["out"] if "out" in options else ["edges", "mentions", "retweets", "activity"]
-
-        def run_with(opts, *extra) -> dict:
-            flags = [text for key, value in opts.items() for text in (f"--{key}", str(value))]
-            assert run(command, *flags, *extra) == 0
-            return {key: Path(paths[key]).read_bytes() for key in written}
-
-        expected = run_with(options)
-        value = options.pop(option)
-        cfg = paths["dir"] / "run.json"
-        for file_value in {value, str(value)}:  # a JSON number and its text
-            cfg.write_text(json.dumps({option: file_value}))
-            assert run_with(options, "--config", str(cfg)) == expected
+    """Each option is read by argparse alone: its value, its check, its help."""
 
     @pytest.mark.parametrize(
         "command, config",
@@ -666,23 +664,18 @@ class TestOneOptionPath:
         ],
     )
     def test_bad_value_exits_1_naming_key_and_file(self, paths, capsys, command, config):
+        # The value is given as the flag's text; the error names the flag
+        # (or, for --configs, quotes the bad token) and no output file is
+        # written.
         generate(paths, users="30", edges="60")
         capsys.readouterr()
-        cfg = paths["dir"] / "run.json"
-        cfg.write_text(json.dumps(config))
+        (key, value), = config.items()
         extra = [] if command == "generate" else ["--out", paths["out"]]
-        code = run(command, *input_flags(paths), *extra, "--config", str(cfg))
+        code = run(command, *input_flags(paths), *extra, f"--{key}", str(value))
         assert code == 1
         error = capsys.readouterr().err.splitlines()[-1]
-        prefix = f"evimax {command}: error: --config {cfg}: "
-        assert error.startswith(prefix)
-        (key, value), = config.items()
-        assert f"--{key}" in error or repr(key) in error
-        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
-            # Parsed like the flag's text, so it fails with the flag's message.
-            assert run(command, *input_flags(paths), *extra, f"--{key}", str(value)) == 1
-            flag_error = capsys.readouterr().err.splitlines()[-1]
-            assert flag_error == f"evimax {command}: error: " + error[len(prefix):]
+        assert error.startswith(f"evimax {command}: error: ")
+        assert f"argument --{key}: invalid" in error or repr(str(value)) in error
         if extra:
             assert not (paths["dir"] / "out.csv").exists()
 
@@ -690,7 +683,7 @@ class TestOneOptionPath:
     def test_help_lists_every_option_and_shows_defaults(self, capsys, command):
         assert run(command, "--help") == 0
         text = " ".join(capsys.readouterr().out.split())
-        assert set(re.findall(r"--([a-z][a-z-]*)", text)) == {*OPTIONS[command], "help", "config"}
+        assert set(re.findall(r"--([a-z][a-z-]*)", text)) == {*OPTIONS[command], "help"}
         for option, default in DEFAULTS[command].items():
             assert re.search(rf"--{option} \S+ (?:(?!--).)*\(default: {re.escape(default)}\)", text)
 
@@ -752,7 +745,7 @@ class TestNoReferenceCycles:
         gc.collect()
         gc.disable()
         try:
-            cli._parse_args(argv)
+            cli._build_parser().parse_args(argv)
             parsing = gc.collect()
             assert main(argv) == code
             assert gc.collect() == parsing

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import random
 import sys
 from collections import Counter
@@ -239,6 +240,41 @@ class TestLoadGraph:
             load_graph(edges, retweets_path=retweets)
         assert (err.value.path, err.value.line) == (retweets, 4)
         assert "largest float" in str(err.value)
+
+    # The reader's field limit raises csv.Error, reported like a bad row.
+    @pytest.mark.parametrize(
+        "kind, template, line",
+        [
+            ("edges", "src,{long}\na,b\n", 1),
+            ("edges", "src,dst\na,b\n{long},b\n", 3),
+            ("mentions", "mentioner,mentioned,count\nb,a,1\nb,{long},2\n", 3),
+        ],
+        ids=["edges-header", "edges-row", "mentions-row"],
+    )
+    def test_field_beyond_the_csv_limit_reports_file_and_line(
+        self, tmp_path, kind, template, line
+    ):
+        limit = csv.field_size_limit()
+        paths = {"edges": write(tmp_path / "e.csv", "src,dst\na,b\n")}
+        paths[kind] = write(tmp_path / f"{kind}.csv", template.format(long="x" * (limit + 1)))
+        with pytest.raises(ParseError) as err:
+            load_graph(paths["edges"], paths.get("mentions"))
+        assert (err.value.path, err.value.line) == (paths[kind], line)
+        assert str(err.value) == f"{paths[kind]}:{line}: field larger than field limit ({limit})"
+
+    # The bad byte is in the header, in the first 8 KiB, or beyond them.
+    @pytest.mark.parametrize("rows_before", [None, 0, 2000])
+    def test_non_utf8_file_is_named_without_a_line(self, tmp_path, rows_before):
+        if rows_before is None:
+            text = b"src,d\xffst\na,b\n"
+        else:
+            text = b"src,dst\n" + b"a,b\n" * rows_before + b"c\xff,d\n"
+        edges = tmp_path / "e.csv"
+        edges.write_bytes(text)
+        with pytest.raises(ParseError) as err:
+            load_graph(edges)
+        assert err.value.line is None
+        assert str(err.value) == f"{edges}: not UTF-8 text (invalid start byte)"
 
     @pytest.mark.parametrize("kind", range(4), ids=("edges", "mentions", "retweets", "activity"))
     def test_utf8_bom_accepted(self, dataset, tmp_path, kind):
