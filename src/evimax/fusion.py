@@ -6,6 +6,8 @@ complement on {passive}); estimate each indicator's reliability from its
 average Jousselme distance to the other indicators on the same edge; discount
 each BBA by its own reliability; combine everything with Dempster's rule.
 The influence of u over v is then the combined mass on {influencer}.
+The indicators stay integer counts, so a normalized value is one correctly
+rounded division of the exact counts, above 2**53 too.
 
 Reliability estimation follows "the farther from the others, the less
 reliable": with ``c`` the average distance, reliability is
@@ -144,7 +146,7 @@ class EdgeInfluence:
     reliabilities: tuple[float, ...]
 
 
-def _bounds(vectors: list[tuple[float, ...]]) -> tuple[tuple[float, float], ...]:
+def _bounds(vectors: list[tuple[int, ...]]) -> tuple[tuple[int, int], ...]:
     """Each indicator's (min, max) over the vectors; ``()`` for none."""
     return tuple((min(col), max(col)) for col in zip(*vectors))
 
@@ -234,8 +236,8 @@ def fuse_edge(ebs: EdgeBBASet) -> EdgeInfluence:
 
 
 def _edge_bba_set(
-    vec: tuple[float, ...],
-    bounds: tuple[tuple[float, float], ...],
+    vec: tuple[int, ...],
+    bounds: tuple[tuple[int, int], ...],
     cfg: ReliabilityConfig,
 ) -> EdgeBBASet:
     """The ``EdgeBBASet`` of a raw indicator vector."""
@@ -259,9 +261,6 @@ class FusedEdges:
     graph: SocialGraph
     column: list[int]
     records: list[EdgeInfluence]
-
-    def __len__(self) -> int:
-        return len(self.column)
 
     def per_edge(self, values: Sequence[Any]) -> Iterator[tuple[tuple[str, str], Any]]:
         """Each edge of ``graph.edges()`` with ``values`` at its vector id, in edge order."""
@@ -305,13 +304,11 @@ def fuse_configs(
     vectors, column = raw_indicators(g)
     bounds = _bounds(vectors)
     for cfg in configs:
-        # Each distinct raw vector is fused once (see the module docstring).
-        # Equal vectors are identical inputs to fuse_edge: the raw values are
-        # float(int) of nonnegative counts, so there is no -0.0 (equal to 0.0
-        # but not bitwise) and no NaN (never equal to itself).  Vectors are
-        # fused in the order of their first edges, so the first that fails is
-        # the one a per-edge run would meet first, and the error names its
-        # first edge.
+        # Each distinct raw vector is fused once (see the module docstring):
+        # the vectors are int triples, so equal ones are identical inputs to
+        # fuse_edge.  Vectors are fused in the order of their first edges, so
+        # the first that fails is the one a per-edge run would meet first,
+        # and the error names its first edge.
         records: list[EdgeInfluence] = []
         for vec in vectors:
             try:

@@ -13,14 +13,18 @@ blank lines ignored, cells stripped of surrounding whitespace):
 * retweets   -- ``retweeter,original_author,count``(edge: author -> retweeter)
 * activity   -- ``user,tweets,followers``
 
-A repeated edge row is the same edge and keeps its first place; repeated
-mention or retweet rows of one pair are summed; a repeated activity row
-replaces the earlier one.  ``load_graph`` reads each file in one loop over
-``csv.reader``'s rows: a row of the file's width has its cells stripped in
-place and is skipped if all are empty, and a row of any other width is
-skipped if blank and rejected otherwise.  Every ``ParseError`` names the
-file, and the line unless the file is not UTF-8 (the text is decoded ahead
-of the rows, in chunks, so the bad byte's line is not known).
+Every count, tweets and followers included, and every edge's summed mention
+or retweet total is at most ``int(sys.float_info.max)`` (309 digits):
+``evaluate`` prints sums of counts, and the bound keeps each far below the
+4,300 digits ``str(int)`` converts.  A repeated edge row is the same edge and
+keeps its first place; repeated mention or retweet rows of one pair are
+summed; a repeated activity row replaces the earlier one.  ``load_graph``
+reads each file in one loop over ``csv.reader``'s rows: a row of the
+file's width has its cells stripped in place and is skipped if all are
+empty, and a row of any other width is skipped if blank and rejected
+otherwise.  Every ``ParseError`` names the file, and the line unless the
+file is not UTF-8 (the text is decoded ahead of the rows, in chunks, so the
+bad byte's line is not known).
 
 This module owns the CSV dialect of all seven files evimax reads or writes:
 ``load_graph`` reads the four above, and ``write_csv`` writes them and the
@@ -33,8 +37,9 @@ tuple per edge, shared by the edge map, the mention/retweet counters and the
 activity records, one per activity row (a user without a row reads as zero
 counts).  The undirected neighbour sets of the common-neighbour
 indicator exist only during a ``raw_indicators`` call, which returns the
-edges' indicator vectors as a list of distinct vectors and one vector id
-per edge, the column that fusion and the influence field share.
+edges' indicator vectors, the integer count triples, as a list of distinct
+vectors and one vector id per edge, the column that fusion and the
+influence field share.
 
 Graph construction is single-writer; after loading, instances are treated as
 immutable.
@@ -48,6 +53,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
+
+# The largest count or summed total a graph holds (see the module docstring).
+_LARGEST_COUNT = int(sys.float_info.max)
+_LARGEST_DIGITS = len(str(_LARGEST_COUNT))
 
 
 class ParseError(ValueError):
@@ -130,9 +139,8 @@ class SocialGraph:
         edge = self.add_edge(src, dst)
         if count:
             total = counts.get(edge, 0) + count
-            # raw_indicators reads a count as a float, so an edge's total
-            # must stay within the float range.
-            if total > sys.float_info.max:
+            # The loader's bound on every count (see the module docstring).
+            if total > _LARGEST_COUNT:
                 raise ValueError(
                     f"{verb} total of {src!r} by {dst!r} exceeds the "
                     f"largest float ({sys.float_info.max:g})"
@@ -154,16 +162,13 @@ class SocialGraph:
     def num_users(self) -> int:
         return len(self._users)
 
-    def num_edges(self) -> int:
-        return len(self._edges)
-
 
 INDICATOR_NAMES = ("common_neighbors", "mentions", "retweets")
 
 
 def raw_indicators(
     g: SocialGraph,
-) -> tuple[list[tuple[float, float, float]], list[int]]:
+) -> tuple[list[tuple[int, int, int]], list[int]]:
     """Raw indicator vectors of the edges, as distinct vectors and an id column.
 
     For edge (u, v) the vector is: common neighbors of u and v, mentions of u
@@ -185,15 +190,7 @@ def raw_indicators(
         nu, nv = neighbors[e[0]], neighbors[e[1]]
         common = 0 if nu.isdisjoint(nv) else len(nu & nv)
         column.append(ids.setdefault((common, mentions.get(e, 0), retweets.get(e, 0)), len(ids)))
-    del neighbors
-    # Each distinct count triple is converted once.  Counts above 2**53 can
-    # round to one float triple; those ids are merged onto the first one.
-    vectors: dict[tuple[float, float, float], int] = {}
-    merged = [vectors.setdefault((float(c), float(m), float(r)), len(vectors))
-              for c, m, r in ids]
-    if len(vectors) < len(merged):
-        column = [merged[i] for i in column]
-    return list(vectors), column
+    return list(ids), column
 
 
 # -- CSV files -------------------------------------------------------------
@@ -235,19 +232,27 @@ _DIGITS = "0123456789"
 
 
 def _count(path: str | Path, line: int, text: str, column: str) -> int:
-    """Read a count: one or more ASCII decimal digits and nothing else.
+    """Read a count: one or more ASCII decimal digits and nothing else, at most the bound.
 
     ``int`` alone would also read "1_000", "+3", "-0" and non-ASCII digits
     such as fullwidth "１２".
     """
     if text and not text.lstrip(_DIGITS):
-        try:
+        # A count with fewer digits than the bound is below it.  Any other
+        # is checked without its leading zeros, so int(), which refuses over
+        # 4,300 digits, never sees more than the bound's.
+        if len(text) < _LARGEST_DIGITS:
             return int(text)
-        except ValueError:  # more digits than int() converts
-            pass
+        digits = text.lstrip("0") or "0"
+        if len(digits) <= _LARGEST_DIGITS and (value := int(digits)) <= _LARGEST_COUNT:
+            return value
+        problem = f"exceeds the largest float ({sys.float_info.max:g})"
     elif text[:1] == "-" and text[1:].strip("0") and not text[1:].lstrip(_DIGITS):
-        raise ParseError(path, line, f"{column} must be nonnegative, got {text}")
-    raise ParseError(path, line, f"{column} must be an integer, got {text!r}")
+        problem = "must be nonnegative"
+    else:
+        problem = "must be an integer"
+    shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+    raise ParseError(path, line, f"{column} {problem}, got {shown}")
 
 
 def load_graph(
@@ -304,7 +309,7 @@ def load_graph(
                 count = _count(path, rows.line_num, text, "count")
                 try:
                     add(target, actor, count)
-                except ValueError as exc:  # a total beyond the float range
+                except ValueError as exc:  # a total beyond the count bound
                     raise ParseError(path, rows.line_num, str(exc)) from None
 
     # Each activity row makes its user's record, replacing an earlier row's.

@@ -67,10 +67,6 @@ class SeedSelection:
     def users(self) -> list[str]:
         return [c.user for c in self.choices]
 
-    @property
-    def final_sigma(self) -> float:
-        return self.choices[-1].cumulative_sigma if self.choices else 0.0
-
     def __len__(self) -> int:
         return len(self.choices)
 

@@ -3,7 +3,7 @@
 The package holds only the pipeline that ``select``, ``evaluate`` and
 ``dump-edges`` run.  What exists only to check it lives here: subset-indexed
 views of a mass function, graph equality and common neighbours read off the
-public user and edge lists, the raw indicators converted edge by edge, the
+public user and edge lists, the raw indicators read edge by edge, the
 fused BBA of a record, the literal per-user influence, a field that keeps
 its zero weights, the singleton spread bounds with every zero-weight term
 added, the naive and exhaustive seed selections, and the row-by-row CSV
@@ -72,6 +72,10 @@ def require_user(g: SocialGraph, user: str) -> None:
         raise UnknownUserError(f"unknown user: {user!r}")
 
 
+def num_edges(g: SocialGraph) -> int:
+    return sum(1 for _ in g.edges())
+
+
 def same_graph(a: SocialGraph, b: SocialGraph) -> bool:
     """Same users, edges and counters, in any insertion order."""
     return (
@@ -99,18 +103,16 @@ def common_neighbors(g: SocialGraph, u: str, v: str) -> int:
 
 def raw_indicators_reference(
     g: SocialGraph,
-) -> tuple[list[tuple[float, float, float]], list[int]]:
-    """``raw_indicators`` keyed edge by edge by the float triple itself.
+) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """``raw_indicators`` keyed edge by edge by the int triple itself.
 
-    The vectors are converted per edge and numbered in first-edge order, so
-    distinct counts that read as one float triple share a vector by
-    construction.
+    The vectors are read per edge, common neighbours off the edge list, and
+    numbered in first-edge order.
     """
-    ids: dict[tuple[float, float, float], int] = {}
+    ids: dict[tuple[int, int, int], int] = {}
     column = [
         ids.setdefault(
-            (float(common_neighbors(g, u, v)), float(g.mentions.get((u, v), 0)),
-             float(g.retweets.get((u, v), 0))),
+            (common_neighbors(g, u, v), g.mentions.get((u, v), 0), g.retweets.get((u, v), 0)),
             len(ids),
         )
         for u, v in g.edges()
@@ -118,7 +120,7 @@ def raw_indicators_reference(
     return list(ids), column
 
 
-def indicator_map(g: SocialGraph) -> dict[tuple[str, str], tuple[float, float, float]]:
+def indicator_map(g: SocialGraph) -> dict[tuple[str, str], tuple[int, int, int]]:
     """``raw_indicators`` as one vector per edge, keyed by the graph's edges in order."""
     vectors, column = raw_indicators(g)
     return {edge: vectors[i] for edge, i in zip(g.edges(), column)}
@@ -179,7 +181,7 @@ def load_graph_reference(
             count = _count(path, line, text, "count")
             try:
                 add(target, actor, count)
-            except ValueError as exc:  # a total beyond the float range
+            except ValueError as exc:  # a total beyond the count bound
                 raise ParseError(path, line, str(exc)) from None
 
     activities: dict[str, UserActivity] = {}
@@ -327,6 +329,11 @@ def select_greedy_naive(influence_field: InfluenceField, k: int) -> SeedSelectio
         cumulative = state.commit(u, -neg_gain)
         choices.append(SeedChoice(len(choices) + 1, u, -neg_gain, cumulative))
     return SeedSelection(choices, gain_evaluations=state.evaluations)
+
+
+def final_sigma(selection: SeedSelection) -> float:
+    """The spread of the whole selection: the last cumulative sigma, 0 for none."""
+    return selection.choices[-1].cumulative_sigma if selection.choices else 0.0
 
 
 def select_exhaustive(influence_field: InfluenceField, k: int) -> set[str]:

@@ -291,7 +291,39 @@ class TestSelect:
             capsys.readouterr().err
         )
 
+    def test_count_beyond_the_bound_exits_1_showing_a_short_cell(self, paths, capsys):
+        generate(paths)
+        with open(paths["mentions"], "a", encoding="utf-8") as handle:
+            handle.write("u0001,u0002," + "9" * 5000 + "\n")
+        lines = Path(paths["mentions"]).read_text(encoding="utf-8").count("\n")
+        code = run("select", *input_flags(paths), "--out", paths["out"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"evimax select: error: {paths['mentions']}:{lines}: count exceeds the "
+            f"largest float (1.79769e+308), got {'9' * 20!r}... (5000 characters)\n"
+        )
+        assert not (paths["dir"] / "out.csv").exists()
+
+
 class TestEvaluate:
+    def test_followers_beyond_the_bound_exit_1_before_any_output(self, paths, capsys):
+        # Three 4,300-digit counts convert one by one, but their sum has more
+        # digits than str() converts, so the bound stops them at loading.
+        generate(paths, users="40", edges="90")
+        huge = "9" * 4300
+        Path(paths["activity"]).write_text(
+            f"user,tweets,followers\nu0000,1,{huge}\nu0001,1,{huge}\nu0002,1,{huge}\n",
+            encoding="utf-8",
+        )
+        code = run("evaluate", *input_flags(paths), "--configs", "fixed:0.2", "--k", "3",
+                   "--out", paths["out"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"evimax evaluate: error: {paths['activity']}:2: followers exceeds the "
+            f"largest float (1.79769e+308), got {'9' * 20!r}... (4300 characters)\n"
+        )
+        assert not (paths["dir"] / "out.csv").exists()
+
     def test_default_sweep_has_three_blocks(self, paths):
         generate(paths, users="40", edges="90")
         assert run(

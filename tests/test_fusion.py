@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +32,7 @@ from evimax.fusion import (
 from evimax.graph import INDICATOR_NAMES, SocialGraph, raw_indicators
 from evimax.synthetic import generate_synthetic
 from tests.helpers import bbas, synthetic_graphs
-from tests.oracles import fused, indicator_map
+from tests.oracles import fused, indicator_map, num_edges
 
 TOL = 1e-9
 ESTIMATED = ReliabilityConfig.estimated(lam=5.0)
@@ -327,7 +328,7 @@ class TestFuseAll:
 
     def test_estimated_mode_defuses_the_same_contradiction(self):
         result = fuse_all(two_edge_graph(), ESTIMATED)
-        assert len(result) == 2
+        assert len(result.column) == 2
         for _, r in result.items():
             assert -TOL <= r.inf <= 1.0 + TOL
 
@@ -352,6 +353,23 @@ class TestDiagnosticsRecords:
         assert sets[("c", "d")].weights[1] == pytest.approx(0.0)
         # Degenerate common-neighbors indicator reports weight 0.
         assert sets[("a", "b")].weights[0] == 0.0
+
+    def test_weights_are_correctly_rounded_quotients_of_the_counts(self):
+        # Mentions 3, 2**53, 2**53 + 1 and 7 normalize over [3, 2**53 + 1];
+        # the two large counts stay two vectors with two weights.
+        g = SocialGraph()
+        for (u, v), count in [(("a", "b"), 3), (("c", "d"), 2**53),
+                              (("e", "f"), 2**53 + 1), (("g", "h"), 7)]:
+            g.add_mentions(u, v, count)
+        low, high = 3, 2**53 + 1
+        result = fuse_all(g, ReliabilityConfig.fixed(0.2))
+        assert len(result.records) == 4
+        weights = {edge: record.weights for edge, record in result.items()}
+        for (u, v), count in g.mentions.items():
+            # Fraction to float rounds the exact quotient correctly.
+            assert weights[u, v] == (0.0, float(Fraction(count - low, high - low)), 0.0)
+        assert weights["c", "d"][1] == 1.0 - 2.0**-53
+        assert weights["e", "f"][1] == 1.0
 
     @pytest.mark.parametrize(
         "graph_args",
@@ -524,7 +542,7 @@ class TestPerVectorCache:
             fuse_all(g, cfg)
         assert str(err.value) == error
         sweep = fuse_configs(g, [ReliabilityConfig.fixed(0.2), cfg])
-        assert len(next(sweep)) == 4
+        assert len(next(sweep).column) == 4
         with pytest.raises(FusionError) as err:
             next(sweep)
         assert str(err.value) == error
@@ -582,6 +600,6 @@ class TestFusesEachDistinctVectorOnce:
             ReliabilityConfig.estimated(lam=2.0),
         ]
         calls = self.count_calls(monkeypatch, "fuse_edge")
-        sweeps = [len(records) for records in fuse_configs(g, configs)]
-        assert sweeps == [g.num_edges()] * 3
+        sweeps = [len(result.column) for result in fuse_configs(g, configs)]
+        assert sweeps == [num_edges(g)] * 3
         assert len(calls) == 3 * len(distinct)

@@ -1,11 +1,12 @@
 """Repository tooling: the traced benchmark runner, the stdlib-only rule, CPU-count
-independence and unused helpers."""
+independence, unused helpers and public methods only the tests read."""
 
 from __future__ import annotations
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -131,3 +132,31 @@ def test_every_private_helper_is_used_in_the_package():
     assert defined
     assert sorted(f"{module}: {name}" for name, module in defined.items()
                   if name not in used) == []
+
+
+def test_every_public_method_has_a_reader_outside_the_tests():
+    # A public method or property that only the tests call belongs in
+    # tests/oracles.py or inline in a test.  A reader is a name or attribute
+    # in the package, or a word of the README or of perfbench/.
+    methods: dict[str, str] = {}
+    used: set[str] = set()
+    for path in sorted((SRC / "evimax").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not node.name.startswith("_")):
+                        methods[node.name] = f"{path.name}: {cls.name}.{node.name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    texts = [(ROOT / "README.md").read_text(encoding="utf-8")]
+    texts += [path.read_text(encoding="utf-8")
+              for path in sorted((ROOT / "perfbench").iterdir()) if path.is_file()]
+    words = {word for text in texts for word in re.findall(r"\w+", text)}
+    assert methods
+    assert sorted(where for name, where in methods.items()
+                  if name not in used and name not in words) == []
