@@ -80,10 +80,6 @@ def _build_parser() -> _Parser:
                        help="number of users (default: %(default)s)")
     p_gen.add_argument("--n-edges", dest="n_edges", type=int, default=2000,
                        help="number of follow edges (default: %(default)s)")
-    p_gen.add_argument("--intensity", type=float, default=1.0,
-                       help="activity volume multiplier; at most 10**7 mentions and "
-                            "retweets and a mean of at most 10**6 tweets per user "
-                            "may result (default: %(default)s)")
     p_gen.add_argument("--seed", type=int, default=42, help="RNG seed (default: %(default)s)")
 
     p_sel = add_command("select", "select a top-k influencer seed set", _cmd_select)
@@ -101,12 +97,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    g, activities = generate_synthetic(
-        seed=args.seed,
-        n_users=args.users,
-        n_edges=args.n_edges,
-        activity_intensity=args.intensity,
-    )
+    g, activities = generate_synthetic(seed=args.seed, n_users=args.users, n_edges=args.n_edges)
     write_graph(g, activities, args.edges, args.mentions, args.retweets, args.activity)
     return 0
 

@@ -19,12 +19,12 @@ or retweet total is at most ``int(sys.float_info.max)`` (309 digits):
 4,300 digits ``str(int)`` converts.  A repeated edge row is the same edge and
 keeps its first place; repeated mention or retweet rows of one pair are
 summed; a repeated activity row replaces the earlier one.  ``load_graph``
-reads each file in one loop over ``csv.reader``'s rows: a row of the
-file's width has its cells stripped in place and is skipped if all are
-empty, and a row of any other width is skipped if blank and rejected
-otherwise.  Every ``ParseError`` names the file, and the line unless the
-file is not UTF-8 (the text is decoded ahead of the rows, in chunks, so the
-bad byte's line is not known).
+reads each file in one loop over ``csv.reader``'s rows: each cell of a
+row of the file's width is stripped into a local variable, the row itself
+left as read, and the row is skipped if all are empty; a row of any other
+width is skipped if blank and rejected otherwise.  Every ``ParseError``
+names the file, and the line unless the file is not UTF-8 (the text is
+decoded ahead of the rows, in chunks, so the bad byte's line is not known).
 
 This module owns the CSV dialect of all seven files evimax reads or writes:
 ``load_graph`` reads the four above, and ``write_csv`` writes them and the
@@ -303,7 +303,8 @@ def load_graph(
                 if actor == target:
                     if not (actor or text):
                         continue
-                    raise ParseError(path, rows.line_num, f"self-{verb} by {actor!r}")
+                    problem = f"self-{verb} by {actor!r}" if actor else "empty user id"
+                    raise ParseError(path, rows.line_num, problem)
                 if not actor or not target:
                     raise ParseError(path, rows.line_num, "empty user id")
                 count = _count(path, rows.line_num, text, "count")

@@ -5,12 +5,12 @@ newcomer follows an already-popular account (edge: followee -> follower), so
 follower counts develop the usual heavy tail.  Mention and retweet totals are
 sized relative to the number of follow edges using the ratios observed on a
 real Twitter crawl of comparable scale (follows : mentions : retweets close
-to 71027 : 20300 : 9789), scaled by ``activity_intensity``.
+to 71027 : 20300 : 9789), and each user's tweet count is drawn around the
+crawl's mean of 251329 tweets over 36274 users.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter
 
@@ -19,11 +19,6 @@ from .graph import SocialGraph, UserActivity
 MENTIONS_PER_FOLLOW = 20300 / 71027
 RETWEETS_PER_FOLLOW = 9789 / 71027
 TWEETS_PER_USER = 251329 / 36274
-# Mentions and retweets are drawn one at a time, well over a second per million.
-MAX_ACTIVITY_DRAWS = 10**7
-# A user's tweet count is one exponential draw around the mean; a mean of a
-# million tweets, about 144,000 times the crawl's, is far beyond any account.
-MAX_MEAN_TWEETS = 10**6
 # The graph is built in memory, so its sizes are capped at five times the
 # 200,000 users and 400,000 edges of the largest benchmark workload: a
 # mistyped size fails at once instead of filling memory.
@@ -39,7 +34,6 @@ def generate_synthetic(
     seed: int,
     n_users: int,
     n_edges: int,
-    activity_intensity: float = 1.0,
 ) -> tuple[SocialGraph, dict[str, UserActivity]]:
     """Build a deterministic random graph plus matching per-user activity.
 
@@ -54,27 +48,6 @@ def generate_synthetic(
     if n_edges > n_users * (n_users - 1):
         raise InvalidParametersError(
             f"{n_edges} edges do not fit in a simple digraph on {n_users} users"
-        )
-    mention_total = n_edges * MENTIONS_PER_FOLLOW * activity_intensity
-    retweet_total = n_edges * RETWEETS_PER_FOLLOW * activity_intensity
-    mean_tweets = TWEETS_PER_USER * activity_intensity
-    if not all(0 <= x < math.inf for x in (activity_intensity, mention_total,
-                                           retweet_total, mean_tweets)):
-        raise InvalidParametersError(
-            "activity_intensity must be >= 0 and finite, with finite activity "
-            f"totals, got {activity_intensity}"
-        )
-    draws = round(mention_total) + round(retweet_total)
-    if draws > MAX_ACTIVITY_DRAWS:
-        raise InvalidParametersError(
-            f"activity_intensity {activity_intensity} asks for "
-            f"{mention_total + retweet_total:.3g} mentions and retweets on {n_edges} "
-            f"edges; at most {MAX_ACTIVITY_DRAWS} are drawn"
-        )
-    if mean_tweets > MAX_MEAN_TWEETS:
-        raise InvalidParametersError(
-            f"activity_intensity {activity_intensity} asks for a mean of "
-            f"{mean_tweets:.3g} tweets per user; at most {MAX_MEAN_TWEETS} is allowed"
         )
 
     rng = random.Random(seed)
@@ -126,16 +99,16 @@ def generate_synthetic(
             if made >= n_edges:
                 break
 
+    # Without edges both totals are 0, so no draw reads the empty list.
     edge_list = list(g.edges())
-    if edge_list:
-        for _ in range(round(mention_total)):
-            g.add_mentions(*edge_list[rng.randrange(len(edge_list))], 1)
-        for _ in range(round(retweet_total)):
-            g.add_retweets(*edge_list[rng.randrange(len(edge_list))], 1)
+    for _ in range(round(n_edges * MENTIONS_PER_FOLLOW)):
+        g.add_mentions(*edge_list[rng.randrange(len(edge_list))], 1)
+    for _ in range(round(n_edges * RETWEETS_PER_FOLLOW)):
+        g.add_retweets(*edge_list[rng.randrange(len(edge_list))], 1)
 
     followers = Counter(src for src, _ in edge_list)
     activities: dict[str, UserActivity] = {}
     for user in ids:
-        tweets = int(rng.expovariate(1.0 / mean_tweets)) if mean_tweets > 0 else 0
+        tweets = int(rng.expovariate(1.0 / TWEETS_PER_USER))
         activities[user] = UserActivity(user, tweets=tweets, followers=followers[user])
     return g, activities

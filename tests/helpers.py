@@ -69,20 +69,32 @@ def bbas(draw, max_commitment: float = 1.0):
     return MassFunction(i, p, (1.0 - i) - p)
 
 
+def synthetic_graph(seed: int, n_users: int, n_edges: int, quiet: bool = False):
+    """``generate_synthetic``'s graph and activity records.
+
+    ``quiet`` clears every mention and retweet, so those two indicators are
+    constant over the edges.
+    """
+    g, activities = generate_synthetic(seed, n_users, n_edges)
+    if quiet:
+        g.mentions.clear()
+        g.retweets.clear()
+    return g, activities
+
+
 @st.composite
 def synthetic_graphs(draw):
-    """Small ``generate_synthetic`` graphs with their activity records.
+    """Small ``synthetic_graph`` graphs with their activity records.
 
-    Zero activity intensity makes mentions and retweets constant over the
-    edges, so constant (vacuous) indicators are drawn too.
+    Some are quiet, so constant (vacuous) indicators are drawn too.
     """
     n_users = draw(st.integers(2, 30))
     n_edges = draw(st.integers(0, min(60, n_users * (n_users - 1))))
-    return generate_synthetic(
+    return synthetic_graph(
         seed=draw(st.integers(0, 2**16)),
         n_users=n_users,
         n_edges=n_edges,
-        activity_intensity=draw(st.sampled_from([0.0, 0.3, 1.0, 4.0])),
+        quiet=draw(st.booleans()),
     )
 
 

@@ -175,7 +175,8 @@ def load_graph_reference(
             continue
         for line, (actor, target, text) in _rows(path, header):
             if actor == target:
-                raise ParseError(path, line, f"self-{verb} by {actor!r}")
+                problem = f"self-{verb} by {actor!r}" if actor else "empty user id"
+                raise ParseError(path, line, problem)
             if not actor or not target:
                 raise ParseError(path, line, "empty user id")
             count = _count(path, line, text, "count")

@@ -31,7 +31,7 @@ from evimax.fusion import (
 )
 from evimax.graph import INDICATOR_NAMES, SocialGraph, raw_indicators
 from evimax.synthetic import generate_synthetic
-from tests.helpers import bbas, synthetic_graphs
+from tests.helpers import bbas, synthetic_graph, synthetic_graphs
 from tests.oracles import fused, indicator_map, num_edges
 
 TOL = 1e-9
@@ -376,7 +376,7 @@ class TestDiagnosticsRecords:
         [
             dict(seed=21, n_users=80, n_edges=240),
             # No activity: mentions and retweets are constant over the edges.
-            dict(seed=22, n_users=60, n_edges=70, activity_intensity=0.0),
+            dict(seed=22, n_users=60, n_edges=70, quiet=True),
         ],
     )
     @pytest.mark.parametrize(
@@ -388,7 +388,7 @@ class TestDiagnosticsRecords:
         ids=lambda cfg: cfg.name,
     )
     def test_fuse_all_records_match_per_edge_reference(self, graph_args, cfg):
-        g, _ = generate_synthetic(**graph_args)
+        g, _ = synthetic_graph(**graph_args)
         values = indicator_map(g)
         n = len(INDICATOR_NAMES)
         lows = [min(vec[j] for vec in values.values()) for j in range(n)]
@@ -425,6 +425,27 @@ def reliability_configs(draw):
     return ReliabilityConfig.estimated(lam=draw(st.floats(0.1, 20.0)))
 
 
+def conflicting_graph() -> SocialGraph:
+    """The 15 edges of ``generate_synthetic(0, 5, 15)`` with one mention and one retweet.
+
+    The mentioned edge has the most mentions and no retweets, so at alpha 1
+    its two activity indicators conflict totally.
+    """
+    g = SocialGraph()
+    for user in ("u0000", "u0001", "u0002", "u0003", "u0004"):
+        g.add_user(user)
+    for src, dst in [
+        ("u0002", "u0001"), ("u0002", "u0000"), ("u0001", "u0004"), ("u0002", "u0003"),
+        ("u0001", "u0002"), ("u0001", "u0000"), ("u0003", "u0002"), ("u0002", "u0004"),
+        ("u0004", "u0002"), ("u0003", "u0001"), ("u0000", "u0004"), ("u0000", "u0001"),
+        ("u0003", "u0004"), ("u0000", "u0002"), ("u0001", "u0003"),
+    ]:
+        g.add_edge(src, dst)
+    g.add_mentions("u0003", "u0001", 1)
+    g.add_retweets("u0003", "u0004", 1)
+    return g
+
+
 def reference_fusion(g, cfg):
     """``edge_bba_sets`` + ``fuse_edge``: the records, or the edge's error message.
 
@@ -444,10 +465,8 @@ class TestKernelMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(graph=synthetic_graphs(), cfg=reliability_configs())
     # Total conflict at alpha 1 and just below it.
-    @example(graph=generate_synthetic(0, 5, 15, 0.3), cfg=ReliabilityConfig.fixed(1.0))
-    @example(
-        graph=generate_synthetic(0, 5, 15, 0.3), cfg=ReliabilityConfig.fixed(1.0 - 1e-13)
-    )
+    @example(graph=(conflicting_graph(), {}), cfg=ReliabilityConfig.fixed(1.0))
+    @example(graph=(conflicting_graph(), {}), cfg=ReliabilityConfig.fixed(1.0 - 1e-13))
     def test_fuse_all_equals_reference_exactly(self, graph, cfg):
         g, _ = graph
         expected, error = reference_fusion(g, cfg)
@@ -492,14 +511,14 @@ class TestPerVectorCache:
     @pytest.mark.parametrize(
         "graph_args",
         [
-            (31, 300, 600, 1.0),
-            (32, 400, 800, 0.3),
+            (31, 300, 600),
+            (32, 400, 800),
             # No activity: only common neighbours vary, so alpha 1 fuses too.
-            (35, 300, 700, 0.0),
+            (35, 300, 700, True),
         ],
     )
     def test_repeated_vectors_match_per_edge_reference(self, graph_args):
-        g, _ = generate_synthetic(*graph_args)
+        g, _ = synthetic_graph(*graph_args)
         values = indicator_map(g)
         distinct = set(values.values())
         assert len(values) >= 20 * len(distinct)
@@ -561,7 +580,7 @@ class TestSharedRecords:
         ids=lambda cfg: cfg.name,
     )
     def test_one_record_per_distinct_vector(self, cfg):
-        g, _ = generate_synthetic(31, 300, 600, 1.0)
+        g, _ = generate_synthetic(31, 300, 600)
         values = indicator_map(g)
         records = dict(fuse_all(g, cfg).items())
         assert len({id(r) for r in records.values()}) == len(set(values.values()))
@@ -570,7 +589,7 @@ class TestSharedRecords:
             assert records[edge] is first.setdefault(vec, records[edge])
 
     def test_records_are_frozen(self):
-        g, _ = generate_synthetic(31, 300, 600, 1.0)
+        g, _ = generate_synthetic(31, 300, 600)
         _, record = next(iter(fuse_all(g, ESTIMATED).items()))
         with pytest.raises(dataclasses.FrozenInstanceError):
             record.inf = 0.5
@@ -592,7 +611,7 @@ class TestFusesEachDistinctVectorOnce:
         return calls
 
     def test_fuse_configs_calls_fuse_edge_once_per_vector_and_config(self, monkeypatch):
-        g, _ = generate_synthetic(31, 300, 600, 1.0)
+        g, _ = generate_synthetic(31, 300, 600)
         distinct, _ = raw_indicators(g)
         configs = [
             ReliabilityConfig.fixed(0.2),

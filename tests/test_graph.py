@@ -21,7 +21,7 @@ from evimax.graph import (
     raw_indicators,
     write_graph,
 )
-from evimax.synthetic import InvalidParametersError, generate_synthetic
+from evimax.synthetic import MAX_EDGES, MAX_USERS, InvalidParametersError, generate_synthetic
 from tests.helpers import synthetic_graphs
 from tests.oracles import (
     common_neighbors,
@@ -177,6 +177,16 @@ class TestLoadGraph:
         with pytest.raises(ParseError) as err:
             load_graph(edges)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["mentions", "retweets"])
+    def test_count_row_with_both_ids_empty_is_an_empty_id(self, tmp_path, kind):
+        # Both ids are equal, but the row is no self-mention or self-retweet.
+        edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
+        header = {"mentions": "mentioner,mentioned", "retweets": "retweeter,original_author"}
+        counts = write(tmp_path / "c.csv", f"{header[kind]},count\n ,,5\n")
+        with pytest.raises(ParseError) as err:
+            load_graph(edges, **{f"{kind}_path": counts})
+        assert str(err.value) == f"{counts}:2: empty user id"
 
     def test_bad_count_reports_line(self, tmp_path):
         edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
@@ -452,7 +462,7 @@ class TestLoaderMatchesReference:
         given_files=st.lists(st.sampled_from([True, True, False]), min_size=3, max_size=3),
     )
     # Rows of the expected width whose id cells are empty: blank rows are
-    # skipped, and the others are an empty id or a self-mention by ''.
+    # skipped, and the others are an empty user id.
     @example(
         texts=(
             "src,dst\r\n , \r\na,b\r\n",
@@ -745,23 +755,16 @@ class TestGenerateSynthetic:
             dict(n_users=0, n_edges=0),
             dict(n_users=3, n_edges=-1),
             dict(n_users=3, n_edges=7),
-            dict(n_users=3, n_edges=2, activity_intensity=-1.0),
-            dict(n_users=3, n_edges=2, activity_intensity=float("nan")),
-            dict(n_users=3, n_edges=2, activity_intensity=float("inf")),
-            dict(n_users=3, n_edges=2, activity_intensity=1e308),
-            dict(n_users=3, n_edges=0, activity_intensity=float("inf")),
-            dict(n_users=3, n_edges=2, activity_intensity=1e8),
-            dict(n_users=3, n_edges=2, activity_intensity=1e300),
-            # No edges: only the mean tweet count grows with the intensity.
-            dict(n_users=3, n_edges=0, activity_intensity=1e300),
-            dict(n_users=50, n_edges=0, activity_intensity=1e307),
+            # Each size bound alone, and the one-user graph that fits no edge.
+            dict(n_users=-1, n_edges=0),
+            dict(n_users=MAX_USERS + 1, n_edges=0),
+            dict(n_users=MAX_USERS, n_edges=MAX_EDGES + 1),
+            dict(n_users=1, n_edges=1),
         ],
     )
     def test_invalid_parameters(self, kwargs):
-        with pytest.raises(InvalidParametersError) as err:
+        with pytest.raises(InvalidParametersError):
             generate_synthetic(seed=0, **kwargs)
-        if "activity_intensity" in kwargs:
-            assert "activity_intensity" in str(err.value)
 
     def test_round_trip_through_files(self, tmp_path):
         g, activities = generate_synthetic(seed=4, n_users=40, n_edges=90)
