@@ -93,6 +93,12 @@ class SocialGraph:
     each edge one tuple however many structures refer to it.  No neighbour
     sets are kept; ``raw_indicators`` builds them for its own call.  No
     self-loops, no duplicate edges.
+
+    The counters are plain dicts from an edge to a positive int; an edge
+    without activity has no entry.  ``load_graph`` checks every count it
+    reads and every summed total against the bound; code that builds a
+    graph itself adds counts unchecked, as
+    ``g.mentions[g.add_edge(u, v)] = n``, and stores no zero.
     """
 
     def __init__(self) -> None:
@@ -117,35 +123,6 @@ class SocialGraph:
         users = self._users
         edge = (users.setdefault(src, src), users.setdefault(dst, dst))
         return self._edges.setdefault(edge, edge)
-
-    def add_mentions(self, src: str, dst: str, count: int) -> None:
-        """Record that dst mentioned src ``count`` more times on edge (src, dst)."""
-        self._add_count(self.mentions, "mention", src, dst, count)
-
-    def add_retweets(self, src: str, dst: str, count: int) -> None:
-        """Record that dst retweeted src ``count`` more times on edge (src, dst)."""
-        self._add_count(self.retweets, "retweet", src, dst, count)
-
-    def _add_count(
-        self, counts: dict[tuple[str, str], int], verb: str, src: str, dst: str, count: int
-    ) -> None:
-        # A count is a nonnegative int, as the loader reads it: a negative
-        # one would lower the normalization minimum, and a float (NaN
-        # included) or a bool would be summed into the total as it is.
-        if type(count) is not int or count < 0:
-            raise ValueError(
-                f"{verb} count of {src!r} by {dst!r} must be a nonnegative int, got {count!r}"
-            )
-        edge = self.add_edge(src, dst)
-        if count:
-            total = counts.get(edge, 0) + count
-            # The loader's bound on every count (see the module docstring).
-            if total > _LARGEST_COUNT:
-                raise ValueError(
-                    f"{verb} total of {src!r} by {dst!r} exceeds the "
-                    f"largest float ({sys.float_info.max:g})"
-                )
-            counts[edge] = total
 
     # -- queries -----------------------------------------------------------
 
@@ -286,9 +263,9 @@ def load_graph(
                 raise ParseError(edges_path, rows.line_num, "empty user id")
             add_edge(src, dst)
 
-    for path, header, add, verb in (
-        (mentions_path, ("mentioner", "mentioned", "count"), g.add_mentions, "mention"),
-        (retweets_path, ("retweeter", "original_author", "count"), g.add_retweets, "retweet"),
+    for path, header, counts, verb in (
+        (mentions_path, ("mentioner", "mentioned", "count"), g.mentions, "mention"),
+        (retweets_path, ("retweeter", "original_author", "count"), g.retweets, "retweet"),
     ):
         if path is None:
             continue
@@ -308,10 +285,16 @@ def load_graph(
                 if not actor or not target:
                     raise ParseError(path, rows.line_num, "empty user id")
                 count = _count(path, rows.line_num, text, "count")
-                try:
-                    add(target, actor, count)
-                except ValueError as exc:  # a total beyond the count bound
-                    raise ParseError(path, rows.line_num, str(exc)) from None
+                edge = add_edge(target, actor)
+                if count:
+                    total = counts.get(edge, 0) + count
+                    if total > _LARGEST_COUNT:
+                        raise ParseError(
+                            path, rows.line_num,
+                            f"{verb} total of {target!r} by {actor!r} exceeds the "
+                            f"largest float ({sys.float_info.max:g})",
+                        )
+                    counts[edge] = total
 
     # Each activity row makes its user's record, replacing an earlier row's.
     activities: dict[str, UserActivity] = {}
@@ -369,12 +352,12 @@ def write_graph(
     write_csv(
         mentions_path,
         ("mentioner", "mentioned", "count"),
-        ((v, u, str(count)) for (u, v), count in g.mentions.items() if count > 0),
+        ((v, u, str(count)) for (u, v), count in g.mentions.items()),
     )
     write_csv(
         retweets_path,
         ("retweeter", "original_author", "count"),
-        ((v, u, str(count)) for (u, v), count in g.retweets.items() if count > 0),
+        ((v, u, str(count)) for (u, v), count in g.retweets.items()),
     )
     write_csv(activity_path, ("user", "tweets", "followers"),
               ((r.user, str(r.tweets), str(r.followers)) for r in activities.values()))

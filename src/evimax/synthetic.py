@@ -102,9 +102,11 @@ def generate_synthetic(
     # Without edges both totals are 0, so no draw reads the empty list.
     edge_list = list(g.edges())
     for _ in range(round(n_edges * MENTIONS_PER_FOLLOW)):
-        g.add_mentions(*edge_list[rng.randrange(len(edge_list))], 1)
+        edge = edge_list[rng.randrange(len(edge_list))]
+        g.mentions[edge] = g.mentions.get(edge, 0) + 1
     for _ in range(round(n_edges * RETWEETS_PER_FOLLOW)):
-        g.add_retweets(*edge_list[rng.randrange(len(edge_list))], 1)
+        edge = edge_list[rng.randrange(len(edge_list))]
+        g.retweets[edge] = g.retweets.get(edge, 0) + 1
 
     followers = Counter(src for src, _ in edge_list)
     activities: dict[str, UserActivity] = {}

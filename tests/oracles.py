@@ -2,12 +2,13 @@
 
 The package holds only the pipeline that ``select``, ``evaluate`` and
 ``dump-edges`` run.  What exists only to check it lives here: subset-indexed
-views of a mass function, graph equality and common neighbours read off the
-public user and edge lists, the raw indicators read edge by edge, the
-fused BBA of a record, the literal per-user influence, a field that keeps
-its zero weights, the singleton spread bounds with every zero-weight term
-added, the naive and exhaustive seed selections, and the row-by-row CSV
-loader that ``load_graph``'s per-file loops replaced.
+views of a mass function, a builder of mention and retweet counts, graph
+equality and common neighbours read off the public user and edge lists,
+the raw indicators read edge by edge, the fused BBA of a record, the
+literal per-user influence, a field that keeps its zero weights, the
+singleton spread bounds with every zero-weight term added, the naive and
+exhaustive seed selections, and the row-by-row CSV loader that
+``load_graph``'s per-file loops replaced.
 ``select_greedy_naive`` uses CELF's own ``_SelectionState``, so the two agree
 bit for bit.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -74,6 +76,17 @@ def require_user(g: SocialGraph, user: str) -> None:
 
 def num_edges(g: SocialGraph) -> int:
     return sum(1 for _ in g.edges())
+
+
+def add_count(
+    counts: dict[tuple[str, str], int], g: SocialGraph, src: str, dst: str, n: int
+) -> None:
+    """Add ``n`` to edge src -> dst's entry of ``counts`` (``g.mentions`` or
+    ``g.retweets``), creating the edge; a zero creates the edge only, as a
+    row of the loader does."""
+    edge = g.add_edge(src, dst)
+    if n:
+        counts[edge] = counts.get(edge, 0) + n
 
 
 def same_graph(a: SocialGraph, b: SocialGraph) -> bool:
@@ -167,9 +180,9 @@ def load_graph_reference(
             raise ParseError(edges_path, line, "empty user id")
         g.add_edge(src, dst)
 
-    for path, header, add, verb in (
-        (mentions_path, ("mentioner", "mentioned", "count"), g.add_mentions, "mention"),
-        (retweets_path, ("retweeter", "original_author", "count"), g.add_retweets, "retweet"),
+    for path, header, counts, verb in (
+        (mentions_path, ("mentioner", "mentioned", "count"), g.mentions, "mention"),
+        (retweets_path, ("retweeter", "original_author", "count"), g.retweets, "retweet"),
     ):
         if path is None:
             continue
@@ -179,11 +192,12 @@ def load_graph_reference(
                 raise ParseError(path, line, problem)
             if not actor or not target:
                 raise ParseError(path, line, "empty user id")
-            count = _count(path, line, text, "count")
-            try:
-                add(target, actor, count)
-            except ValueError as exc:  # a total beyond the count bound
-                raise ParseError(path, line, str(exc)) from None
+            add_count(counts, g, target, actor, _count(path, line, text, "count"))
+            if counts.get((target, actor), 0) > int(sys.float_info.max):
+                raise ParseError(
+                    path, line, f"{verb} total of {target!r} by {actor!r} exceeds the "
+                    f"largest float ({sys.float_info.max:g})"
+                )
 
     activities: dict[str, UserActivity] = {}
     if activity_path is not None:

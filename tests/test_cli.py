@@ -244,6 +244,26 @@ class TestSelect:
             # Fusion fails before the output file is opened.
             assert not (paths["dir"] / "out.csv").exists()
 
+    @pytest.mark.parametrize("lam, problem", [
+        ("30", None),
+        ("50", "masses must sum to 1, got 0.99999999"),
+        ("100", "total conflict between sources"),
+    ])
+    def test_large_lambda_reaches_the_alpha_1_exit(self, paths, capsys, lam, problem):
+        # Estimated reliabilities round towards 1 as lambda grows, so an
+        # edge's indicators stop being discounted, as at --alpha 1.
+        generate(paths, users="30", edges="60", seed="3")
+        code = run("select", *input_flags(paths), "--k", "3", "--lambda", lam,
+                   "--out", paths["out"])
+        err = capsys.readouterr().err
+        if problem is None:
+            assert code == 0 and err == ""
+            assert (paths["dir"] / "out.csv").exists()
+        else:
+            assert code == 1
+            assert f"edge 'u0026' -> 'u0002': {problem}" in err
+            assert not (paths["dir"] / "out.csv").exists()
+
     def test_bad_threads_exits_1(self, paths, capsys):
         generate(paths)
         code = run(

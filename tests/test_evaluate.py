@@ -18,6 +18,7 @@ from evimax.maximize import InvalidKError
 from evimax.spread import InfluenceField
 from evimax.synthetic import generate_synthetic
 from tests.helpers import synthetic_graphs
+from tests.oracles import add_count
 
 # The CLI's default evaluate sweep.
 SWEEP = [
@@ -81,11 +82,11 @@ class TestReceivedTotals:
     def test_sums_each_source_over_its_out_edges(self):
         g = SocialGraph()
         g.add_edge("a", "b")
-        g.add_mentions("a", "b", 2)
-        g.add_mentions("a", "c", 3)
-        g.add_retweets("a", "c", 4)
-        g.add_retweets("b", "c", 1)
-        g.add_mentions("c", "a", 0)  # a zero count creates the edge only
+        add_count(g.mentions, g, "a", "b", 2)
+        add_count(g.mentions, g, "a", "c", 3)
+        add_count(g.retweets, g, "a", "c", 4)
+        add_count(g.retweets, g, "b", "c", 1)
+        add_count(g.mentions, g, "c", "a", 0)  # a zero count creates the edge only
         assert received_totals(g) == {"a": [5, 4], "b": [0, 1]}
 
     def test_curves_read_the_graph_counters(self):
@@ -156,8 +157,8 @@ class TestCompareConfigs:
         g = SocialGraph()
         g.add_edge("a", "b")
         g.add_edge("c", "d")
-        g.add_mentions("a", "b", 5)
-        g.add_retweets("c", "d", 3)
+        add_count(g.mentions, g, "a", "b", 5)
+        add_count(g.retweets, g, "c", "d", 3)
         with pytest.raises(EvaluationError) as err:
             compare_configs(
                 g, {}, [ReliabilityConfig.fixed(1.0)], k=2
@@ -231,8 +232,8 @@ class TestSweep:
         g = SocialGraph()
         g.add_edge("a", "b")
         g.add_edge("c", "d")
-        g.add_mentions("a", "b", 5)
-        g.add_retweets("c", "d", 3)
+        add_count(g.mentions, g, "a", "b", 5)
+        add_count(g.retweets, g, "c", "d", 3)
         plant_failures(monkeypatch, {0.1})
         configs = [ReliabilityConfig.fixed(0.1), ReliabilityConfig.fixed(1.0)]
         with pytest.raises(EvaluationError, match="^config fixed:0.1: planted"):

@@ -32,7 +32,7 @@ from evimax.fusion import (
 from evimax.graph import INDICATOR_NAMES, SocialGraph, raw_indicators
 from evimax.synthetic import generate_synthetic
 from tests.helpers import bbas, synthetic_graph, synthetic_graphs
-from tests.oracles import fused, indicator_map, num_edges
+from tests.oracles import add_count, fused, indicator_map, num_edges
 
 TOL = 1e-9
 ESTIMATED = ReliabilityConfig.estimated(lam=5.0)
@@ -288,8 +288,8 @@ def two_edge_graph() -> SocialGraph:
     g = SocialGraph()
     g.add_edge("a", "b")
     g.add_edge("c", "d")
-    g.add_mentions("a", "b", 5)
-    g.add_retweets("c", "d", 3)
+    add_count(g.mentions, g, "a", "b", 5)
+    add_count(g.retweets, g, "c", "d", 3)
     return g
 
 
@@ -299,7 +299,7 @@ class TestFuseAll:
         # BBAs are vacuous and the fused influence is zero.
         g = SocialGraph()
         g.add_edge("a", "b")
-        g.add_mentions("a", "b", 9)
+        add_count(g.mentions, g, "a", "b", 9)
         result = dict(fuse_all(g, ESTIMATED).items())
         assert result[("a", "b")].inf == 0.0
 
@@ -360,7 +360,7 @@ class TestDiagnosticsRecords:
         g = SocialGraph()
         for (u, v), count in [(("a", "b"), 3), (("c", "d"), 2**53),
                               (("e", "f"), 2**53 + 1), (("g", "h"), 7)]:
-            g.add_mentions(u, v, count)
+            add_count(g.mentions, g, u, v, count)
         low, high = 3, 2**53 + 1
         result = fuse_all(g, ReliabilityConfig.fixed(0.2))
         assert len(result.records) == 4
@@ -441,8 +441,8 @@ def conflicting_graph() -> SocialGraph:
         ("u0003", "u0004"), ("u0000", "u0002"), ("u0001", "u0003"),
     ]:
         g.add_edge(src, dst)
-    g.add_mentions("u0003", "u0001", 1)
-    g.add_retweets("u0003", "u0004", 1)
+    add_count(g.mentions, g, "u0003", "u0001", 1)
+    add_count(g.retweets, g, "u0003", "u0004", 1)
     return g
 
 
@@ -549,9 +549,9 @@ class TestPerVectorCache:
         # conflicting edge in edge order.
         g = SocialGraph()
         g.add_edge("x", "y")
-        g.add_mentions("a", "b", 5)
-        g.add_retweets("c", "d", 3)
-        g.add_mentions("e", "f", 5)
+        add_count(g.mentions, g, "a", "b", 5)
+        add_count(g.retweets, g, "c", "d", 3)
+        add_count(g.mentions, g, "e", "f", 5)
         values = indicator_map(g)
         assert values[("a", "b")] == values[("e", "f")] == (0.0, 5.0, 0.0)
         cfg = ReliabilityConfig.fixed(1.0)
