@@ -22,7 +22,7 @@ import sys
 from typing import Callable, Sequence
 
 from .evaluate import CURVE_COLUMNS, EvaluationError, compare_configs
-from .fusion import FusionError, ReliabilityConfig, fuse_all
+from .fusion import DEFAULT_LAMBDA, FusionError, ReliabilityConfig, fuse_all
 from .graph import INDICATOR_NAMES, load_graph, write_csv, write_graph
 from .maximize import select_celf
 from .spread import InfluenceField
@@ -60,7 +60,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--activity", required=outputs, help=f"per-user activity CSV {role}")
         if not outputs:
             p.add_argument("--out", required=True, help="output file path")
-            p.add_argument("--lambda", dest="lam", type=float, default=5.0,
+            p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
                            help="reliability shape parameter (default: %(default)s)")
         return p
 

@@ -45,6 +45,9 @@ from typing import Any, Iterable, Iterator, Sequence
 from .belief import MassFunction, combine_dempster, discount, jousselme_distance
 from .graph import SocialGraph, raw_indicators
 
+# The reliability shape parameter of ``estimated`` configs and ``--lambda``.
+DEFAULT_LAMBDA = 5.0
+
 
 class OutOfRangeError(ValueError):
     """An indicator value fell outside the normalization bounds."""
@@ -73,7 +76,7 @@ class ReliabilityConfig:
     """
 
     alpha: float | None = None
-    lam: float | None = 5.0
+    lam: float | None = DEFAULT_LAMBDA
 
     def __post_init__(self) -> None:
         if self.lam is not None or self.alpha is None:
@@ -92,11 +95,11 @@ class ReliabilityConfig:
         return cls(alpha=alpha)
 
     @classmethod
-    def estimated(cls, lam: float = 5.0) -> "ReliabilityConfig":
+    def estimated(cls, lam: float = DEFAULT_LAMBDA) -> "ReliabilityConfig":
         return cls(lam=lam)
 
     @classmethod
-    def parse(cls, text: str, lam: float = 5.0) -> "ReliabilityConfig":
+    def parse(cls, text: str, lam: float = DEFAULT_LAMBDA) -> "ReliabilityConfig":
         """Parse ``estimated`` or ``fixed:<alpha>``; ``lam`` is checked for both."""
         token = text.strip()
         if token == "estimated":

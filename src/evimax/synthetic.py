@@ -2,7 +2,10 @@
 
 The generator grows a directed preferential-attachment graph in which each
 newcomer follows an already-popular account (edge: followee -> follower), so
-follower counts develop the usual heavy tail.  Mention and retweet totals are
+follower counts develop the usual heavy tail.  Edges beyond the growth tree
+come from densification, which keeps drawing a random follower and a
+popular followee, rejecting self-pairs and existing edges, until exactly
+the requested number of distinct edges exists.  Mention and retweet totals are
 sized relative to the number of follow edges using the ratios observed on a
 real Twitter crawl of comparable scale (follows : mentions : retweets close
 to 71027 : 20300 : 9789), and each user's tweet count is drawn around the
@@ -65,21 +68,18 @@ def generate_synthetic(
     # Growth phase: each newcomer follows one preferentially chosen earlier
     # account.  The repeated-targets list implements degree-biased sampling.
     targets = [join_order[0]]
-    made = 0
-    for i in range(1, n_users):
-        if made >= n_edges:
-            break
+    made = min(n_users - 1, n_edges)
+    for newcomer in join_order[1:made + 1]:
         followee = targets[rng.randrange(len(targets))]
-        g.add_edge(followee, join_order[i])
+        g.add_edge(followee, newcomer)
         targets.append(followee)
-        targets.append(join_order[i])
-        made += 1
+        targets.append(newcomer)
 
     # Densification: extra follows from random users to popular accounts.
-    attempts = 0
-    max_attempts = 50 * max(n_edges - made, 1) + 1000
-    while made < n_edges and attempts < max_attempts:
-        attempts += 1
+    # It runs only after growth put every user into ``targets``, so each free
+    # ordered pair has draw probability >= 1 / (n_users * len(targets)); the
+    # fit check keeps one free while made < n_edges, so the loop ends.
+    while made < n_edges:
         follower = ids[rng.randrange(n_users)]
         followee = targets[rng.randrange(len(targets))]
         if followee == follower or g.has_edge(followee, follower):
@@ -87,26 +87,14 @@ def generate_synthetic(
         g.add_edge(followee, follower)
         targets.append(followee)
         made += 1
-    if made < n_edges:
-        # Dense corner: fill deterministically from the ordered pair grid.
-        for src in ids:
-            for dst in ids:
-                if made >= n_edges:
-                    break
-                if src != dst and not g.has_edge(src, dst):
-                    g.add_edge(src, dst)
-                    made += 1
-            if made >= n_edges:
-                break
 
     # Without edges both totals are 0, so no draw reads the empty list.
     edge_list = list(g.edges())
-    for _ in range(round(n_edges * MENTIONS_PER_FOLLOW)):
-        edge = edge_list[rng.randrange(len(edge_list))]
-        g.mentions[edge] = g.mentions.get(edge, 0) + 1
-    for _ in range(round(n_edges * RETWEETS_PER_FOLLOW)):
-        edge = edge_list[rng.randrange(len(edge_list))]
-        g.retweets[edge] = g.retweets.get(edge, 0) + 1
+    draws = ((g.mentions, MENTIONS_PER_FOLLOW), (g.retweets, RETWEETS_PER_FOLLOW))
+    for counts, per_follow in draws:
+        for _ in range(round(n_edges * per_follow)):
+            edge = edge_list[rng.randrange(len(edge_list))]
+            counts[edge] = counts.get(edge, 0) + 1
 
     followers = Counter(src for src, _ in edge_list)
     activities: dict[str, UserActivity] = {}

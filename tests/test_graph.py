@@ -145,6 +145,17 @@ class TestLoadGraph:
         _, activities = load_graph(edges, activity_path=activity)
         assert (activities["a"].tweets, activities["a"].followers) == (7, 9)
 
+    @pytest.mark.parametrize("row,width", [("b,2", 2), ("b,2,3,", 4)])
+    def test_activity_row_of_another_width_must_be_blank(self, tmp_path, row, width):
+        edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
+        activity = write(tmp_path / "a.csv", "user,tweets,followers\n , \nb,2,3\n")
+        _, activities = load_graph(edges, activity_path=activity)
+        assert list(activities) == ["b"]
+        activity = write(tmp_path / "a.csv", f"user,tweets,followers\n , \n{row}\n")
+        with pytest.raises(ParseError) as err:
+            load_graph(edges, activity_path=activity)
+        assert str(err.value) == f"{activity}:3: expected 3 columns, got {width}"
+
     def test_blank_lines_ignored(self, tmp_path):
         edges = write(tmp_path / "e.csv", "src,dst\n\na,b\n\n\nb,c\n")
         g, _ = load_graph(edges)
@@ -470,6 +481,16 @@ class TestLoaderMatchesReference:
         ),
         given_files=[True, True, True],
     )
+    # A blank activity row of another width is skipped; a filled one is not.
+    @example(
+        texts=(
+            "src,dst\na,b\n",
+            "mentioner,mentioned,count\nb,a,2\n",
+            "retweeter,original_author,count\nb,a,1\n",
+            "user,tweets,followers\n , \nb,2,3\na,1\n",
+        ),
+        given_files=[True, True, True],
+    )
     @example(
         texts=("src,dst\na,b\n ,b\n", "", "", ""),
         given_files=[False, False, False],
@@ -734,9 +755,23 @@ class TestGenerateSynthetic:
         for user, record in activities.items():
             assert record.followers == out_degree[user]
 
-    def test_dense_corner_fills_exactly(self):
-        g, _ = generate_synthetic(seed=2, n_users=5, n_edges=20)
-        assert num_edges(g) == 20
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_users", [2, 3, 5, 12])
+    def test_complete_digraph_has_every_pair(self, seed, n_users):
+        g, _ = generate_synthetic(seed=seed, n_users=n_users, n_edges=n_users * (n_users - 1))
+        pairs = {(src, dst) for src in g.users for dst in g.users if src != dst}
+        assert set(g.edges()) == pairs
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_makes_exactly_the_requested_distinct_edges(self, seed, data):
+        n_users = data.draw(st.integers(1, 12))
+        n_edges = data.draw(st.integers(0, n_users * (n_users - 1)))
+        g, activities = generate_synthetic(seed=seed, n_users=n_users, n_edges=n_edges)
+        edges = list(g.edges())
+        assert len(set(edges)) == len(edges) == n_edges
+        assert all(src != dst for src, dst in edges)
+        assert g.num_users() == len(activities) == n_users
 
     @pytest.mark.parametrize(
         "kwargs",
