@@ -104,7 +104,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_select(args: argparse.Namespace) -> int:
     cfg = ReliabilityConfig(alpha=args.alpha, lam=args.lam)
-    # The activity records are not read; dropping them frees them before fusion.
+    # The activity map is not read; dropping it frees it before fusion.
     g = load_graph(args.edges, args.mentions, args.retweets, args.activity)[0]
     influence_field = InfluenceField.from_graph(fuse_all(g, cfg))
     selection = select_celf(influence_field, args.k)
@@ -143,7 +143,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_dump_edges(args: argparse.Namespace) -> int:
     cfg = ReliabilityConfig(alpha=args.alpha, lam=args.lam)
-    # The activity records are not read; dropping them frees them before fusion.
+    # The activity map is not read; dropping it frees it before fusion.
     g = load_graph(args.edges, args.mentions, args.retweets, args.activity)[0]
     fused = fuse_all(g, cfg)
     # Every edge of one indicator vector prints the same numbers, so each

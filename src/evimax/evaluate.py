@@ -1,10 +1,11 @@
 """Seed-quality curves and side-by-side configuration comparison.
 
 A selection is judged by four accumulated statistics along its ranking, in
-``CURVE_COLUMNS`` order: followers and tweets from the activity records, and
-the mentions and retweets received, which ``received_totals`` sums from the
-graph's counters.  A curve is one row of running totals per rank, the rows
-that ``evaluate --out`` writes after each seed's config, rank and user.
+``CURVE_COLUMNS`` order: followers and tweets from the activity map's
+``(tweets, followers)`` pairs, and the mentions and retweets received, which
+``received_totals`` sums from the graph's counters.  A curve is one row of
+running totals per rank, the rows that ``evaluate --out`` writes after each
+seed's config, rank and user.
 The comparison runner computes the raw indicators and their normalization
 once and, config by config in one process, fuses the graph, builds the
 influence field and runs its CELF selection, mirroring the fixed-alpha
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .fusion import FusionError, ReliabilityConfig, fuse_configs
-from .graph import SocialGraph, UserActivity
+from .graph import SocialGraph
 from .maximize import SeedSelection, _effective_k, select_celf
 from .spread import InfluenceField
 
@@ -49,17 +50,16 @@ def received_totals(g: SocialGraph) -> dict[str, list[int]]:
 
 def quality_curve(
     users: Iterable[str],
-    activities: dict[str, UserActivity],
+    activities: dict[str, tuple[int, int]],
     received: dict[str, list[int]],
 ) -> list[tuple[int, int, int, int]]:
     """One row of running ``CURVE_COLUMNS`` totals per ranked user; missing users add zero."""
     rows = []
     follows = mentions = retweets = tweets = 0
     for user in users:
-        record = activities.get(user)
-        if record is not None:
-            follows += record.followers
-            tweets += record.tweets
+        t, f = activities.get(user, (0, 0))
+        follows += f
+        tweets += t
         m, r = received.get(user, (0, 0))
         mentions += m
         retweets += r
@@ -69,7 +69,7 @@ def quality_curve(
 
 def compare_configs(
     g: SocialGraph,
-    activities: dict[str, UserActivity],
+    activities: dict[str, tuple[int, int]],
     configs: list[ReliabilityConfig],
     k: int,
 ) -> list[ReportEntry]:

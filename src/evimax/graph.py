@@ -34,8 +34,9 @@ with ``csv.reader`` as one row per record, ids intact.
 
 A graph holds each user and each edge once: one ``str`` per user id and one
 tuple per edge, shared by the edge map, the mention/retweet counters and the
-activity records, one per activity row (a user without a row reads as zero
-counts).  The undirected neighbour sets of the common-neighbour
+activity map, which maps the graph's id of each user with an activity row
+to the row's ``(tweets, followers)`` pair (a user without a row reads as
+zero counts).  The undirected neighbour sets of the common-neighbour
 indicator exist only during a ``raw_indicators`` call, which returns the
 edges' indicator vectors, the integer count triples, as a list of distinct
 vectors and one vector id per edge, the column that fusion and the
@@ -50,7 +51,6 @@ from __future__ import annotations
 import csv
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -71,15 +71,6 @@ class ParseError(ValueError):
 
 class UnknownUserError(ValueError):
     """An operation referenced a user that is not in the graph."""
-
-
-@dataclass(slots=True)
-class UserActivity:
-    """One activity row: a user's tweets authored and followers."""
-
-    user: str
-    tweets: int = 0
-    followers: int = 0
 
 
 class SocialGraph:
@@ -237,13 +228,14 @@ def load_graph(
     mentions_path: str | Path | None = None,
     retweets_path: str | Path | None = None,
     activity_path: str | Path | None = None,
-) -> tuple[SocialGraph, dict[str, UserActivity]]:
+) -> tuple[SocialGraph, dict[str, tuple[int, int]]]:
     """Load a graph and per-user activity from the four CSV sources.
 
     Only the edges file is required.  Mention/retweet rows naming pairs that
     are not follow edges create the edge; users appearing anywhere are added
-    to the graph.  The activity map holds a record per user with an activity
-    row, in first-row order; any other user has none and reads as zero.
+    to the graph.  The activity map holds ``(tweets, followers)`` for each
+    user with an activity row, in first-row order; any other user has no
+    entry and reads as zero.
     """
     # One loop per file (see the module docstring).
     g = SocialGraph()
@@ -296,8 +288,8 @@ def load_graph(
                         )
                     counts[edge] = total
 
-    # Each activity row makes its user's record, replacing an earlier row's.
-    activities: dict[str, UserActivity] = {}
+    # Each activity row sets its user's pair, replacing an earlier row's.
+    activities: dict[str, tuple[int, int]] = {}
     if activity_path is not None:
         with _data_rows(activity_path, ("user", "tweets", "followers")) as rows:
             for row in rows:
@@ -311,9 +303,7 @@ def load_graph(
                     if not (tweets or followers):
                         continue
                     raise ParseError(activity_path, rows.line_num, "empty user id")
-                user = g.add_user(user)
-                activities[user] = UserActivity(
-                    user,
+                activities[g.add_user(user)] = (
                     _count(activity_path, rows.line_num, tweets, "tweets"),
                     _count(activity_path, rows.line_num, followers, "followers"),
                 )
@@ -341,13 +331,13 @@ def write_csv(
 
 def write_graph(
     g: SocialGraph,
-    activities: dict[str, UserActivity],
+    activities: dict[str, tuple[int, int]],
     edges_path: str | Path,
     mentions_path: str | Path,
     retweets_path: str | Path,
     activity_path: str | Path,
 ) -> None:
-    """Write a graph, and one activity row per record, in load_graph's four formats."""
+    """Write a graph, and one activity row per map entry, in load_graph's four formats."""
     write_csv(edges_path, ("src", "dst"), g.edges())
     write_csv(
         mentions_path,
@@ -360,4 +350,5 @@ def write_graph(
         ((v, u, str(count)) for (u, v), count in g.retweets.items()),
     )
     write_csv(activity_path, ("user", "tweets", "followers"),
-              ((r.user, str(r.tweets), str(r.followers)) for r in activities.values()))
+              ((user, str(tweets), str(followers))
+               for user, (tweets, followers) in activities.items()))

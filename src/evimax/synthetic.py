@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from .graph import SocialGraph, UserActivity
+from .graph import SocialGraph
 
 MENTIONS_PER_FOLLOW = 20300 / 71027
 RETWEETS_PER_FOLLOW = 9789 / 71027
@@ -37,12 +37,13 @@ def generate_synthetic(
     seed: int,
     n_users: int,
     n_edges: int,
-) -> tuple[SocialGraph, dict[str, UserActivity]]:
+) -> tuple[SocialGraph, dict[str, tuple[int, int]]]:
     """Build a deterministic random graph plus matching per-user activity.
 
-    The same seed always produces the same graph, byte for byte.  Follower
-    counts in the activity records equal the number of edges each user is
-    the source of (its followers under the followee -> follower convention).
+    The same seed always produces the same graph, byte for byte.  Each
+    user's activity is its ``(tweets, followers)`` pair, and its follower
+    count equals the number of edges it is the source of (its followers
+    under the followee -> follower convention).
     """
     if not 1 <= n_users <= MAX_USERS:
         raise InvalidParametersError(f"n_users must lie in [1, {MAX_USERS}], got {n_users}")
@@ -97,8 +98,6 @@ def generate_synthetic(
             counts[edge] = counts.get(edge, 0) + 1
 
     followers = Counter(src for src, _ in edge_list)
-    activities: dict[str, UserActivity] = {}
-    for user in ids:
-        tweets = int(rng.expovariate(1.0 / TWEETS_PER_USER))
-        activities[user] = UserActivity(user, tweets=tweets, followers=followers[user])
-    return g, activities
+    return g, {
+        user: (int(rng.expovariate(1.0 / TWEETS_PER_USER)), followers[user]) for user in ids
+    }

@@ -70,7 +70,7 @@ def bbas(draw, max_commitment: float = 1.0):
 
 
 def synthetic_graph(seed: int, n_users: int, n_edges: int, quiet: bool = False):
-    """``generate_synthetic``'s graph and activity records.
+    """``generate_synthetic``'s graph and activity map.
 
     ``quiet`` clears every mention and retweet, so those two indicators are
     constant over the edges.
@@ -84,7 +84,7 @@ def synthetic_graph(seed: int, n_users: int, n_edges: int, quiet: bool = False):
 
 @st.composite
 def synthetic_graphs(draw):
-    """Small ``synthetic_graph`` graphs with their activity records.
+    """Small ``synthetic_graph`` graphs with their activity maps.
 
     Some are quiet, so constant (vacuous) indicators are drawn too.
     """

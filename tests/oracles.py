@@ -28,7 +28,6 @@ from evimax.graph import (
     ParseError,
     SocialGraph,
     UnknownUserError,
-    UserActivity,
     _count,
     raw_indicators,
 )
@@ -167,10 +166,11 @@ def load_graph_reference(
     mentions_path: str | Path | None = None,
     retweets_path: str | Path | None = None,
     activity_path: str | Path | None = None,
-) -> tuple[SocialGraph, dict[str, UserActivity]]:
+) -> tuple[SocialGraph, dict[str, tuple[int, int]]]:
     """``load_graph`` as one generator of stripped, width-checked rows per file.
 
-    As in ``load_graph``, only users with an activity row get a record.
+    As in ``load_graph``, only users with an activity row get a
+    ``(tweets, followers)`` pair.
     """
     g = SocialGraph()
     for line, (src, dst) in _rows(edges_path, ("src", "dst")):
@@ -199,7 +199,7 @@ def load_graph_reference(
                     f"largest float ({sys.float_info.max:g})"
                 )
 
-    activities: dict[str, UserActivity] = {}
+    activities: dict[str, tuple[int, int]] = {}
     if activity_path is not None:
         for line, (user, tweets, followers) in _rows(
             activity_path, ("user", "tweets", "followers")
@@ -207,9 +207,10 @@ def load_graph_reference(
             if not user:
                 raise ParseError(activity_path, line, "empty user id")
             user = g.add_user(user)
-            record = activities.setdefault(user, UserActivity(user))
-            record.tweets = _count(activity_path, line, tweets, "tweets")
-            record.followers = _count(activity_path, line, followers, "followers")
+            activities[user] = (
+                _count(activity_path, line, tweets, "tweets"),
+                _count(activity_path, line, followers, "followers"),
+            )
     return g, activities
 
 

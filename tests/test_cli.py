@@ -10,13 +10,16 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evimax import cli, evaluate, synthetic
 from evimax.cli import main
-from evimax.graph import load_graph
+from evimax.graph import load_graph, write_csv, write_graph
 
 
 def run(*argv: str) -> int:
@@ -584,6 +587,122 @@ class TestRowOrder:
         self.run_in_subprocess([*command, *input_flags(paths), "--out", paths["out"]], 1)
         self.run_in_subprocess([*command, *input_flags(shuffled), "--out", shuffled["out"]], 2)
         assert Path(shuffled["out"]).read_bytes() == Path(paths["out"]).read_bytes()
+
+
+# The commands the input-form contract is checked on, each with its --out
+# file's id columns.  ``K`` is replaced by a drawn k, often above the user
+# count; at --alpha 0 and in evaluate's default fixed:0 block every gain ties.
+CONTRACT_COMMANDS = (
+    (("select", "--k", "K"), (1,)),
+    (("select", "--alpha", "0", "--k", "K"), (1,)),
+    (("select", "--alpha", "0.2", "--k", "K"), (1,)),
+    (("select", "--lambda", "1", "--k", "K"), (1,)),
+    (("evaluate", "--k", "K"), (2,)),
+    (("dump-edges",), (0, 1)),
+    (("dump-edges", "--alpha", "0.2"), (0, 1)),
+)
+# evaluate --out's mentions_acc and retweets_acc columns.
+RECEIVED_COLUMNS = (4, 5)
+
+
+def read_rows(path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
+
+
+def rewrite_inputs(source: dict, target: dict, scale: int = 1, prefix: str = "") -> None:
+    """Copy the four input files, each mention and retweet count times ``scale``
+    and each id prefixed with ``prefix``; rows keep their order."""
+    for kind in ("edges", "mentions", "retweets", "activity"):
+        header, *rows = read_rows(source[kind])
+        if kind == "edges":
+            rows = [(prefix + src, prefix + dst) for src, dst in rows]
+        elif kind == "activity":
+            rows = [(prefix + user, *counts) for user, *counts in rows]
+        else:
+            rows = [(prefix + a, prefix + b, str(int(n) * scale)) for a, b, n in rows]
+        write_csv(target[kind], tuple(header), rows)
+
+
+def contract_outputs(inputs: dict, k: int) -> list[tuple[bytes, list[list[str]]]]:
+    """Each ``CONTRACT_COMMANDS`` entry's ``--out`` file on ``inputs``, as bytes and rows."""
+    outputs = []
+    for command, _ in CONTRACT_COMMANDS:
+        argv = [str(k) if arg == "K" else arg for arg in command]
+        assert run(*argv, *input_flags(inputs), "--out", inputs["out"]) == 0, argv
+        outputs.append((Path(inputs["out"]).read_bytes(), read_rows(inputs["out"])))
+    return outputs
+
+
+class TestInputFormContract:
+    """Outputs depend on the model, not on the input's form.
+
+    Each example generates a small graph and runs every ``CONTRACT_COMMANDS``
+    entry on its files and on a rewritten copy.  The files live in a
+    directory made per example: pytest's ``tmp_path`` is one directory for
+    all of a test's examples.
+    """
+
+    @staticmethod
+    def generated(directory: Path, name: str, seed: int, users: int, edges: int) -> dict:
+        inputs = {kind: str(directory / f"{name}-{kind}.csv")
+                  for kind in ("edges", "mentions", "retweets", "activity", "out")}
+        g, activities = synthetic.generate_synthetic(seed, users, edges)
+        write_graph(g, activities, inputs["edges"], inputs["mentions"],
+                    inputs["retweets"], inputs["activity"])
+        return inputs
+
+    @staticmethod
+    def sizes(data) -> tuple[int, int, int, int]:
+        """A seed, a user count, an edge count that fits and a k, deep k included."""
+        users = data.draw(st.integers(1, 40), label="users")
+        edges = data.draw(st.integers(0, min(users * (users - 1), 3 * users)), label="edges")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        k = data.draw(st.integers(1, users + 5), label="k")
+        return seed, users, edges, k
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), scale=st.integers(2, 10**30))
+    def test_scaled_counts_scale_only_the_received_columns(self, data, scale):
+        seed, users, edges, k = self.sizes(data)
+        with tempfile.TemporaryDirectory() as directory:
+            base = self.generated(Path(directory), "base", seed, users, edges)
+            scaled = dict(base, **{kind: str(Path(directory) / f"scaled-{kind}.csv")
+                                   for kind in ("edges", "mentions", "retweets", "activity")})
+            rewrite_inputs(base, scaled, scale=scale)
+            expected = contract_outputs(base, k)
+            got = contract_outputs(scaled, k)
+        for (command, _), (want, want_rows), (have, have_rows) in zip(
+            CONTRACT_COMMANDS, expected, got
+        ):
+            if command[0] != "evaluate":
+                assert have == want, command
+                continue
+            header, *body = want_rows
+            for row in body:
+                for column in RECEIVED_COLUMNS:
+                    row[column] = str(int(row[column]) * scale)
+            assert have_rows == [header, *body], command
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), prefix=st.text(alphabet="09AZaz_-.", min_size=1, max_size=3))
+    def test_order_preserving_relabel_prefixes_only_the_ids(self, data, prefix):
+        seed, users, edges, k = self.sizes(data)
+        with tempfile.TemporaryDirectory() as directory:
+            base = self.generated(Path(directory), "base", seed, users, edges)
+            relabeled = dict(base, **{kind: str(Path(directory) / f"relabeled-{kind}.csv")
+                                      for kind in ("edges", "mentions", "retweets", "activity")})
+            rewrite_inputs(base, relabeled, prefix=prefix)
+            expected = contract_outputs(base, k)
+            got = contract_outputs(relabeled, k)
+        for (command, id_columns), (_, want_rows), (_, have_rows) in zip(
+            CONTRACT_COMMANDS, expected, got
+        ):
+            header, *body = want_rows
+            for row in body:
+                for column in id_columns:
+                    row[column] = prefix + row[column]
+            assert have_rows == [header, *body], command
 
 
 class TestFusedMassAboveOne:

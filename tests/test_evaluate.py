@@ -13,7 +13,7 @@ from evimax.evaluate import (
     received_totals,
 )
 from evimax.fusion import ReliabilityConfig
-from evimax.graph import SocialGraph, UserActivity
+from evimax.graph import SocialGraph
 from evimax.maximize import InvalidKError
 from evimax.spread import InfluenceField
 from evimax.synthetic import generate_synthetic
@@ -30,20 +30,17 @@ SWEEP = [
 
 class TestQualityCurve:
     def test_prefix_sums_follow_ranking(self):
-        activities = {
-            "u1": UserActivity("u1", tweets=1, followers=10),
-            "u2": UserActivity("u2", tweets=2, followers=5),
-        }
+        activities = {"u1": (1, 10), "u2": (2, 5)}
         curve = quality_curve(["u1", "u2"], activities, {})
         assert curve == [(10, 0, 0, 1), (15, 0, 0, 3)]
 
     def test_zero_activity_gives_zero_curves(self):
-        activities = {"u1": UserActivity("u1"), "u2": UserActivity("u2")}
+        activities = {"u1": (0, 0), "u2": (0, 0)}
         curve = quality_curve(["u1", "u2"], activities, {})
         assert curve == [(0, 0, 0, 0), (0, 0, 0, 0)]
 
     def test_single_seed_criteria_order(self):
-        activities = {"u1": UserActivity("u1", tweets=3, followers=7)}
+        activities = {"u1": (3, 7)}
         curve = quality_curve(["u1"], activities, {"u1": [2, 1]})
         assert curve == [(7, 2, 1, 3)]
         assert CURVE_COLUMNS == ("follows_acc", "mentions_acc", "retweets_acc", "tweets_acc")
@@ -53,14 +50,12 @@ class TestQualityCurve:
 
     def test_received_and_activity_are_read_apart(self):
         # u1 has received counts but no activity row, u2 the reverse.
-        activities = {"u2": UserActivity("u2", tweets=4, followers=6)}
+        activities = {"u2": (4, 6)}
         curve = quality_curve(["u1", "u2"], activities, {"u1": [3, 5]})
         assert curve == [(0, 3, 5, 0), (6, 3, 5, 4)]
 
     def test_truncated_selection_is_a_prefix(self):
-        activities = {
-            f"u{i}": UserActivity(f"u{i}", tweets=i, followers=2 * i) for i in range(6)
-        }
+        activities = {f"u{i}": (i, 2 * i) for i in range(6)}
         users = [f"u{i}" for i in range(6)]
         received = {f"u{i}": [i, 3 * i] for i in range(6)}
         full = quality_curve(users, activities, received)
@@ -112,7 +107,7 @@ class TestCompareConfigs:
         )
         expected = sorted(g.users)[:5]
         assert entry.selection.users() == expected
-        follows = [activities[u].followers for u in expected]
+        follows = [activities[u][1] for u in expected]
         assert [row[0] for row in entry.curve] == [
             sum(follows[: i + 1]) for i in range(5)
         ]
@@ -140,10 +135,10 @@ class TestCompareConfigs:
             assert len(entry.curve) == g.num_users()
             # Every user is ranked, so the last row sums every user's statistics.
             assert entry.curve[-1] == (
-                sum(a.followers for a in activities.values()),
+                sum(followers for _, followers in activities.values()),
                 sum(g.mentions.values()),
                 sum(g.retweets.values()),
-                sum(a.tweets for a in activities.values()),
+                sum(tweets for tweets, _ in activities.values()),
             )
 
     def test_rejects_bad_k_and_empty_sweep(self):

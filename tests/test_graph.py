@@ -16,7 +16,6 @@ from evimax.graph import (
     ParseError,
     SocialGraph,
     UnknownUserError,
-    UserActivity,
     load_graph,
     raw_indicators,
     write_graph,
@@ -85,10 +84,9 @@ class TestLoadGraph:
         assert set(g.users) == {"a", "b", "c"}
         assert g.mentions[("a", "b")] == 7
         assert g.retweets[("b", "c")] == 2
-        assert activities["a"].tweets == 10
-        assert activities["a"].followers == 100
+        assert activities["a"] == (10, 100)
         assert received_totals(g) == {"a": [7, 0], "b": [0, 2]}
-        # One record per activity row: c has none, and reads as zero.
+        # One entry per activity row: c has none, and reads as zero.
         assert list(activities) == ["a", "b"]
 
     def test_users_in_first_appearance_order(self, tmp_path):
@@ -106,7 +104,7 @@ class TestLoadGraph:
         g, activities = load_graph(edges, mentions)
         assert g.has_edge("q", "z")
         assert g.mentions[("q", "z")] == 3
-        assert activities == {}  # no activity file, so no user has a record
+        assert activities == {}  # no activity file, so no user has an entry
 
     @pytest.mark.parametrize("kind, header", [
         ("mentions", "mentioner,mentioned,count"),
@@ -143,7 +141,7 @@ class TestLoadGraph:
         edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
         activity = write(tmp_path / "a.csv", "user,tweets,followers\na,5,1\na,7,9\n")
         _, activities = load_graph(edges, activity_path=activity)
-        assert (activities["a"].tweets, activities["a"].followers) == (7, 9)
+        assert activities == {"a": (7, 9)}
 
     @pytest.mark.parametrize("row,width", [("b,2", 2), ("b,2,3,", 4)])
     def test_activity_row_of_another_width_must_be_blank(self, tmp_path, row, width):
@@ -257,7 +255,7 @@ class TestLoadGraph:
             tmp_path / "a.csv", f"user,tweets,followers\na,{'0' * 5000}7,{'0' * 9}{largest}\n"
         )
         _, activities = load_graph(edges, activity_path=activity)
-        assert activities["a"] == UserActivity("a", 7, largest)
+        assert activities["a"] == (7, largest)
 
     def test_padded_and_zero_led_counts_accepted(self, tmp_path):
         edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
@@ -371,7 +369,7 @@ counts = st.sampled_from([0, 1, 2**63]) | st.integers(0, 10**30)
 
 @st.composite
 def written_graphs(draw):
-    """A graph and its activity records, with every user given activity."""
+    """A graph and its activity map, with every user given activity."""
     users = draw(st.lists(user_ids, min_size=2, max_size=8, unique=True))
     pairs = [(u, v) for u in users for v in users if u != v]
     g = SocialGraph()
@@ -381,11 +379,7 @@ def written_graphs(draw):
         g.add_edge(u, v)
         add_count(g.mentions, g, u, v, draw(counts))
         add_count(g.retweets, g, u, v, draw(counts))
-    activities = {
-        user: UserActivity(user, tweets=draw(counts), followers=draw(counts))
-        for user in users
-    }
-    return g, activities
+    return g, {user: (draw(counts), draw(counts)) for user in users}
 
 
 # Cells of the hostile files the loader must read exactly as its row-by-row
@@ -517,10 +511,7 @@ class TestRoundTrip:
         g2, activities2 = load_graph(*paths)
         assert same_graph(g2, g)
         assert list(g2.edges()) == list(g.edges())
-        for user, record in activities.items():
-            assert (activities2[user].tweets, activities2[user].followers) == (
-                record.tweets, record.followers
-            )
+        assert activities2 == activities
 
     def test_padded_ids_are_stripped_and_empty_ids_rejected(self, tmp_path):
         paths = [str(tmp_path / name) for name in ("e.csv", "m.csv", "r.csv", "a.csv")]
@@ -552,9 +543,7 @@ def assert_one_object_per_id_and_edge(g, activities):
         assert all(users[end] is end for end in edge)
     for counts in (g.mentions, g.retweets):
         assert all(edges[key] is key for key in counts)
-    for user, record in activities.items():
-        assert users[user] is user
-        assert record.user is user
+    assert all(users[user] is user for user in activities)
 
 
 class TestSharedObjects:
@@ -601,7 +590,8 @@ class TestSharedObjects:
         assert g.mentions == {("ann", "bob"): 4, ("ann", "cid"): 1}
         for src, _ in g.mentions:
             assert src is ann
-        assert activities["ann"].user is ann
+        (active,) = activities
+        assert active is ann
         assert_one_object_per_id_and_edge(g, activities)
 
 
@@ -752,8 +742,8 @@ class TestGenerateSynthetic:
     def test_followers_equal_out_degree(self):
         g, activities = generate_synthetic(seed=9, n_users=50, n_edges=120)
         out_degree = Counter(u for u, _ in g.edges())
-        for user, record in activities.items():
-            assert record.followers == out_degree[user]
+        for user, (_, followers) in activities.items():
+            assert followers == out_degree[user]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n_users", [2, 3, 5, 12])

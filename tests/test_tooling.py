@@ -1,5 +1,6 @@
-"""Repository tooling: the traced benchmark runner, the stdlib-only rule, CPU-count
-independence, unused helpers and public methods only the tests read."""
+"""Repository tooling: the traced benchmark runner, the suite's warning filters, the
+stdlib-only rule, CPU-count independence, unused helpers and public methods only the
+tests read."""
 
 from __future__ import annotations
 
@@ -73,6 +74,34 @@ def test_traced_select_counts_the_fusion_it_runs(tmp_path):
     distinct, _ = raw_indicators(g)
     assert calls["fusion.fuse_edge"]["calls"] == len(distinct)
     assert calls["belief.combine_dempster"]["calls"] > 0
+
+
+PROBE = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_test_does_not_stop_the_suite(tmp_path):
+    # Under pyproject.toml's warning filters, a failing @given test is
+    # reported and the tests after it still run.
+    (tmp_path / "test_probe.py").write_text(PROBE, encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    output = result.stdout + result.stderr
+    assert "INTERNALERROR" not in output
+    assert "1 failed, 1 passed" in result.stdout, output
 
 
 def test_package_imports_only_the_standard_library():
