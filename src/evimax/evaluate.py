@@ -3,9 +3,9 @@
 A selection is judged by four accumulated statistics along its ranking, in
 ``CURVE_COLUMNS`` order: followers and tweets from the activity map's
 ``(tweets, followers)`` pairs, and the mentions and retweets received, which
-``received_totals`` sums from the graph's counters.  A curve is one row of
-running totals per rank, the rows that ``evaluate --out`` writes after each
-seed's config, rank and user.
+``received_totals`` sums from the graph's counters for the ranked users.  A
+curve is one row of running totals per rank, the rows that ``evaluate
+--out`` writes after each seed's config, rank and user.
 The comparison runner computes the raw indicators and their normalization
 once and, config by config in one process, fuses the graph, builds the
 influence field and runs its CELF selection, mirroring the fixed-alpha
@@ -39,12 +39,17 @@ class ReportEntry:
     curve: list[tuple[int, int, int, int]]
 
 
-def received_totals(g: SocialGraph) -> dict[str, list[int]]:
-    """Each user's ``[mentions, retweets]`` received on its out-edges, if either is nonzero."""
+def received_totals(g: SocialGraph, users: Iterable[str]) -> dict[str, list[int]]:
+    """Each of ``users``' ``[mentions, retweets]`` received on its out-edges.
+
+    A user who received neither is left out.
+    """
+    wanted = set(users)
     totals: dict[str, list[int]] = {}
     for j, counts in enumerate((g.mentions, g.retweets)):
         for (u, _), count in counts.items():
-            totals.setdefault(u, [0, 0])[j] += count
+            if u in wanted:
+                totals.setdefault(u, [0, 0])[j] += count
     return totals
 
 
@@ -78,21 +83,24 @@ def compare_configs(
     The configs run one after another, sharing one indicator prefix through
     ``fuse_configs``: each is fused, its field built and its CELF run before
     the next is fused, so one config's records and field are alive at a
-    time, beside the received totals summed once for the sweep.  An error of
-    a config's fusion, field build or CELF run names the config, and the
-    first failing config in config order stops the sweep.
+    time.  An error of a config's fusion, field build or CELF run names the
+    config, and the first failing config in config order stops the sweep.
+    Once every config has its seeds, one pass over the graph's counters sums
+    the mentions and retweets received by the ranked users alone, and the
+    curves are read off those totals.
     """
     _effective_k(g.num_users(), k)
     if not configs:
         raise ValueError("at least one configuration is required")
-    entries: list[ReportEntry] = []
-    received = received_totals(g)
+    selections: list[SeedSelection] = []
     stream = fuse_configs(g, configs)
     for cfg in configs:
         try:
-            selection = select_celf(InfluenceField.from_graph(next(stream)), k)
+            selections.append(select_celf(InfluenceField.from_graph(next(stream)), k))
         except (FusionError, ValueError) as exc:
             raise EvaluationError(f"config {cfg.name}: {exc}") from exc
-        curve = quality_curve(selection.users(), activities, received)
-        entries.append(ReportEntry(cfg.name, selection, curve))
-    return entries
+    received = received_totals(g, {u for selection in selections for u in selection.users()})
+    return [
+        ReportEntry(cfg.name, selection, quality_curve(selection.users(), activities, received))
+        for cfg, selection in zip(configs, selections)
+    ]

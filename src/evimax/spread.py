@@ -11,10 +11,13 @@ exceed 1, and the objective is maximized exactly as defined.
 field over its two-hop out-frontier, which is an exact restructuring (all
 terms outside the frontier are zero); the literal per-user form lives in
 ``tests/oracles.py`` as a check on it.  The field stores the graph once, as
-out-adjacency keyed by user, which also serves as its user list.
-``from_graph`` takes fusion's ``FusedEdges`` alone and fills the field in
-one walk of its ``per_edge`` pairs, each weight the ``inf`` of the edge's
-record; it never sees how fusion lines its records up with the edges.
+out-adjacency keyed by user, holding only the users with a stored out-edge;
+its user list is the graph's own, not a copy, so a field costs memory and
+time per stored edge, not per user.  ``from_graph`` takes fusion's
+``FusedEdges`` alone and fills the field in one walk of its ``per_edge``
+pairs, each weight the ``inf`` of the edge's record, summing each user's
+out-weights as it goes; it never sees how fusion lines its records up with
+the edges.
 
 Only nonzero weights are stored, by either constructor: most fused edges
 are exact zeros (every edge under a zero alpha), and a zero-weight edge adds
@@ -28,7 +31,7 @@ reordered sum, not always bit for bit.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable, KeysView, Mapping
 
 from .fusion import FusedEdges
 from .graph import UnknownUserError
@@ -37,11 +40,14 @@ from .graph import UnknownUserError
 class InfluenceField:
     """Immutable per-edge influence values over a fixed user set.
 
-    One dict maps each user to its nonzero weighted out-edges in insertion
-    order; its keys are the user set.  A field built from given weights
-    checks that every weight lies in [0, 1] and that edges connect known,
-    distinct users, then drops the zero weights (0.0 and -0.0); after
-    construction the field is read-only and safe to share.
+    One dict maps each user with a nonzero out-weight to those weighted
+    out-edges in insertion order, and another to their sum; a user without
+    one has no entry in either.  The user set is held apart, as a keys view
+    of the given users or, from ``from_graph``, the graph's own ``users``
+    view, which is shared, not copied.  A field built from
+    given weights checks that every weight lies in [0, 1] and that edges
+    connect known, distinct users, then drops the zero weights (0.0 and
+    -0.0); after construction the field is read-only and safe to share.
     """
 
     def __init__(
@@ -49,16 +55,30 @@ class InfluenceField:
         users: Iterable[str],
         weights: Mapping[tuple[str, str], float],
     ) -> None:
-        self._out: dict[str, list[tuple[str, float]]] = {u: [] for u in users}
+        self._users: KeysView[str] = dict.fromkeys(users).keys()
+        self._out: dict[str, list[tuple[str, float]]] = {}
+        self._out_sums: dict[str, float] = {}
         for (u, v), w in weights.items():
-            if u not in self._out or v not in self._out:
+            if u not in self._users or v not in self._users:
                 raise UnknownUserError(f"edge ({u!r}, {v!r}) references unknown user")
             if u == v:
                 raise ValueError(f"self-loop weight for {u!r}")
             if not 0.0 <= w <= 1.0:
                 raise ValueError(f"influence weight must lie in [0, 1], got {w!r}")
-            if w:
-                self._out[u].append((v, w))
+        self._fill(filter(itemgetter(1), weights.items()))
+
+    def _fill(self, weighted_edges: Iterable[tuple[tuple[str, str], float]]) -> None:
+        """Append each weighted edge to its source's out-list and out-weight sum."""
+        out, sums = self._out, self._out_sums
+        for (u, v), w in weighted_edges:
+            # Explicit additions in edge order: builtin sum() of floats is
+            # compensated on Python 3.12+, so its bits differ across versions.
+            if u in sums:
+                out[u].append((v, w))
+                sums[u] += w
+            else:
+                out[u] = [(v, w)]
+                sums[u] = w
 
     @classmethod
     def from_graph(cls, fused: FusedEdges) -> "InfluenceField":
@@ -73,20 +93,19 @@ class InfluenceField:
         ``singleton_spread_bounds`` and CELF need only nonnegative weights,
         which fusion guarantees.
         """
-        field = cls(fused.graph.users, {})
-        out = field._out
-        for (u, v), w in filter(
+        field = cls((), {})
+        field._users = fused.graph.users
+        field._fill(filter(
             itemgetter(1), fused.per_edge([record.inf for record in fused.records])
-        ):
-            out[u].append((v, w))
+        ))
         return field
 
     @property
     def users(self) -> Iterable[str]:
-        return self._out.keys()
+        return self._users
 
     def num_users(self) -> int:
-        return len(self._out)
+        return len(self._users)
 
     def seed_contributions(self, u: str) -> dict[str, float]:
         """Influence of the single seed u on every reachable other user.
@@ -98,24 +117,27 @@ class InfluenceField:
         sum of its members' fields.
         """
         self._require(u)
+        out = self._out
         con: dict[str, float] = {}
-        for x, w_ux in self._out[u]:
+        for x, w_ux in out.get(u, ()):
             con[x] = con.get(x, 0.0) + 2.0 * w_ux
-            for v, w_xv in self._out[x]:
+            for v, w_xv in out.get(x, ()):
                 if v != u:
                     con[v] = con.get(v, 0.0) + w_ux * w_xv
         return con
 
     def singleton_spread_bounds(self) -> dict[str, float]:
-        """Upper bounds on sigma({u}) for every user, in one pass over the edges.
+        """Upper bounds on sigma({u}) for each user with a stored out-edge.
 
         The exact singleton spread is 1 + sum_x w_ux * (2 + sum_{v != u} w_xv),
         which is at most 1 + sum_x w_ux * (2 + S_x) with S_x the sum of x's
-        out-weights.  A user without stored out-edges gets exactly 1.0: its
-        spread adds no term to the 1, so 1.0 is also its float singleton
-        spread and its first marginal gain.
+        out-weights, which the field summed as it stored them.  One pass over
+        the stored edges makes the bounds, keyed in the out-adjacency's order.
+        Every other user is left out: its bound is exactly 1.0, since its
+        spread adds no term to the 1, and 1.0 is also its float singleton
+        spread and its round-0 marginal gain.
 
-        Every other bound is that sum scaled by m = 1 + (2E + 3) * 2**-52, E the
+        Each bound is that sum scaled by m = 1 + (2E + 3) * 2**-52, E the
         number of stored edges, so that it also bounds the float value that
         ``sigma`` and the greedy gain compute.  The field stores no zero
         weight, and a dropped edge adds no term to either side, so the
@@ -140,25 +162,18 @@ class InfluenceField:
         A product that underflows errs by at most 2**-1075, far below the slack
         this leaves on a bound of at least 1.
         """
-        out = self._out
-        active = [(u, edges) for u, edges in out.items() if edges]
-        two_plus_sums: dict[str, float] = {}
-        for x, edges in active:
-            total = 0.0
-            for _, w in edges:
-                total += w
-            two_plus_sums[x] = 2.0 + total
-        margin = 1.0 + (2 * sum(map(len, out.values())) + 3) * 2.0**-52
-        bounds = dict.fromkeys(out, 1.0)
-        for u, edges in active:
+        sums = self._out_sums
+        margin = 1.0 + (2 * sum(map(len, self._out.values())) + 3) * 2.0**-52
+        bounds: dict[str, float] = {}
+        for u, edges in self._out.items():
             total = 0.0
             for x, w in edges:
-                total += w * two_plus_sums.get(x, 2.0)
+                total += w * (2.0 + sums.get(x, 0.0))
             bounds[u] = (1.0 + total) * margin
         return bounds
 
     def _require(self, user: str) -> None:
-        if user not in self._out:
+        if user not in self._users:
             raise UnknownUserError(f"unknown user: {user!r}")
 
     def _require_seeds(self, seeds: Iterable[str]) -> None:

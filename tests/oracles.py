@@ -6,8 +6,8 @@ views of a mass function, a builder of mention and retweet counts, graph
 equality and common neighbours read off the public user and edge lists,
 the raw indicators read edge by edge, the fused BBA of a record, the
 literal per-user influence, a field that keeps its zero weights, the
-singleton spread bounds with every zero-weight term added, the naive and
-exhaustive seed selections, and the row-by-row CSV loader that
+singleton spread bounds with every zero-weight term added, the naive,
+single-heap and exhaustive seed selections, and the row-by-row CSV loader that
 ``load_graph``'s per-file loops replaced.
 ``select_greedy_naive`` uses CELF's own ``_SelectionState``, so the two agree
 bit for bit.
@@ -16,6 +16,7 @@ bit for bit.
 from __future__ import annotations
 
 import csv
+import heapq
 import itertools
 import math
 import sys
@@ -245,12 +246,12 @@ def field_with_zeros(
     """A field that keeps every zero-weight edge, in the order given.
 
     Both ``InfluenceField`` constructors drop zero weights; this one fills
-    the adjacency past them, as the field stored it before they did, so the
-    zero-free field can be checked against it.
+    the adjacency and the out-weight sums past them, as the field stored
+    them before they did, so the zero-free field can be checked against it.
+    A user whose out-weights are all zeros gets an out-list here.
     """
     field = InfluenceField(users, {})
-    for (u, v), w in weighted_edges:
-        field._out[u].append((v, w))
+    field._fill(weighted_edges)
     return field
 
 
@@ -268,25 +269,27 @@ def reordered_sum_tolerance(n_terms: int, magnitude: float) -> float:
 def singleton_spread_bounds_reference(field: InfluenceField) -> dict[str, float]:
     """``singleton_spread_bounds`` with every out-edge's term added, zero or not.
 
-    Every user is walked, and E in the margin counts the nonzero weights,
-    so a field from ``field_with_zeros`` gets the bounds of its zero-free
-    twin.
+    Every user is walked, in user order, and each out-weight sum is taken
+    again from the out-lists; E in the margin counts the nonzero weights,
+    and a user gets a bound only if a nonzero term reached it, so a field
+    from ``field_with_zeros`` gets the bounds of its zero-free twin.
     """
     out = field._out
     two_plus_sums: dict[str, float] = {}
-    for x, edges in out.items():
+    for x in field.users:
         total = 0.0
-        for _, w in edges:
+        for _, w in out.get(x, ()):
             total += w
         two_plus_sums[x] = 2.0 + total
     stored = sum(1 for edges in out.values() for _, w in edges if w)
     margin = 1.0 + (2 * stored + 3) * 2.0**-52
     bounds: dict[str, float] = {}
-    for u, edges in out.items():
+    for u in field.users:
         total = 0.0
-        for x, w in edges:
+        for x, w in out.get(u, ()):
             total += w * two_plus_sums[x]
-        bounds[u] = (1.0 + total) * margin if total else 1.0
+        if total:
+            bounds[u] = (1.0 + total) * margin
     return bounds
 
 
@@ -344,6 +347,34 @@ def select_greedy_naive(influence_field: InfluenceField, k: int) -> SeedSelectio
         neg_gain, u = best
         cumulative = state.commit(u, -neg_gain)
         choices.append(SeedChoice(len(choices) + 1, u, -neg_gain, cumulative))
+    return SeedSelection(choices, gain_evaluations=state.evaluations)
+
+
+def select_celf_single_heap(influence_field: InfluenceField, k: int) -> SeedSelection:
+    """CELF with every user in one heap from the start.
+
+    A user with a bound starts stale at it; every other user starts fresh at
+    its round-0 gain of exactly 1.0.  ``select_celf`` keeps those users in a
+    second heap of ids, built only when needed, and must pop the same
+    entries in the same order.
+    """
+    k_eff = _effective_k(influence_field.num_users(), k)
+    state = _SelectionState(influence_field)
+    bounds = influence_field.singleton_spread_bounds()
+    heap = [
+        (-bounds[u], u, -1) if u in bounds else (-1.0, u, 0)
+        for u in influence_field.users
+    ]
+    heapq.heapify(heap)
+
+    choices: list[SeedChoice] = []
+    while len(choices) < k_eff:
+        neg_gain, u, stamp = heapq.heappop(heap)
+        if stamp == len(state.seeds):
+            cumulative = state.commit(u, -neg_gain)
+            choices.append(SeedChoice(len(choices) + 1, u, -neg_gain, cumulative))
+        else:
+            heapq.heappush(heap, (-state.gain(u), u, len(state.seeds)))
     return SeedSelection(choices, gain_evaluations=state.evaluations)
 
 

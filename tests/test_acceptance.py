@@ -249,7 +249,7 @@ def test_criterion_8_scale_check():
     influences = fuse_all(g, ReliabilityConfig.estimated(lam=5.0))
     field = InfluenceField.from_graph(influences)
     selection = select_celf(field, 50)
-    curve = quality_curve(selection.users(), activities, received_totals(g))
+    curve = quality_curve(selection.users(), activities, received_totals(g, selection.users()))
     elapsed = time.perf_counter() - started
     monotone = all(
         all(a <= b for a, b in zip(series, series[1:]))

@@ -82,7 +82,11 @@ class TestReceivedTotals:
         add_count(g.retweets, g, "a", "c", 4)
         add_count(g.retweets, g, "b", "c", 1)
         add_count(g.mentions, g, "c", "a", 0)  # a zero count creates the edge only
-        assert received_totals(g) == {"a": [5, 4], "b": [0, 1]}
+        assert received_totals(g, g.users) == {"a": [5, 4], "b": [0, 1]}
+        # Only the users asked for are summed, each over all its out-edges.
+        assert received_totals(g, ["c", "b"]) == {"b": [0, 1]}
+        assert received_totals(g, iter(["a"])) == {"a": [5, 4]}
+        assert received_totals(g, []) == {}
 
     def test_curves_read_the_graph_counters(self):
         # Every seed's mentions and retweets are its out-edges' counts.

@@ -85,7 +85,7 @@ class TestLoadGraph:
         assert g.mentions[("a", "b")] == 7
         assert g.retweets[("b", "c")] == 2
         assert activities["a"] == (10, 100)
-        assert received_totals(g) == {"a": [7, 0], "b": [0, 2]}
+        assert received_totals(g, g.users) == {"a": [7, 0], "b": [0, 2]}
         # One entry per activity row: c has none, and reads as zero.
         assert list(activities) == ["a", "b"]
 
@@ -134,7 +134,7 @@ class TestLoadGraph:
         g, activities = load_graph(edges, mentions, retweets)
         assert g.mentions == {("a", "b"): 5}
         assert g.retweets == {("a", "b"): 5}
-        assert received_totals(g) == {"a": [5, 5]}
+        assert received_totals(g, g.users) == {"a": [5, 5]}
         assert activities == {}
 
     def test_repeated_activity_row_replaces_the_earlier(self, tmp_path):

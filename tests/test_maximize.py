@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from evimax import maximize
 from evimax.fusion import FusionError, ReliabilityConfig, fuse_all
 from evimax.maximize import InvalidKError, SeedSelection, select_celf
 from evimax.spread import InfluenceField, sigma
@@ -20,6 +23,7 @@ from tests.oracles import (
     final_sigma,
     marginal_gain,
     reordered_sum_tolerance,
+    select_celf_single_heap,
     select_exhaustive,
     select_greedy_naive,
 )
@@ -210,7 +214,7 @@ class TestCelfOnFusedGraphs:
         # singleton spread, and the influence it loses to the seeds at most
         # the spread so far: this bounds every value the two runs round.
         scale = (
-            1.0 + max(field.singleton_spread_bounds().values())
+            1.0 + max(field.singleton_spread_bounds().values(), default=1.0)
             + max(c.cumulative_sigma for c in got + expected)
         )
         gain_tolerance = reordered_sum_tolerance(len(g.users) + 1, scale)
@@ -234,6 +238,104 @@ class TestCelfOnFusedGraphs:
         field = fused_field(43, 2000, 4000, "estimated")
         selection = select_celf(field, 50)
         assert selection.gain_evaluations < field.num_users() / 10
+
+
+def heapify_calls(monkeypatch) -> list[int]:
+    """The sizes of the lists ``select_celf`` heapifies, in call order.
+
+    The first is its main heap of bounds; a second is its idle-id heap.
+    """
+    sizes: list[int] = []
+
+    def heapify(items: list) -> None:
+        sizes.append(len(items))
+        heapq.heapify(items)
+
+    monkeypatch.setattr(maximize, "heapq", SimpleNamespace(
+        heapify=heapify, heappop=heapq.heappop, heappush=heapq.heappush
+    ))
+    return sizes
+
+
+def same_selection(got: SeedSelection, expected: SeedSelection) -> None:
+    """Identical users, gains and cumulative spreads to the bit, and evaluations."""
+    assert [(c.rank, c.user, c.gain.hex(), c.cumulative_sigma.hex()) for c in got.choices] == [
+        (c.rank, c.user, c.gain.hex(), c.cumulative_sigma.hex()) for c in expected.choices
+    ]
+    assert got.gain_evaluations == expected.gain_evaluations
+
+
+@st.composite
+def mostly_idle_fields(draw):
+    """A field where few users store an out-edge, and a k up to users + 3.
+
+    Users are inserted out of id order, so idle ids fall on both sides of
+    the stored ones; dyadic weights make exact gain ties, 1.0 among them.
+    """
+    n = draw(st.integers(1, 30))
+    users = [f"u{i:02d}" for i in draw(st.permutations(range(n)))]
+    sources = draw(st.lists(st.sampled_from(users), max_size=n // 4 + 1, unique=True))
+    weight = st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    weights = {}
+    for u in sources:
+        for v in draw(st.lists(st.sampled_from(users), min_size=1, max_size=3, unique=True)):
+            if v != u:
+                weights[(u, v)] = draw(weight)
+    return InfluenceField(users, weights), draw(st.integers(1, n + 3))
+
+
+class TestIdleIdHeap:
+    """``select_celf`` keeps users without a stored out-edge in a second heap.
+
+    It must pop what one heap holding every user pops:
+    ``select_celf_single_heap`` is CELF before that split.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mostly_idle_fields())
+    def test_same_as_one_heap_on_mostly_idle_fields(self, case):
+        field, k = case
+        same_selection(select_celf(field, k), select_celf_single_heap(field, k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        graph=synthetic_graphs(),
+        token=st.sampled_from(["fixed:0", "fixed:0.2", "estimated"]),
+        extra=st.integers(-5, 3),
+    )
+    def test_same_as_one_heap_on_fused_fields(self, graph, token, extra):
+        # fixed:0 stores no edge at all, so every user is idle.
+        g, _ = graph
+        field = InfluenceField.from_graph(fuse_all(g, ReliabilityConfig.parse(token)))
+        k = max(1, field.num_users() + extra)
+        same_selection(select_celf(field, k), select_celf_single_heap(field, k))
+
+    def test_exact_tie_at_one_between_stored_and_idle_ids(self):
+        # After seed a, gain(b) = 1 - 0.5 + 0.5 = 1.0 exactly, tying with
+        # the idle ids a0 and b0 on either side of b: id order decides.
+        field = InfluenceField(
+            ["b0", "c", "b", "a0", "a"], {("a", "b"): 0.25, ("b", "c"): 0.25}
+        )
+        selection = select_celf(field, 10)
+        assert selection.users() == ["a", "a0", "b", "b0", "c"]
+        assert [c.gain for c in selection.choices] == [1.5625, 1.0, 1.0, 1.0, 0.4375]
+        same_selection(selection, select_celf_single_heap(field, 10))
+
+    def test_all_idle_field_builds_the_idle_heap_at_once(self, monkeypatch):
+        sizes = heapify_calls(monkeypatch)
+        field = fused_field(41, 60, 150, "fixed:0")
+        selection = select_celf(field, 70)
+        assert sizes == [0, 60]
+        assert selection.users() == sorted(field.users)
+        same_selection(selection, select_celf_single_heap(field, 70))
+
+    def test_estimated_k50_never_builds_the_idle_heap(self, monkeypatch):
+        field = fused_field(43, 2000, 4000, "estimated")
+        sizes = heapify_calls(monkeypatch)
+        selection = select_celf(field, 50)
+        assert sizes == [len(field._out)]
+        assert 0 < len(field._out) < field.num_users()
+        same_selection(selection, select_celf_single_heap(field, 50))
 
 
 class TestRecordedValues:

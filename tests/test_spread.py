@@ -87,13 +87,16 @@ class TestInfluenceField:
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_zero_weight_stores_no_out_edge(self, zero):
         field = InfluenceField(["a", "b"], {("a", "b"): zero})
-        assert field._out == {"a": [], "b": []}
+        assert field._out == {} == field._out_sums
+        assert list(field.users) == ["a", "b"]
 
     def test_from_graph_of_a_zero_alpha_fusion_stores_no_edge(self):
         g, _ = generate_synthetic(seed=31, n_users=40, n_edges=100)
         field = InfluenceField.from_graph(fuse_all(g, ReliabilityConfig.fixed(0.0)))
         assert list(field.users) == list(g.users)
-        assert not any(field._out.values())
+        g.add_user("late")  # the field shares the graph's users view, not a copy
+        assert "late" in field.users and field.num_users() == 41
+        assert field._out == {} == field.singleton_spread_bounds()
 
 
 class TestZeroFreeField:
@@ -122,6 +125,9 @@ class TestZeroFreeField:
         reference = field_with_zeros(
             g.users, fused.per_edge([record.inf for record in fused.records])
         )
+        # Only the users with a nonzero fused out-weight are stored and bounded.
+        stored = dict.fromkeys(u for (u, _), record in fused.items() if record.inf)
+        assert list(field._out) == list(stored) == list(field.singleton_spread_bounds())
         for u in g.users:
             nonzero = [
                 {v: c.hex() for v, c in f.seed_contributions(u).items() if c}
@@ -339,9 +345,11 @@ class TestSingletonSpreadBounds:
     def test_bounds_the_float_singleton_spread_and_gain(self, case):
         field, weights = case
         bounds = field.singleton_spread_bounds()
-        assert list(bounds) == list(field.users)
+        # Keyed by the users with a nonzero out-weight, in first-edge order.
+        assert list(bounds) == list(dict.fromkeys(u for (u, _), w in weights.items() if w))
         state = _SelectionState(field)
-        for u, bound in bounds.items():
+        for u in field.users:
+            bound = bounds.get(u, 1.0)
             assert bound >= sigma(field, {u})
             assert bound >= state.gain(u)
 
@@ -354,8 +362,9 @@ class TestSingletonSpreadBounds:
         reference = singleton_spread_bounds_reference(
             field_with_zeros(field.users, weights.items())
         )
-        assert list(bounds) == list(reference)
-        assert [b.hex() for b in bounds.values()] == [b.hex() for b in reference.values()]
+        assert {u: b.hex() for u, b in bounds.items()} == {
+            u: b.hex() for u, b in reference.items()
+        }
 
     @settings(max_examples=100, deadline=None)
     @given(case=mixed_weight_fields())
@@ -363,15 +372,17 @@ class TestSingletonSpreadBounds:
         field, weights = case
         active = {u for (u, _), w in weights.items() if w != 0.0}
         state = _SelectionState(field)
-        for u, bound in field.singleton_spread_bounds().items():
+        bounds = field.singleton_spread_bounds()
+        assert set(bounds) == active == set(field._out) == set(field._out_sums)
+        for u in field.users:
             if u in active:
-                assert bound > 1.0
+                assert bounds[u] > 1.0
             else:
-                assert bound == 1.0 == sigma(field, {u}) == state.gain(u)
+                assert sigma(field, {u}) == 1.0 == state.gain(u)
 
     def test_worked_chain_bounds(self, chain):
         # a: 1 + 0.5 * (2 + 0.4) = 2.2, then the margin; b: 1 + 0.4 * 2 = 1.8.
         bounds = chain.singleton_spread_bounds()
         assert bounds["a"] == pytest.approx(2.2, rel=1e-14) and bounds["a"] >= 2.2
         assert bounds["b"] == pytest.approx(1.8, rel=1e-14) and bounds["b"] >= 1.8
-        assert bounds["c"] == 1.0
+        assert "c" not in bounds and sigma(chain, {"c"}) == 1.0
