@@ -22,7 +22,10 @@ summed; a repeated activity row replaces the earlier one.  ``load_graph``
 reads each file in one loop over ``csv.reader``'s rows: each cell of a
 row of the file's width is stripped into a local variable, the row itself
 left as read, and the row is skipped if all are empty; a row of any other
-width is skipped if blank and rejected otherwise.  Every ``ParseError``
+width is skipped if blank and rejected otherwise.  A valid row of plain
+counts calls no function written in Python: the loop interns ids and stores
+edges in the graph's own dicts, and reads a count of ASCII digits shorter
+than the bound with ``int`` (see ``load_graph``).  Every ``ParseError``
 names the file, and the line unless the file is not UTF-8 (the text is
 decoded ahead of the rows, in chunks, so the bad byte's line is not known).
 
@@ -206,11 +209,9 @@ def _count(path: str | Path, line: int, text: str, column: str) -> int:
     such as fullwidth "１２".
     """
     if text and not text.lstrip(_DIGITS):
-        # A count with fewer digits than the bound is below it.  Any other
-        # is checked without its leading zeros, so int(), which refuses over
-        # 4,300 digits, never sees more than the bound's.
-        if len(text) < _LARGEST_DIGITS:
-            return int(text)
+        # Checked without its leading zeros, so int(), which refuses over
+        # 4,300 digits, never sees more than the bound's.  load_graph reads a
+        # count with fewer digits than the bound itself, as it is below it.
         digits = text.lstrip("0") or "0"
         if len(digits) <= _LARGEST_DIGITS and (value := int(digits)) <= _LARGEST_COUNT:
             return value
@@ -236,10 +237,22 @@ def load_graph(
     to the graph.  The activity map holds ``(tweets, followers)`` for each
     user with an activity row, in first-row order; any other user has no
     entry and reads as zero.
+
+    One loop per file (see the module docstring) builds the graph as
+    ``add_edge`` and ``add_user`` would, without calling them: each id is
+    interned with ``setdefault`` on the graph's user map and each new edge
+    tuple built from the interned ids.  A mention or retweet pair is first
+    looked up as an edge, so a pair on a follow edge costs one lookup and
+    only a new pair interns its ids, target first.  A count cell of 1 to 308
+    ASCII digits, below the bound's 309, is read with ``int``; any other
+    text goes through ``_count``, which alone states the count grammar and
+    its error messages.
     """
-    # One loop per file (see the module docstring).
     g = SocialGraph()
-    add_edge = g.add_edge
+    intern = g._users.setdefault
+    edges = g._edges
+    store, find = edges.setdefault, edges.get
+    largest = _LARGEST_DIGITS
     with _data_rows(edges_path, ("src", "dst")) as rows:
         for row in rows:
             if len(row) != 2:
@@ -253,7 +266,8 @@ def load_graph(
                 raise ParseError(edges_path, rows.line_num, f"self-loop edge {src!r}")
             if not src or not dst:
                 raise ParseError(edges_path, rows.line_num, "empty user id")
-            add_edge(src, dst)
+            edge = (intern(src, src), intern(dst, dst))
+            store(edge, edge)
 
     for path, header, counts, verb in (
         (mentions_path, ("mentioner", "mentioned", "count"), g.mentions, "mention"),
@@ -276,8 +290,15 @@ def load_graph(
                     raise ParseError(path, rows.line_num, problem)
                 if not actor or not target:
                     raise ParseError(path, rows.line_num, "empty user id")
-                count = _count(path, rows.line_num, text, "count")
-                edge = add_edge(target, actor)
+                # isdigit() alone also accepts non-ASCII digits such as "²".
+                if text.isdigit() and text.isascii() and len(text) < largest:
+                    count = int(text)
+                else:
+                    count = _count(path, rows.line_num, text, "count")
+                edge = find((target, actor))
+                if edge is None:
+                    edge = (intern(target, target), intern(actor, actor))
+                    edges[edge] = edge
                 if count:
                     total = counts.get(edge, 0) + count
                     if total > _LARGEST_COUNT:
@@ -303,9 +324,13 @@ def load_graph(
                     if not (tweets or followers):
                         continue
                     raise ParseError(activity_path, rows.line_num, "empty user id")
-                activities[g.add_user(user)] = (
-                    _count(activity_path, rows.line_num, tweets, "tweets"),
-                    _count(activity_path, rows.line_num, followers, "followers"),
+                activities[intern(user, user)] = (
+                    int(tweets)
+                    if tweets.isdigit() and tweets.isascii() and len(tweets) < largest
+                    else _count(activity_path, rows.line_num, tweets, "tweets"),
+                    int(followers)
+                    if followers.isdigit() and followers.isascii() and len(followers) < largest
+                    else _count(activity_path, rows.line_num, followers, "followers"),
                 )
     return g, activities
 

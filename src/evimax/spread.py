@@ -87,17 +87,18 @@ class InfluenceField:
         The users are those of ``fused.graph``, and each of its edges with a
         nonzero ``inf`` gets that weight, so each user's out-edges keep the
         graph's insertion order and zero weights are dropped, as the
-        constructor drops them.  The weights are not rechecked, since fusion
-        built them.  Dempster's normalization can round a fused mass one ulp
-        above 1 (1.0000000000000002), and such a weight is kept:
+        constructor drops them; when no record's ``inf`` is nonzero, the
+        edges are not walked at all.  The weights are not rechecked, since
+        fusion built them.  Dempster's normalization can round a fused mass
+        one ulp above 1 (1.0000000000000002), and such a weight is kept:
         ``singleton_spread_bounds`` and CELF need only nonnegative weights,
         which fusion guarantees.
         """
         field = cls((), {})
         field._users = fused.graph.users
-        field._fill(filter(
-            itemgetter(1), fused.per_edge([record.inf for record in fused.records])
-        ))
+        weights = [record.inf for record in fused.records]
+        if any(weights):
+            field._fill(filter(itemgetter(1), fused.per_edge(weights)))
         return field
 
     @property

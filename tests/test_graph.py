@@ -38,6 +38,13 @@ def write(path, text):
     return str(path)
 
 
+# Texts that are no count, though int() reads the first four as 1000, 12, 3
+# and 0 and the last as 3, and isdigit() accepts the last two.
+NOT_COUNTS = [
+    "1_000", "\uff11\uff12", "+3", "-0", "-00", "", "1.0", "0x1", "\u00b2", "\u0663",
+]
+
+
 @pytest.fixture
 def dataset(tmp_path):
     """A small four-file dataset: a->b->c triangle-ish with activity."""
@@ -198,10 +205,7 @@ class TestLoadGraph:
         with pytest.raises(ParseError):
             load_graph(edges, retweets_path=retweets)
 
-    # int() alone reads the first four as 1000, 12, 3 and 0.
-    @pytest.mark.parametrize(
-        "text", ["1_000", "\uff11\uff12", "+3", "-0", "-00", "", "1.0", "0x1", "\u00b2"]
-    )
+    @pytest.mark.parametrize("text", NOT_COUNTS)
     def test_count_must_be_ascii_digits(self, tmp_path, text):
         edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
         mentions = write(tmp_path / "m.csv", f"mentioner,mentioned,count\nb,a,1\nb,a,{text}\n")
@@ -210,10 +214,11 @@ class TestLoadGraph:
         assert (err.value.path, err.value.line) == (mentions, 3)
         assert "count must be an integer" in str(err.value)
 
+    @pytest.mark.parametrize("text", NOT_COUNTS)
     @pytest.mark.parametrize("column", ["tweets", "followers"])
-    def test_activity_count_must_be_ascii_digits(self, tmp_path, column):
+    def test_activity_count_must_be_ascii_digits(self, tmp_path, column, text):
         edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
-        row = {"tweets": "a,+3,0", "followers": "a,0,1_0"}[column]
+        row = {"tweets": f"a,{text},0", "followers": f"a,0,{text}"}[column]
         activity = write(tmp_path / "a.csv", f"user,tweets,followers\n{row}\n")
         with pytest.raises(ParseError) as err:
             load_graph(edges, activity_path=activity)
@@ -239,13 +244,14 @@ class TestLoadGraph:
     @pytest.mark.parametrize("column", ["tweets", "followers"])
     def test_activity_count_beyond_the_bound_reports_line(self, tmp_path, column):
         edges = write(tmp_path / "e.csv", "src,dst\na,b\n")
-        huge = "9" * 4300
-        row = {"tweets": f"a,{huge},0", "followers": f"a,0,{huge}"}[column]
-        activity = write(tmp_path / "a.csv", f"user,tweets,followers\n{row}\n")
-        with pytest.raises(ParseError) as err:
-            load_graph(edges, activity_path=activity)
-        assert (err.value.path, err.value.line) == (activity, 2)
-        assert f"{column} exceeds the largest float" in str(err.value)
+        # The second has the bound's 309 digits, so only the comparison rejects it.
+        for huge in ("9" * 4300, str(int(sys.float_info.max) + 1)):
+            row = {"tweets": f"a,{huge},0", "followers": f"a,0,{huge}"}[column]
+            activity = write(tmp_path / "a.csv", f"user,tweets,followers\n{row}\n")
+            with pytest.raises(ParseError) as err:
+                load_graph(edges, activity_path=activity)
+            assert (err.value.path, err.value.line) == (activity, 2)
+            assert f"{column} exceeds the largest float" in str(err.value)
 
     def test_counts_up_to_the_bound_accepted(self, tmp_path):
         # Leading zeros do not count towards the bound, however many.
@@ -393,6 +399,11 @@ HOSTILE_IDS = (
 )
 HOSTILE_COUNTS = ["1", "5", "007", " 3 ", "\t12", "0"] * 12 + [
     "+3", "-1", "-0", "１２", "1_000", "9" * 5000, "", "x",
+    # Either side of the loader's int() fast path: the longest count it
+    # reads, the bound (309 digits) and one above it, a valid count too long
+    # for int(), and digits that isdigit() accepts but a count may not hold.
+    "9" * 308, str(int(sys.float_info.max)), str(int(sys.float_info.max) + 1),
+    "0" * 5000 + "7", "\u00b2", "\u0663",
 ]
 HEADERS = {
     "edges": "src,dst",
@@ -584,12 +595,17 @@ class TestSharedObjects:
         mentions = write(
             tmp_path / "m.csv", "mentioner,mentioned,count\nbob, ann,4\ncid, ann,1\n"
         )
+        # One retweet on the pair a mention row made an edge, one on the follow edge.
+        retweets = write(
+            tmp_path / "r.csv", "retweeter,original_author,count\ncid,ann ,2\n bob,ann,3\n"
+        )
         activity = write(tmp_path / "a.csv", "user,tweets,followers\n ann,1,1\n")
-        g, activities = load_graph(edges, mentions, activity_path=activity)
+        g, activities = load_graph(edges, mentions, retweets, activity)
         ann, _ = next(g.edges())
         assert g.mentions == {("ann", "bob"): 4, ("ann", "cid"): 1}
         for src, _ in g.mentions:
             assert src is ann
+        assert list(g.retweets.items()) == [(("ann", "cid"), 2), (("ann", "bob"), 3)]
         (active,) = activities
         assert active is ann
         assert_one_object_per_id_and_edge(g, activities)

@@ -98,6 +98,18 @@ class TestInfluenceField:
         assert "late" in field.users and field.num_users() == 41
         assert field._out == {} == field.singleton_spread_bounds()
 
+    def test_from_graph_of_a_zero_alpha_fusion_walks_no_edge(self, monkeypatch):
+        fused = fuse_all(generate_synthetic(seed=31, n_users=40, n_edges=100)[0],
+                         ReliabilityConfig.fixed(0.0))
+
+        def walk(self, values):
+            raise AssertionError("edges walked although every inf is 0")
+
+        monkeypatch.setattr(FusedEdges, "per_edge", walk)
+        field = InfluenceField.from_graph(fused)
+        assert field._out == {} == field._out_sums
+        assert field.num_users() == 40
+
 
 class TestZeroFreeField:
     """Dropping a zero weight drops only +0.0 terms.

@@ -1,6 +1,6 @@
 """Repository tooling: the traced benchmark runner, the suite's warning filters, the
-stdlib-only rule, CPU-count independence, unused helpers and public methods only the
-tests read."""
+stdlib-only rule, CPU-count independence, unused helpers, public methods only the
+tests read, and the loader's count fast path."""
 
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from evimax.graph import raw_indicators, write_graph
+from evimax import graph
+from evimax.graph import load_graph, raw_indicators, write_graph
 from evimax.synthetic import generate_synthetic
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -189,3 +190,34 @@ def test_every_public_method_has_a_reader_outside_the_tests():
     assert methods
     assert sorted(where for name, where in methods.items()
                   if name not in used and name not in words) == []
+
+
+def test_loader_reads_plain_counts_without_the_count_parser(tmp_path, monkeypatch):
+    # A count of ASCII digits shorter than the bound is read with int(); only
+    # other text goes through _count, which states the full grammar.
+    columns = []
+    parse = graph._count
+    monkeypatch.setattr(graph, "_count", lambda *args: columns.append(args[3]) or parse(*args))
+    files = {
+        "e.csv": "src,dst\nann,bob\n",
+        "m.csv": "mentioner,mentioned,count\nbob,ann, 007 \ncid,ann,0\n",
+        "r.csv": "retweeter,original_author,count\nbob,ann,12\n",
+        "a.csv": "user,tweets,followers\nann,5,100\n",
+    }
+    paths = []
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        paths.append(str(tmp_path / name))
+    g, activities = load_graph(*paths)
+    assert columns == []
+    assert (g.mentions, g.retweets, activities) == (
+        {("ann", "bob"): 7}, {("ann", "bob"): 12}, {"ann": (5, 100)}
+    )
+
+    # A valid count too long for int() takes the parser, and only its cell does.
+    (tmp_path / "a.csv").write_text(
+        "user,tweets,followers\nann," + "0" * 5000 + "7,3\n", encoding="utf-8"
+    )
+    _, activities = load_graph(*paths)
+    assert columns == ["tweets"]
+    assert activities == {"ann": (7, 3)}
