@@ -1,7 +1,10 @@
 """Command-line pipeline: generate, select, evaluate, dump-edges.
 
-Exit codes: 0 success, 1 input/configuration error (diagnostic on stderr
-naming the offending file or flag), 2 internal error.  All real-valued output
+Exit codes: 0 success, 1 usage, input or configuration error (diagnostic on
+stderr naming the offending file or flag), 2 internal error.  ``_run`` alone
+maps outcomes to exit codes: argparse's usage exit becomes 1, and every error
+the pipeline raises on bad input is a ``ValueError`` or, for a file, an
+``OSError``; anything else is an internal error.  All real-valued output
 is printed with 6 decimal places so repeated runs diff cleanly; given the
 same inputs and flags, output files are byte-identical.  Every file is
 written by ``graph.write_csv``, so the ``--out`` files quote ids the way the
@@ -21,34 +24,21 @@ import gc
 import sys
 from typing import Callable, Sequence
 
-from .evaluate import CURVE_COLUMNS, EvaluationError, compare_configs
-from .fusion import DEFAULT_LAMBDA, FusionError, ReliabilityConfig, fuse_all
+from .evaluate import CURVE_COLUMNS, compare_configs
+from .fusion import DEFAULT_LAMBDA, ReliabilityConfig, fuse_all
 from .graph import INDICATOR_NAMES, load_graph, write_csv, write_graph
 from .maximize import select_celf
 from .spread import InfluenceField
 from .synthetic import generate_synthetic
 
-# Input errors (ParseError, UnknownUserError, InvalidKError, ...) are all
-# ValueError subclasses.
-_CONFIG_ERRORS = (FusionError, EvaluationError, ValueError, OSError)
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors reported on exit code 1, not 2."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _build_parser() -> _Parser:
+def _build_parser() -> argparse.ArgumentParser:
     """The parser of every command; ``args.run(args)`` runs the one given."""
-    parser = _Parser(prog="evimax", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="evimax", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(
         name: str, help: str, run: Callable[[argparse.Namespace], int], outputs: bool = False
-    ) -> _Parser:
+    ) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         role = "output" if outputs else "input"
@@ -64,10 +54,10 @@ def _build_parser() -> _Parser:
                            help="reliability shape parameter (default: %(default)s)")
         return p
 
-    def add_k(p: _Parser) -> None:
+    def add_k(p: argparse.ArgumentParser) -> None:
         p.add_argument("--k", type=int, default=50, help="seed count (default: %(default)s)")
 
-    def add_alpha(p: _Parser) -> None:
+    def add_alpha(p: argparse.ArgumentParser) -> None:
         p.add_argument("--alpha", type=float,
                        help="fixed reliability in [0, 1]; omit for estimated mode. "
                             "At 1 no indicator is discounted, so an edge whose "
@@ -180,10 +170,11 @@ def _run(argv: Sequence[str] | None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits 2 on a usage error and 0 after --help.
+        return 1 if exc.code else 0
     try:
         return args.run(args)
-    except _CONFIG_ERRORS as exc:
+    except (ValueError, OSError) as exc:
         print(f"evimax {args.command}: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

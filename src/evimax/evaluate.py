@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .fusion import FusionError, ReliabilityConfig, fuse_configs
+from .fusion import ReliabilityConfig, fuse_configs
 from .graph import SocialGraph
 from .maximize import SeedSelection, _effective_k, select_celf
 from .spread import InfluenceField
@@ -26,7 +26,7 @@ from .spread import InfluenceField
 CURVE_COLUMNS = ("follows_acc", "mentions_acc", "retweets_acc", "tweets_acc")
 
 
-class EvaluationError(RuntimeError):
+class EvaluationError(ValueError):
     """An input or configuration error while evaluating one named configuration."""
 
 
@@ -97,7 +97,7 @@ def compare_configs(
     for cfg in configs:
         try:
             selections.append(select_celf(InfluenceField.from_graph(next(stream)), k))
-        except (FusionError, ValueError) as exc:
+        except ValueError as exc:
             raise EvaluationError(f"config {cfg.name}: {exc}") from exc
     received = received_totals(g, {u for selection in selections for u in selection.users()})
     return [

@@ -57,7 +57,7 @@ class TooFewIndicatorsError(ValueError):
     """Distance-based reliability needs at least two indicators."""
 
 
-class FusionError(RuntimeError):
+class FusionError(ValueError):
     """A per-edge fusion failure, annotated with the offending edge."""
 
 

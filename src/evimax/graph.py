@@ -199,16 +199,13 @@ def _require_blank(path: str | Path, rows: Any, row: list[str], width: int) -> N
         raise ParseError(path, rows.line_num, f"expected {width} columns, got {len(row)}")
 
 
-_DIGITS = "0123456789"
-
-
 def _count(path: str | Path, line: int, text: str, column: str) -> int:
     """Read a count: one or more ASCII decimal digits and nothing else, at most the bound.
 
     ``int`` alone would also read "1_000", "+3", "-0" and non-ASCII digits
     such as fullwidth "１２".
     """
-    if text and not text.lstrip(_DIGITS):
+    if text.isdigit() and text.isascii():
         # Checked without its leading zeros, so int(), which refuses over
         # 4,300 digits, never sees more than the bound's.  load_graph reads a
         # count with fewer digits than the bound itself, as it is below it.
@@ -216,7 +213,7 @@ def _count(path: str | Path, line: int, text: str, column: str) -> int:
         if len(digits) <= _LARGEST_DIGITS and (value := int(digits)) <= _LARGEST_COUNT:
             return value
         problem = f"exceeds the largest float ({sys.float_info.max:g})"
-    elif text[:1] == "-" and text[1:].strip("0") and not text[1:].lstrip(_DIGITS):
+    elif text[:1] == "-" and (rest := text[1:]).strip("0") and rest.isdigit() and rest.isascii():
         problem = "must be nonnegative"
     else:
         problem = "must be an integer"

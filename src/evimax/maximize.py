@@ -9,22 +9,22 @@ stamp is committed.  Under the shared deterministic tie-break (larger gain
 first, then smaller user id) this selects exactly the same seeds as the
 naive full-rescan greedy, while evaluating far fewer gains.
 
-Round 0 does not evaluate every user's gain, and the heap does not hold
-every user.  It starts from ``InfluenceField.singleton_spread_bounds``, one
-stale upper bound per user with a stored out-edge, each evaluated the first
-time it reaches the top.  Every other user, an idle id, has round-0 gain
-exactly 1.0 and acts as the entry (-1.0, id, 0): fresh in round 0, stale
-after.  The idle ids wait in a second heap of plain strings, built only
-when the main heap's top key first reaches 1.0 or the heap empties (until
-then no idle entry can be the top), and each pop takes the smaller of the
-two tops: the pops are those of one heap holding every entry.  The commit is still the naive
-argmax: every key is at least its user's gain in the current round, because
-float gains never grow as seeds are added (the accumulated field only gains
-nonnegative terms, the spread sum only loses them, and float addition is
-monotone in each operand), so no entry below the committed one can hold a
-larger gain, or an equal one with a smaller user id.  Seeds, gains and
-cumulative spreads are bit-identical to a round 0 that evaluates everyone,
-and no step costs time per user until an idle id can be the top.
+Round 0 does not evaluate every user's gain, and the heap does not start
+with every user.  It starts from ``InfluenceField.singleton_spread_bounds``,
+one stale upper bound per user with a stored out-edge, each evaluated the
+first time it reaches the top.  Every other user, an idle id, has round-0
+gain exactly 1.0 and acts as the entry (-1.0, id, 0): fresh in round 0,
+stale after.  The idle entries join the heap once, all together, the first
+time its top key reaches -1.0 or it empties; until then no idle entry can be
+the top, so the pops are those of one heap holding every entry from the
+start.  The commit is still the naive argmax: every entry's gain is at least
+its user's gain in the current round, because float gains never grow as
+seeds are added (the accumulated field only gains nonnegative terms, the
+spread sum only loses them, and float addition is monotone in each operand),
+so no entry below the committed one can hold a larger gain, or an equal one
+with a smaller user id.  Seeds, gains and cumulative spreads are
+bit-identical to a round 0 that evaluates everyone, and no step costs time
+per user until an idle id can be the top.
 
 A committed gain is fresh, computed against the current seed set, so
 sigma(S + w) = sigma(S) + gain: committing a seed costs one two-hop-frontier
@@ -62,8 +62,9 @@ class SeedSelection:
 
     ``gain_evaluations`` counts fresh marginal-gain computations.  In
     ``select_celf`` a user without a stored out-edge, whose singleton spread
-    is exactly 1, is not evaluated in round 0, and no user is evaluated
-    before its bound, or an idle id's 1.0, reaches the top of the heap.
+    is exactly 1, is not evaluated in round 0: it joins the heap at 1.0 the
+    first time the top gain falls to 1.0.  No user is evaluated before its
+    bound, or an idle id's 1.0, reaches the top of the heap.
     """
 
     choices: list[SeedChoice]
@@ -126,18 +127,16 @@ def select_celf(influence_field: InfluenceField, k: int) -> SeedSelection:
     bounds = influence_field.singleton_spread_bounds()
     heap = [(-bound, u, -1) for u, bound in bounds.items()]
     heapq.heapify(heap)
-    # The ids without a bound, each the entry (-1.0, id, 0), once needed.
-    idle: list[str] | None = None
+    # The ids without a bound join as (-1.0, id, 0) once one can be the top.
+    joined = False
 
     choices: list[SeedChoice] = []
     while len(choices) < k_eff:
-        if idle is None and (not heap or heap[0][0] >= -1.0):
-            idle = [u for u in influence_field.users if u not in bounds]
-            heapq.heapify(idle)
-        if idle and (not heap or (-1.0, idle[0]) < heap[0]):
-            neg_gain, u, stamp = -1.0, heapq.heappop(idle), 0
-        else:
-            neg_gain, u, stamp = heapq.heappop(heap)
+        if not joined and (not heap or heap[0][0] >= -1.0):
+            heap += [(-1.0, u, 0) for u in influence_field.users if u not in bounds]
+            heapq.heapify(heap)
+            joined = True
+        neg_gain, u, stamp = heapq.heappop(heap)
         if stamp == len(state.seeds):
             cumulative = state.commit(u, -neg_gain)
             choices.append(SeedChoice(len(choices) + 1, u, -neg_gain, cumulative))

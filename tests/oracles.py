@@ -354,8 +354,8 @@ def select_celf_single_heap(influence_field: InfluenceField, k: int) -> SeedSele
     """CELF with every user in one heap from the start.
 
     A user with a bound starts stale at it; every other user starts fresh at
-    its round-0 gain of exactly 1.0.  ``select_celf`` keeps those users in a
-    second heap of ids, built only when needed, and must pop the same
+    its round-0 gain of exactly 1.0.  ``select_celf`` adds those users to
+    its heap only once one of them can be the top, and must pop the same
     entries in the same order.
     """
     k_eff = _effective_k(influence_field.num_users(), k)

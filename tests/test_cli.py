@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import gc
 import hashlib
+import importlib
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evimax
 from evimax import cli, evaluate, synthetic
 from evimax.cli import main
 from evimax.graph import load_graph, write_csv, write_graph
@@ -800,6 +803,25 @@ class TestUsage:
 
     def test_no_command_exits_1(self):
         assert run() == 1
+
+
+class TestErrorClasses:
+    def test_every_error_class_is_a_value_error(self):
+        # main reports a ValueError as an input error (exit 1) and any other
+        # exception as an internal one (exit 2).
+        defined = {
+            name: obj
+            for info in pkgutil.walk_packages(evimax.__path__, "evimax.")
+            for name, obj in vars(importlib.import_module(info.name)).items()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == info.name
+        }
+        assert set(defined) >= {
+            "ParseError", "UnknownUserError", "TotalConflictError", "OutOfRangeError",
+            "TooFewIndicatorsError", "FusionError", "EvaluationError", "InvalidKError",
+            "InvalidParametersError",
+        }
+        assert [name for name, cls in defined.items() if not issubclass(cls, ValueError)] == []
 
 
 class TestConfigFileKeys:

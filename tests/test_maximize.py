@@ -243,7 +243,8 @@ class TestCelfOnFusedGraphs:
 def heapify_calls(monkeypatch) -> list[int]:
     """The sizes of the lists ``select_celf`` heapifies, in call order.
 
-    The first is its main heap of bounds; a second is its idle-id heap.
+    The first is its heap of bounds; a second is that heap once the idle
+    ids have joined it.
     """
     sizes: list[int] = []
 
@@ -285,10 +286,11 @@ def mostly_idle_fields(draw):
 
 
 class TestIdleIdHeap:
-    """``select_celf`` keeps users without a stored out-edge in a second heap.
+    """``select_celf`` adds users without a stored out-edge to its heap late.
 
-    It must pop what one heap holding every user pops:
-    ``select_celf_single_heap`` is CELF before that split.
+    They join once, the first time an idle entry (-1.0, id, 0) can be the
+    top, and it must pop what one heap holding every user from the start
+    pops: ``select_celf_single_heap``.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -319,6 +321,18 @@ class TestIdleIdHeap:
         selection = select_celf(field, 10)
         assert selection.users() == ["a", "a0", "b", "b0", "c"]
         assert [c.gain for c in selection.choices] == [1.5625, 1.0, 1.0, 1.0, 0.4375]
+        same_selection(selection, select_celf_single_heap(field, 10))
+
+    def test_idle_ids_join_the_stored_entries_after_round_0(self, monkeypatch):
+        # The field of the exact tie above: after seed a, b's entry is
+        # (-1.0, b, 1), the first top key to reach -1.0, so b0, c and a0
+        # join the heap while it still holds b.
+        field = InfluenceField(
+            ["b0", "c", "b", "a0", "a"], {("a", "b"): 0.25, ("b", "c"): 0.25}
+        )
+        sizes = heapify_calls(monkeypatch)
+        selection = select_celf(field, 10)
+        assert sizes == [2, 4]
         same_selection(selection, select_celf_single_heap(field, 10))
 
     def test_all_idle_field_builds_the_idle_heap_at_once(self, monkeypatch):
