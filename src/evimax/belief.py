@@ -15,6 +15,7 @@ shared freely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 SUM_TOLERANCE = 1e-9
@@ -113,7 +114,8 @@ def jousselme_distance(a: MassFunction, b: MassFunction) -> float:
 
     ``J`` weights each subset pair by its Jaccard similarity, so disagreement
     between overlapping subsets counts less than disagreement between
-    disjoint ones.  The result is a metric bounded in [0, 1].
+    disjoint ones.  The result is a metric bounded in [0, 1], and the square
+    root is ``math.sqrt``'s, correctly rounded on every IEEE platform.
     """
     di = a.influencer - b.influencer
     dp = a.passive - b.passive
@@ -124,4 +126,4 @@ def jousselme_distance(a: MassFunction, b: MassFunction) -> float:
     quad = di * di + dp * dp + do * do + di * do + dp * do
     if quad < 0.0:  # numeric noise around zero
         quad = 0.0
-    return (0.5 * quad) ** 0.5
+    return math.sqrt(0.5 * quad)

@@ -175,9 +175,8 @@ def indicator_bba(value: float, low: float, high: float) -> MassFunction:
 def average_distances(bbas: tuple[MassFunction, ...]) -> tuple[float, ...]:
     """Average Jousselme distance from each BBA to all the others.
 
-    The zero self-distance is included in the numerator while the divisor
-    stays at n - 1, matching the distance-averaging operator this module
-    implements.
+    Each BBA's n - 1 distances to the others are summed in index order and
+    divided by n - 1; the zero self-distance is skipped, not added.
     """
     n = len(bbas)
     if n < 2:

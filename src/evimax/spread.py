@@ -177,14 +177,14 @@ class InfluenceField:
         if user not in self._users:
             raise UnknownUserError(f"unknown user: {user!r}")
 
-    def _require_seeds(self, seeds: Iterable[str]) -> None:
-        for u in seeds:
-            self._require(u)
-
 
 def sigma(field: InfluenceField, seeds: set[str]) -> float:
-    """Total influence of the seed set over the whole network."""
-    field._require_seeds(seeds)
+    """Total influence of the seed set over the whole network.
+
+    Seeds are summed in sorted order, and ``seed_contributions`` checks each
+    one as it comes, so a set holding unknown ids raises ``UnknownUserError``
+    naming the smallest of them, whatever the hash order of the set.
+    """
     acc: dict[str, float] = {}
     for u in sorted(seeds):
         for v, c in field.seed_contributions(u).items():

@@ -2,9 +2,11 @@
 
 The package holds only the pipeline that ``select``, ``evaluate`` and
 ``dump-edges`` run.  What exists only to check it lives here: subset-indexed
-views of a mass function, a builder of mention and retweet counts, graph
+views of a mass function, the Jousselme distance with its square root
+rounded exactly once, a builder of mention and retweet counts, graph
 equality and common neighbours read off the public user and edge lists,
-the raw indicators read edge by edge, the fused BBA of a record, the
+the raw indicators read edge by edge, the fused BBA of a record, a vector's
+fused influence under a fixed alpha in exact arithmetic, the
 literal per-user influence, a field that keeps its zero weights, the
 singleton spread bounds with every zero-weight term added, the naive,
 single-heap and exhaustive seed selections, and the row-by-row CSV loader that
@@ -20,6 +22,7 @@ import heapq
 import itertools
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -64,6 +67,29 @@ def as_vector(m: MassFunction) -> tuple[float, float, float, float]:
 
 def is_vacuous(m: MassFunction, tolerance: float = 0.0) -> bool:
     return m.omega >= 1.0 - tolerance
+
+
+def jousselme_distance_exact(a: MassFunction, b: MassFunction) -> float:
+    """The Jousselme distance with ``belief``'s float quadratic form, then the
+    exact square root of half of it, rounded to the nearest float once.
+
+    Half the form is an integer over a power of two at most 2**1074, so
+    ``scaled`` is it times 4**600 exactly, and ``root`` the floor of its
+    square root times 2**600.  A nonzero root is at least 2**63, so every
+    rounding midpoint of a float near it is a whole number of its units; an
+    inexact root therefore rounds as root + 1/2 does, which ``Fraction``'s
+    ``float`` rounds once.
+    """
+    di = a.influencer - b.influencer
+    dp = a.passive - b.passive
+    do = a.omega - b.omega
+    quad = max(0.0, di * di + dp * dp + do * do + di * do + dp * do)
+    n, d = (0.5 * quad).as_integer_ratio()
+    scaled = n * 4**600 // d
+    root = math.isqrt(scaled)
+    if root * root == scaled:
+        return float(Fraction(root, 2**600))
+    return float(Fraction(2 * root + 1, 2**601))
 
 
 # -- graph -------------------------------------------------------------------
@@ -223,6 +249,34 @@ def fused(record: EdgeInfluence) -> MassFunction:
     return MassFunction(record.inf, record.passive, record.omega)
 
 
+def fixed_alpha_inf_exact(
+    vec: tuple[int, ...], bounds: tuple[tuple[int, int], ...], alpha: float
+) -> Fraction:
+    """The fused ``inf`` of a raw vector under a fixed alpha, in exact arithmetic.
+
+    Min-max BBAs (vacuous for a constant indicator), each discounted by
+    ``alpha``, then Dempster's rule in the vector's order, all as fractions.
+    """
+    a = Fraction(alpha)
+    masses = []
+    for x, (low, high) in zip(vec, bounds):
+        i, p, o = (
+            (Fraction(0), Fraction(0), Fraction(1))
+            if high == low
+            else (Fraction(x - low, high - low), Fraction(high - x, high - low), Fraction(0))
+        )
+        masses.append((a * i, a * p, 1 - a * (1 - o)))
+    i, p, o = masses[0]
+    for bi, bp, bo in masses[1:]:
+        norm = 1 - (i * bp + p * bi)
+        i, p, o = (
+            (i * bi + i * bo + o * bi) / norm,
+            (p * bp + p * bo + o * bp) / norm,
+            o * bo / norm,
+        )
+    return i
+
+
 # -- spread ------------------------------------------------------------------
 
 
@@ -299,7 +353,8 @@ def influence_on(field: InfluenceField, seeds: set[str], v: str) -> float:
     v's in-edges are read off the out-adjacency, so this route and
     ``sigma``'s frontier expansion can check each other.
     """
-    field._require_seeds(seeds)
+    for u in sorted(seeds):
+        field._require(u)
     field._require(v)
     if v in seeds:
         return 1.0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from evimax.belief import (
@@ -16,7 +16,15 @@ from evimax.belief import (
     jousselme_distance,
 )
 from tests.helpers import bbas, brute_force_dempster, random_bba
-from tests.oracles import INFLUENCER, OMEGA, PASSIVE, as_vector, is_vacuous, mass
+from tests.oracles import (
+    INFLUENCER,
+    OMEGA,
+    PASSIVE,
+    as_vector,
+    is_vacuous,
+    jousselme_distance_exact,
+    mass,
+)
 
 TOL = 1e-9
 
@@ -189,6 +197,20 @@ class TestJousselmeDistance:
         d = jousselme_distance(a, b)
         assert d == jousselme_distance(b, a)
         assert 0.0 <= d <= 1.0 + TOL
+
+    # Pairs where libm's pow(x, 0.5) misses the correctly rounded root by
+    # one ulp (0.3060279270042654 and 0.032031087515479756 through pow).
+    @example(
+        a=MassFunction(0.4162067319528028, 0.5391122165623322, 0.04468105148486501),
+        b=MassFunction(0.03899791788734941, 0.3269337661853201, 0.6340683159273305),
+    )
+    @example(
+        a=MassFunction(0.3051921672590734, 0.16258837015987837, 0.5322194625810482),
+        b=MassFunction(0.28898310808864514, 0.2048878682143258, 0.5061290236970291),
+    )
+    @given(a=bbas(), b=bbas())
+    def test_square_root_is_correctly_rounded(self, a, b):
+        assert jousselme_distance(a, b) == jousselme_distance_exact(a, b)
 
     def test_metric_axioms_on_seeded_triples(self):
         """Symmetry, identity, bounds, triangle inequality on 10k triples."""

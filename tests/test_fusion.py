@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evimax import fusion
@@ -32,7 +32,13 @@ from evimax.fusion import (
 from evimax.graph import INDICATOR_NAMES, SocialGraph, raw_indicators
 from evimax.synthetic import generate_synthetic
 from tests.helpers import bbas, synthetic_graph, synthetic_graphs
-from tests.oracles import add_count, fused, indicator_map, num_edges
+from tests.oracles import (
+    add_count,
+    fixed_alpha_inf_exact,
+    fused,
+    indicator_map,
+    num_edges,
+)
 
 TOL = 1e-9
 ESTIMATED = ReliabilityConfig.estimated(lam=5.0)
@@ -281,6 +287,94 @@ class TestFuseEdge:
         for m in bba_tuple[1:]:
             expected = combine_dempster(expected, m)
         assert fused(fuse_edge(ebs)) == expected
+
+
+def fused_vector(vec, bounds, cfg):
+    """The fused record of a raw indicator vector under the given bounds."""
+    return fuse_edge(fusion._edge_bba_set(vec, bounds, cfg))
+
+
+def stray(record) -> float:
+    """How far a fused record's three masses are from summing to 1."""
+    return abs(record.inf + record.passive + record.omega - 1.0)
+
+
+@st.composite
+def count_steps(draw):
+    """Bounds up to 10**6, a vector within them, and that vector with one
+    indicator one count higher, still within its bound."""
+    bounds = []
+    for _ in INDICATOR_NAMES:
+        low = draw(st.integers(0, 10**6))
+        bounds.append((low, draw(st.integers(low, 10**6))))
+    vec = [draw(st.integers(low, high)) for low, high in bounds]
+    room = [i for i, (x, (_, high)) in enumerate(zip(vec, bounds)) if x < high]
+    assume(room)
+    i = draw(st.sampled_from(room))
+    up = list(vec)
+    up[i] += 1
+    return tuple(bounds), tuple(vec), tuple(up)
+
+
+class TestEvidenceMonotonicity:
+    """What one more count on an indicator does to the fused ``inf``."""
+
+    # Both steps below fuse near total conflict: alphas within 1e-8 of 1 and
+    # indicators at opposite ends of their bounds.
+    NEAR_CONFLICT_STEPS = [
+        (((0, 10**6),) * 3, (1, 85957, 10**6), (1, 85958, 10**6),
+         0.9999999999999996, 0.999999996122775, 0.9999999948923801),
+        (((0, 10),) * 3, (10, 4, 10), (10, 5, 10),
+         0.9999999916138633, 1.0000000000000002, 0.9999999999999999),
+    ]
+
+    @settings(max_examples=300, deadline=None)
+    @example(step=NEAR_CONFLICT_STEPS[0][:3], alpha=NEAR_CONFLICT_STEPS[0][3])
+    @example(step=NEAR_CONFLICT_STEPS[1][:3], alpha=NEAR_CONFLICT_STEPS[1][3])
+    @given(step=count_steps(), alpha=st.floats(0.0, 1.0, exclude_max=True))
+    def test_one_more_count_never_lowers_fixed_alpha_inf(self, step, alpha):
+        """Exactly, the fused ``inf`` is nondecreasing in each count under a
+        fixed alpha below 1.  In floats, Dempster's numerators add only
+        nonnegative terms, so each fused mass is its exact value times a
+        factor shared by the three masses (the normalizer's error, which their
+        sum shows) and a few roundings of its own: a step can lower ``inf``
+        by at most how far the two records' sums stray from 1, plus 2**-49.
+        """
+        bounds, vec, up = step
+        cfg = ReliabilityConfig.fixed(alpha)
+        try:
+            before = fused_vector(vec, bounds, cfg)
+            after = fused_vector(up, bounds, cfg)
+        except ValueError:  # total conflict, or the mass-sum check
+            assume(False)
+        assert after.inf >= before.inf - (stray(before) + stray(after) + 2.0**-49)
+
+    @pytest.mark.parametrize("bounds, vec, up, alpha, inf_before, inf_after", NEAR_CONFLICT_STEPS)
+    def test_near_total_conflict_can_lower_inf_within_the_mass_sum_stray(
+        self, bounds, vec, up, alpha, inf_before, inf_after
+    ):
+        cfg = ReliabilityConfig.fixed(alpha)
+        before = fused_vector(vec, bounds, cfg)
+        after = fused_vector(up, bounds, cfg)
+        assert (before.inf, after.inf) == (inf_before, inf_after)
+        assert 0.0 < before.inf - after.inf <= stray(before) + stray(after) + 2.0**-49
+        # In exact arithmetic the step raises inf.
+        exact = [fixed_alpha_inf_exact(v, bounds, alpha) for v in (vec, up)]
+        assert exact[0] < exact[1]
+
+    def test_estimated_reliability_can_discount_the_evidence_away(self):
+        """Documented behaviour, not a bug: under ``estimated`` the indicator
+        farthest from the others is discounted, and at (0, 4, 0) that is the
+        one carrying the evidence; one more mention makes it fully committed
+        and its reliability 0, so the edge loses all its influence."""
+        bounds = ((0, 5), (0, 5), (0, 4))
+        cfg = ReliabilityConfig.estimated(lam=1.0)
+        before = fused_vector((0, 4, 0), bounds, cfg)
+        after = fused_vector((0, 5, 0), bounds, cfg)
+        assert round(before.inf, 6) == 0.029575
+        assert after.inf == 0.0
+        assert [round(a, 12) for a in before.reliabilities] == [0.6, 0.2, 0.6]
+        assert after.reliabilities == (0.5, 0.0, 0.5)
 
 
 def two_edge_graph() -> SocialGraph:

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -242,6 +246,47 @@ class TestSigma:
                 sigma(mapped, mapped_seeds), abs=TOL
             )
 
+    def test_unknown_seed_named_alike_under_every_hash_seed(self):
+        """Seeds are checked in the sorted loop that sums them, so of several
+        unknown seeds the error names the smallest, whatever the set's hash
+        order."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        code = (
+            "from evimax.spread import InfluenceField, sigma\n"
+            "sigma(InfluenceField('ab', {('a', 'b'): 0.5}), {'x', 'y', 'z', 'a'})\n"
+        )
+        for hash_seed in range(6):
+            result = subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=path),
+                capture_output=True, text=True, timeout=60,
+            )
+            assert result.returncode == 1
+            assert result.stderr.splitlines()[-1] == (
+                "evimax.graph.UnknownUserError: unknown user: 'x'"
+            ), hash_seed
+
+    @given(data=st.data())
+    def test_raising_a_stored_weight_never_lowers_sigma(self, data):
+        """Every term of the spread is a sum of products of nonnegative
+        weights, and raising a stored weight keeps every summation order, so
+        the float spread cannot fall either.  A weight raised from 0 would be
+        a new stored edge, which can reorder the sums, so only stored weights
+        are raised."""
+        n = data.draw(st.integers(2, 7))
+        users = [f"n{i}" for i in range(n)]
+        pairs = [(u, v) for u in users for v in users if u != v]
+        weights = data.draw(st.dictionaries(st.sampled_from(pairs), st.floats(0.0, 1.0)))
+        stored = [edge for edge, w in weights.items() if w]
+        assume(stored)
+        edge = data.draw(st.sampled_from(stored))
+        raised = dict(weights)
+        raised[edge] = data.draw(st.floats(weights[edge], 1.0))
+        seeds = set(data.draw(st.lists(st.sampled_from(users), unique=True)))
+        before = sigma(InfluenceField(users, weights), seeds)
+        assert sigma(InfluenceField(users, raised), seeds) >= before
+
 
 class TestMarginalGain:
     def test_gain_from_empty_set_is_single_sigma(self, chain):
@@ -263,6 +308,9 @@ class TestMarginalGain:
     def test_unknown_user(self, chain):
         with pytest.raises(UnknownUserError):
             marginal_gain(chain, {"a"}, "z")
+        # A seed set mixing known and unknown ids fails in sigma's loop.
+        with pytest.raises(UnknownUserError, match="unknown user: 'z'"):
+            marginal_gain(chain, {"a", "z"}, "b")
 
 
 class TestObjectiveShape:
