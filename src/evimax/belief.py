@@ -33,8 +33,10 @@ class MassFunction:
 
     The three stored components are the masses on {influencer}, {passive} and
     the whole frame; the empty set implicitly carries zero.  Components must
-    be nonnegative and sum to one (tolerance ``SUM_TOLERANCE``); sub-tolerance
-    negative noise is clamped to zero on construction.
+    be nonnegative and sum to one (tolerance ``SUM_TOLERANCE``).  After those
+    checks, on the given values, each component is clamped into [0, 1]:
+    sub-tolerance negative noise is stored as 0, and a component rounded
+    above 1 (as Dempster's normalization can round one) is stored as 1.
     """
 
     influencer: float
@@ -42,6 +44,7 @@ class MassFunction:
     omega: float
 
     def __post_init__(self) -> None:
+        total = self.influencer + self.passive + self.omega
         # Both checks are written so that NaN, which compares False with
         # everything, fails them.
         for name in ("influencer", "passive", "omega"):
@@ -49,9 +52,8 @@ class MassFunction:
             if not value >= _NEGATIVE_TOLERANCE:
                 problem = "is not a number" if value != value else "is negative"
                 raise ValueError(f"mass on {name!r} {problem}: {value!r}")
-            if value < 0.0:
-                object.__setattr__(self, name, 0.0)
-        total = self.influencer + self.passive + self.omega
+            if not 0.0 <= value <= 1.0:
+                object.__setattr__(self, name, min(max(value, 0.0), 1.0))
         if not abs(total - 1.0) <= SUM_TOLERANCE:
             raise ValueError(f"masses must sum to 1, got {total!r}")
 
@@ -93,15 +95,15 @@ def discount(m: MassFunction, alpha: float) -> MassFunction:
     """Discount a BBA by the reliability ``alpha`` of its source.
 
     Every proper subset keeps ``alpha`` times its mass, the remainder moving
-    to the whole frame: full reliability (1) keeps the BBA, zero reliability
-    yields the vacuous BBA.  The endpoints are returned exactly.
+    to the whole frame.  Full reliability (1) returns ``m`` itself, since
+    ``1 - (1 - omega)`` need not round back to ``omega``.  Zero reliability
+    yields the vacuous BBA through the formula, exactly (0.0, 0.0, 1.0)
+    when ``alpha`` is +0.0 and the masses are nonnegative.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"reliability must lie in [0, 1], got {alpha!r}")
     if alpha == 1.0:
         return m
-    if alpha == 0.0:
-        return MassFunction.vacuous()
     return MassFunction(
         alpha * m.influencer,
         alpha * m.passive,

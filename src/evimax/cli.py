@@ -25,7 +25,7 @@ import sys
 from typing import Callable, Sequence
 
 from .evaluate import CURVE_COLUMNS, compare_configs
-from .fusion import DEFAULT_LAMBDA, ReliabilityConfig, fuse_all
+from .fusion import DEFAULT_LAMBDA, FusedEdges, ReliabilityConfig, fuse_all
 from .graph import INDICATOR_NAMES, load_graph, write_csv, write_graph
 from .maximize import select_celf
 from .spread import InfluenceField
@@ -92,11 +92,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_select(args: argparse.Namespace) -> int:
+def _fused(args: argparse.Namespace) -> FusedEdges:
+    """The fused edges of a single-config command; the config is checked first."""
     cfg = ReliabilityConfig(alpha=args.alpha, lam=args.lam)
     # The activity map is not read; dropping it frees it before fusion.
     g = load_graph(args.edges, args.mentions, args.retweets, args.activity)[0]
-    influence_field = InfluenceField.from_graph(fuse_all(g, cfg))
+    return fuse_all(g, cfg)
+
+
+def _cmd_select(args: argparse.Namespace) -> int:
+    influence_field = InfluenceField.from_graph(_fused(args))
     selection = select_celf(influence_field, args.k)
     write_csv(
         args.out,
@@ -132,10 +137,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_edges(args: argparse.Namespace) -> int:
-    cfg = ReliabilityConfig(alpha=args.alpha, lam=args.lam)
-    # The activity map is not read; dropping it frees it before fusion.
-    g = load_graph(args.edges, args.mentions, args.retweets, args.activity)[0]
-    fused = fuse_all(g, cfg)
+    fused = _fused(args)
     # Every edge of one indicator vector prints the same numbers, so each
     # record's cells are formatted once.
     cells = [

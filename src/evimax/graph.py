@@ -157,9 +157,7 @@ def raw_indicators(
     ids: dict[tuple[int, int, int], int] = {}
     column: list[int] = []
     for e in g.edges():
-        # Most endpoints share no neighbour, so the intersection is rarely built.
-        nu, nv = neighbors[e[0]], neighbors[e[1]]
-        common = 0 if nu.isdisjoint(nv) else len(nu & nv)
+        common = len(neighbors[e[0]] & neighbors[e[1]])
         column.append(ids.setdefault((common, mentions.get(e, 0), retweets.get(e, 0)), len(ids)))
     return list(ids), column
 

@@ -88,11 +88,9 @@ class InfluenceField:
         nonzero ``inf`` gets that weight, so each user's out-edges keep the
         graph's insertion order and zero weights are dropped, as the
         constructor drops them; when no record's ``inf`` is nonzero, the
-        edges are not walked at all.  The weights are not rechecked, since
-        fusion built them.  Dempster's normalization can round a fused mass
-        one ulp above 1 (1.0000000000000002), and such a weight is kept:
-        ``singleton_spread_bounds`` and CELF need only nonnegative weights,
-        which fusion guarantees.
+        edges are not walked at all.  The weights are not rechecked: fusion
+        built them in [0, 1], since a fused mass that Dempster's
+        normalization rounds above 1 is stored as 1.0.
         """
         field = cls((), {})
         field._users = fused.graph.users
@@ -117,7 +115,8 @@ class InfluenceField:
         product of its weights.  Influence of a set on a non-member is the
         sum of its members' fields.
         """
-        self._require(u)
+        if u not in self._users:
+            raise UnknownUserError(f"unknown user: {u!r}")
         out = self._out
         con: dict[str, float] = {}
         for x, w_ux in out.get(u, ()):
@@ -172,10 +171,6 @@ class InfluenceField:
                 total += w * (2.0 + sums.get(x, 0.0))
             bounds[u] = (1.0 + total) * margin
         return bounds
-
-    def _require(self, user: str) -> None:
-        if user not in self._users:
-            raise UnknownUserError(f"unknown user: {user!r}")
 
 
 def sigma(field: InfluenceField, seeds: set[str]) -> float:

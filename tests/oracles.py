@@ -353,9 +353,9 @@ def influence_on(field: InfluenceField, seeds: set[str], v: str) -> float:
     v's in-edges are read off the out-adjacency, so this route and
     ``sigma``'s frontier expansion can check each other.
     """
-    for u in sorted(seeds):
-        field._require(u)
-    field._require(v)
+    for u in [*sorted(seeds), v]:
+        if u not in field.users:
+            raise UnknownUserError(f"unknown user: {u!r}")
     if v in seeds:
         return 1.0
     in_edges = [(x, w) for x, out in field._out.items() for y, w in out if y == v]
@@ -371,7 +371,8 @@ def influence_on(field: InfluenceField, seeds: set[str], v: str) -> float:
 
 def marginal_gain(field: InfluenceField, seeds: set[str], w: str) -> float:
     """Spread increase from adding w to the seed set."""
-    field._require(w)
+    if w not in field.users:
+        raise UnknownUserError(f"unknown user: {w!r}")
     if w in seeds:
         raise AlreadyInSetError(f"user {w!r} is already a seed")
     return sigma(field, seeds | {w}) - sigma(field, seeds)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from evimax.belief import (
     discount,
     jousselme_distance,
 )
+from evimax.fusion import indicator_bba
 from tests.helpers import bbas, brute_force_dempster, random_bba
 from tests.oracles import (
     INFLUENCER,
@@ -51,6 +53,9 @@ class TestMassFunction:
             MassFunction(0.5, 0.5, float("nan"))
         with pytest.raises(ValueError, match="must sum to 1"):
             MassFunction(float("inf"), 0.0, 0.0)
+        # The sum is checked before any component is clamped to 1.
+        with pytest.raises(ValueError, match=r"^masses must sum to 1, got 1\.1$"):
+            MassFunction(1.1, 0.0, 0.0)
 
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError, match="'influencer' is negative: -0.1"):
@@ -63,6 +68,9 @@ class TestMassFunction:
     def test_clamps_negative_noise(self):
         m = MassFunction(-1e-13, 0.4, 0.6)
         assert m.influencer == 0.0
+
+    def test_clamps_a_mass_rounded_above_one(self):
+        assert MassFunction(0.0, 1.0 + 2.0**-52, 0.0) == MassFunction(0.0, 1.0, 0.0)
 
     def test_rejects_bad_subset(self):
         with pytest.raises(ValueError):
@@ -143,9 +151,13 @@ class TestDiscount:
         m = MassFunction(0.7, 0.1, 0.2)
         assert discount(m, 1.0) == m  # exact
 
-    def test_zero_reliability_vacates(self):
-        m = MassFunction(0.7, 0.1, 0.2)
-        assert discount(m, 0.0) == MassFunction.vacuous()
+    @given(m=st.one_of(bbas(), st.builds(indicator_bba, st.integers(0, 10), st.just(0), st.just(10))))
+    @example(m=MassFunction(0.7, 0.1, 0.2))
+    def test_zero_reliability_vacates(self, m):
+        # The formula alone gives the vacuous BBA, its zeros +0.0 as vacuous()'s.
+        vacated = discount(m, 0.0)
+        assert vacated == MassFunction.vacuous()
+        assert math.copysign(1.0, vacated.influencer) == math.copysign(1.0, vacated.passive) == 1.0
 
     def test_worked_half_reliability(self):
         m = discount(MassFunction(0.7, 0.1, 0.2), 0.5)

@@ -709,7 +709,10 @@ class TestInputFormContract:
 
 
 class TestFusedMassAboveOne:
-    """At lambda 12, Dempster rounds the fused mass of a -> b to 1 + 2**-52."""
+    """At lambda 12, Dempster rounds the fused mass of a -> b to 1 + 2**-52.
+
+    The mass is stored as 1.0, so every command accepts it as a weight.
+    """
 
     @pytest.fixture
     def graph(self, paths):

@@ -30,6 +30,7 @@ from evimax.fusion import (
     reliability_from_distance,
 )
 from evimax.graph import INDICATOR_NAMES, SocialGraph, raw_indicators
+from evimax.spread import InfluenceField
 from evimax.synthetic import generate_synthetic
 from tests.helpers import bbas, synthetic_graph, synthetic_graphs
 from tests.oracles import (
@@ -248,6 +249,16 @@ class TestFuseEdge:
             fuse_edge(ebs)
         assert str(err.value) == "masses must sum to 1, got 1.0000000031054714"
 
+    def test_fused_mass_rounded_above_one_is_stored_as_one(self):
+        # Dempster's normalization rounds this inf to 1.0000000000293647,
+        # within the sum check's tolerance; it is stored as 1.0, so the
+        # user-built field accepts it as a weight.
+        cfg = ReliabilityConfig(alpha=0.9999999986985055)
+        record = fused_vector((1, 10**6, 10**6), ((0, 10**6),) * 3, cfg)
+        assert record.inf == 1.0
+        field = InfluenceField("ab", {("a", "b"): record.inf})
+        assert field.seed_contributions("a") == {"b": 2.0}
+
     @given(data=st.lists(bbas(max_commitment=0.95), min_size=2, max_size=5))
     def test_permutation_invariant(self, data):
         reference = None
@@ -325,7 +336,7 @@ class TestEvidenceMonotonicity:
         (((0, 10**6),) * 3, (1, 85957, 10**6), (1, 85958, 10**6),
          0.9999999999999996, 0.999999996122775, 0.9999999948923801),
         (((0, 10),) * 3, (10, 4, 10), (10, 5, 10),
-         0.9999999916138633, 1.0000000000000002, 0.9999999999999999),
+         0.9999999916138633, 1.0, 0.9999999999999999),
     ]
 
     @settings(max_examples=300, deadline=None)
@@ -347,6 +358,7 @@ class TestEvidenceMonotonicity:
             after = fused_vector(up, bounds, cfg)
         except ValueError:  # total conflict, or the mass-sum check
             assume(False)
+        assert 0.0 <= before.inf <= 1.0 and 0.0 <= after.inf <= 1.0
         assert after.inf >= before.inf - (stray(before) + stray(after) + 2.0**-49)
 
     @pytest.mark.parametrize("bounds, vec, up, alpha, inf_before, inf_after", NEAR_CONFLICT_STEPS)
