@@ -13,18 +13,18 @@ Typical use::
 
     graph, activity = load_graph("edges.csv", "mentions.csv",
                                  "retweets.csv", "activity.csv")
-    influences = fuse_all(graph, ReliabilityConfig.estimated(lam=5.0))
+    influences = fuse_all(graph, ReliabilityConfig(lam=5.0))
     field = InfluenceField.from_graph(influences)
     seeds = select_celf(field, k=50)
 
 ``fuse_all`` returns a ``FusedEdges``: one ``EdgeInfluence`` record per
 distinct indicator vector for the edges of the graph it was given;
-``items()`` pairs every edge with its record, and ``from_graph`` needs
-nothing else.  This package exports that pipeline, the results it returns,
-``compare_configs`` and the errors these raise; everything else (the belief
-operators, the per-edge fusion steps, ``SocialGraph``, the synthetic
-generator) is imported from its submodule.  The brute-force and naive
-oracles that check the pipeline live in ``tests/oracles.py``.
+``per_edge(records)`` pairs every edge with its record, and ``from_graph``
+needs nothing else.  This package exports that pipeline, the results it
+returns, ``compare_configs`` and the errors these raise; everything else
+(the belief operators, the per-edge fusion steps, ``SocialGraph``, the
+synthetic generator) is imported from its submodule.  The brute-force and
+naive oracles that check the pipeline live in ``tests/oracles.py``.
 """
 
 from .evaluate import EvaluationError, compare_configs

@@ -91,14 +91,6 @@ class ReliabilityConfig:
             object.__setattr__(self, "lam", None)
 
     @classmethod
-    def fixed(cls, alpha: float) -> "ReliabilityConfig":
-        return cls(alpha=alpha)
-
-    @classmethod
-    def estimated(cls, lam: float = DEFAULT_LAMBDA) -> "ReliabilityConfig":
-        return cls(lam=lam)
-
-    @classmethod
     def parse(cls, text: str, lam: float = DEFAULT_LAMBDA) -> "ReliabilityConfig":
         """Parse ``estimated`` or ``fixed:<alpha>``; ``lam`` is checked for both."""
         token = text.strip()
@@ -267,10 +259,6 @@ class FusedEdges:
     def per_edge(self, values: Sequence[Any]) -> Iterator[tuple[tuple[str, str], Any]]:
         """Each edge of ``graph.edges()`` with ``values`` at its vector id, in edge order."""
         return zip(self.graph.edges(), map(values.__getitem__, self.column))
-
-    def items(self) -> Iterator[tuple[tuple[str, str], EdgeInfluence]]:
-        """Each edge with its record, in edge order."""
-        return self.per_edge(self.records)
 
 
 def edge_bba_sets(

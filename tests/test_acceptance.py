@@ -93,7 +93,7 @@ def test_criterion_2_worked_fusion_numbers():
         MassFunction(0.7, 0.3, 0.0),
         MassFunction(0.9, 0.1, 0.0),
     )
-    alphas = estimate_reliabilities(trio, ReliabilityConfig.estimated(lam=5.0))
+    alphas = estimate_reliabilities(trio, ReliabilityConfig(lam=5.0))
     checks.append(abs(alphas[0] - 0.999514) <= tol)
 
     fused = fuse_edge(
@@ -196,8 +196,8 @@ def test_criterion_6_degenerate_alpha_algebra():
     rng = random.Random(106)
     g, _ = generate_synthetic(seed=106, n_users=60, n_edges=160)
 
-    zeroed = fuse_all(g, ReliabilityConfig.fixed(0.0))
-    all_zero = all(r.inf == 0.0 for _, r in zeroed.items())
+    zeroed = fuse_all(g, ReliabilityConfig(0.0))
+    all_zero = all(r.inf == 0.0 for _, r in zeroed.per_edge(zeroed.records))
     field = InfluenceField.from_graph(zeroed)
     users = list(field.users)
     sigma_is_cardinality = True
@@ -218,7 +218,7 @@ def test_criterion_6_degenerate_alpha_algebra():
             EdgeBBASet(
                 tuple(0.0 for _ in bba_tuple),
                 bba_tuple,
-                estimate_reliabilities(bba_tuple, ReliabilityConfig.fixed(1.0)),
+                estimate_reliabilities(bba_tuple, ReliabilityConfig(1.0)),
             )
         ))
         if via_fusion != plain:
@@ -246,7 +246,7 @@ def test_criterion_7_worked_spread_chain():
 def test_criterion_8_scale_check():
     g, activities = generate_synthetic(seed=1001, n_users=36274, n_edges=71027)
     started = time.perf_counter()
-    influences = fuse_all(g, ReliabilityConfig.estimated(lam=5.0))
+    influences = fuse_all(g, ReliabilityConfig(lam=5.0))
     field = InfluenceField.from_graph(influences)
     selection = select_celf(field, 50)
     curve = quality_curve(selection.users(), activities, received_totals(g, selection.users()))
@@ -268,7 +268,7 @@ def test_criterion_9_estimated_alpha_beats_zero_alpha():
     entries = compare_configs(
         g,
         activities,
-        [ReliabilityConfig.fixed(0.0), ReliabilityConfig.estimated(lam=5.0)],
+        [ReliabilityConfig(0.0), ReliabilityConfig(lam=5.0)],
         k=50,
     )
     # The first cell of a curve row is its accumulated follows.

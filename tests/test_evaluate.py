@@ -22,9 +22,9 @@ from tests.oracles import add_count
 
 # The CLI's default evaluate sweep.
 SWEEP = [
-    ReliabilityConfig.fixed(0.0),
-    ReliabilityConfig.fixed(0.2),
-    ReliabilityConfig.estimated(),
+    ReliabilityConfig(0.0),
+    ReliabilityConfig(0.2),
+    ReliabilityConfig(),
 ]
 
 
@@ -107,7 +107,7 @@ class TestCompareConfigs:
         # gains exactly 1 and the tie-break picks ids in ascending order.
         g, activities = generate_synthetic(seed=22, n_users=30, n_edges=80)
         (entry,) = compare_configs(
-            g, activities, [ReliabilityConfig.fixed(0.0)], k=5
+            g, activities, [ReliabilityConfig(0.0)], k=5
         )
         expected = sorted(g.users)[:5]
         assert entry.selection.users() == expected
@@ -118,7 +118,7 @@ class TestCompareConfigs:
 
     def test_identical_configs_give_identical_curves(self):
         g, activities = generate_synthetic(seed=23, n_users=40, n_edges=110)
-        cfgs = [ReliabilityConfig.estimated(), ReliabilityConfig.estimated()]
+        cfgs = [ReliabilityConfig(), ReliabilityConfig()]
         first, second = compare_configs(g, activities, cfgs, k=8)
         assert first.selection.users() == second.selection.users()
         assert first.curve == second.curve
@@ -160,7 +160,7 @@ class TestCompareConfigs:
         add_count(g.retweets, g, "c", "d", 3)
         with pytest.raises(EvaluationError) as err:
             compare_configs(
-                g, {}, [ReliabilityConfig.fixed(1.0)], k=2
+                g, {}, [ReliabilityConfig(1.0)], k=2
             )
         assert "fixed:1" in str(err.value)
 
@@ -171,9 +171,9 @@ class TestCompareConfigs:
         # must still equal a run of its config alone.
         g, activities = graph
         cfgs = [
-            ReliabilityConfig.fixed(0.2),
-            ReliabilityConfig.estimated(lam=5.0),
-            ReliabilityConfig.estimated(lam=2.0),
+            ReliabilityConfig(0.2),
+            ReliabilityConfig(lam=5.0),
+            ReliabilityConfig(lam=2.0),
         ]
         entries = compare_configs(g, activities, cfgs, k=4)
         singles = [compare_configs(g, activities, [cfg], k=4)[0] for cfg in cfgs]
@@ -188,7 +188,7 @@ class TestCompareConfigs:
 
 
 # Four configs whose fused records carry their alpha as every reliability.
-FIXED = [ReliabilityConfig.fixed(alpha) for alpha in (0.1, 0.2, 0.3, 0.4)]
+FIXED = [ReliabilityConfig(alpha) for alpha in (0.1, 0.2, 0.3, 0.4)]
 
 
 def plant_failures(monkeypatch, alphas):
@@ -234,7 +234,7 @@ class TestSweep:
         add_count(g.mentions, g, "a", "b", 5)
         add_count(g.retweets, g, "c", "d", 3)
         plant_failures(monkeypatch, {0.1})
-        configs = [ReliabilityConfig.fixed(0.1), ReliabilityConfig.fixed(1.0)]
+        configs = [ReliabilityConfig(0.1), ReliabilityConfig(1.0)]
         with pytest.raises(EvaluationError, match="^config fixed:0.1: planted"):
             compare_configs(g, {}, configs, k=2)
         with pytest.raises(EvaluationError, match="^config fixed:1: "):

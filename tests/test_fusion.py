@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from evimax import fusion
 from evimax.belief import MassFunction, combine_dempster, jousselme_distance
 from evimax.fusion import (
+    DEFAULT_LAMBDA,
     EdgeBBASet,
     FusionError,
     OutOfRangeError,
@@ -42,7 +43,7 @@ from tests.oracles import (
 )
 
 TOL = 1e-9
-ESTIMATED = ReliabilityConfig.estimated(lam=5.0)
+ESTIMATED = ReliabilityConfig(lam=5.0)
 
 
 def committed(p_influencer: float) -> MassFunction:
@@ -55,15 +56,22 @@ class TestReliabilityConfig:
         assert ESTIMATED.lam == 5.0
         assert ESTIMATED.name == "estimated"
 
+    def test_bare_constructor_is_the_default_estimated_config(self):
+        cfg = ReliabilityConfig()
+        assert cfg.alpha is None
+        assert cfg.lam == DEFAULT_LAMBDA == 5.0
+        assert cfg.name == "estimated"
+        assert cfg == ReliabilityConfig.parse("estimated")
+
     def test_fixed_name(self):
-        assert ReliabilityConfig.fixed(0.2).name == "fixed:0.2"
-        assert ReliabilityConfig.fixed(0.0).name == "fixed:0"
+        assert ReliabilityConfig(0.2).name == "fixed:0.2"
+        assert ReliabilityConfig(0.0).name == "fixed:0"
         # A zero alpha is stored as +0.0, whatever its sign.
-        assert ReliabilityConfig.fixed(-0.0).name == "fixed:0"
-        assert ReliabilityConfig.fixed(1e-07).name == "fixed:1e-07"
+        assert ReliabilityConfig(-0.0).name == "fixed:0"
+        assert ReliabilityConfig(1e-07).name == "fixed:1e-07"
         # Past :g's 6 significant digits the name keeps every digit needed.
-        assert ReliabilityConfig.fixed(0.1234567).name == "fixed:0.1234567"
-        assert ReliabilityConfig.fixed(0.1234568).name == "fixed:0.1234568"
+        assert ReliabilityConfig(0.1234567).name == "fixed:0.1234567"
+        assert ReliabilityConfig(0.1234568).name == "fixed:0.1234568"
 
     @given(st.floats(0.0, 1.0))
     @example(0.1234567)
@@ -71,7 +79,7 @@ class TestReliabilityConfig:
     @example(5e-324)
     @example(-0.0)
     def test_fixed_name_parses_back_to_its_alpha(self, alpha):
-        assert ReliabilityConfig.parse(ReliabilityConfig.fixed(alpha).name).alpha == alpha
+        assert ReliabilityConfig.parse(ReliabilityConfig(alpha).name).alpha == alpha
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -96,18 +104,18 @@ class TestReliabilityConfig:
             ReliabilityConfig(**kwargs)
 
     def test_fixed_holds_no_lambda(self):
-        cfg = ReliabilityConfig.fixed(0.2)
+        cfg = ReliabilityConfig(0.2)
         assert cfg.lam is None
         assert ReliabilityConfig(alpha=0.2, lam=3.0) == cfg
         assert ReliabilityConfig(alpha=0.2, lam=None) == cfg
-        assert ReliabilityConfig.estimated(lam=3.0) != ESTIMATED
+        assert ReliabilityConfig(lam=3.0) != ESTIMATED
 
     @given(
         st.floats(0.0, 1.0),
         st.floats(0.0, exclude_min=True, allow_infinity=False) | st.sampled_from([5.0, 1e-300]),
     )
     def test_parse_reads_a_fixed_name_back_under_any_lambda(self, alpha, lam):
-        cfg = ReliabilityConfig.fixed(alpha)
+        cfg = ReliabilityConfig(alpha)
         assert ReliabilityConfig.parse(cfg.name, lam=lam) == cfg
 
     def test_parse_checks_lambda_for_a_fixed_token(self):
@@ -116,8 +124,8 @@ class TestReliabilityConfig:
 
     def test_parse(self):
         assert ReliabilityConfig.parse("estimated") == ESTIMATED
-        assert ReliabilityConfig.parse("fixed:0.2") == ReliabilityConfig.fixed(0.2)
-        assert ReliabilityConfig.parse(" fixed:0 ") == ReliabilityConfig.fixed(0.0)
+        assert ReliabilityConfig.parse("fixed:0.2") == ReliabilityConfig(0.2)
+        assert ReliabilityConfig.parse(" fixed:0 ") == ReliabilityConfig(0.0)
         with pytest.raises(ValueError):
             ReliabilityConfig.parse("0.2")
         with pytest.raises(ValueError):
@@ -188,7 +196,7 @@ class TestEstimateReliabilities:
             estimate_reliabilities((committed(0.5),), ESTIMATED)
 
     def test_fixed_mode_is_constant(self):
-        cfg = ReliabilityConfig.fixed(0.2)
+        cfg = ReliabilityConfig(0.2)
         alphas = estimate_reliabilities((committed(0.1),), cfg)
         assert alphas == (0.2,)
         alphas = estimate_reliabilities((committed(0.1), committed(0.9)), cfg)
@@ -292,7 +300,7 @@ class TestFuseEdge:
         ebs = EdgeBBASet(
             tuple(0.0 for _ in bba_tuple),
             bba_tuple,
-            estimate_reliabilities(bba_tuple, ReliabilityConfig.fixed(1.0)),
+            estimate_reliabilities(bba_tuple, ReliabilityConfig(1.0)),
         )
         expected = bba_tuple[0]
         for m in bba_tuple[1:]:
@@ -352,7 +360,7 @@ class TestEvidenceMonotonicity:
         by at most how far the two records' sums stray from 1, plus 2**-49.
         """
         bounds, vec, up = step
-        cfg = ReliabilityConfig.fixed(alpha)
+        cfg = ReliabilityConfig(alpha)
         try:
             before = fused_vector(vec, bounds, cfg)
             after = fused_vector(up, bounds, cfg)
@@ -365,7 +373,7 @@ class TestEvidenceMonotonicity:
     def test_near_total_conflict_can_lower_inf_within_the_mass_sum_stray(
         self, bounds, vec, up, alpha, inf_before, inf_after
     ):
-        cfg = ReliabilityConfig.fixed(alpha)
+        cfg = ReliabilityConfig(alpha)
         before = fused_vector(vec, bounds, cfg)
         after = fused_vector(up, bounds, cfg)
         assert (before.inf, after.inf) == (inf_before, inf_after)
@@ -380,7 +388,7 @@ class TestEvidenceMonotonicity:
         one carrying the evidence; one more mention makes it fully committed
         and its reliability 0, so the edge loses all its influence."""
         bounds = ((0, 5), (0, 5), (0, 4))
-        cfg = ReliabilityConfig.estimated(lam=1.0)
+        cfg = ReliabilityConfig(lam=1.0)
         before = fused_vector((0, 4, 0), bounds, cfg)
         after = fused_vector((0, 5, 0), bounds, cfg)
         assert round(before.inf, 6) == 0.029575
@@ -406,48 +414,50 @@ class TestFuseAll:
         g = SocialGraph()
         g.add_edge("a", "b")
         add_count(g.mentions, g, "a", "b", 9)
-        result = dict(fuse_all(g, ESTIMATED).items())
-        assert result[("a", "b")].inf == 0.0
+        result = fuse_all(g, ESTIMATED)
+        assert dict(result.per_edge(result.records))[("a", "b")].inf == 0.0
 
     def test_covers_every_edge(self):
         g, _ = generate_synthetic(seed=8, n_users=40, n_edges=100)
-        result = dict(fuse_all(g, ESTIMATED).items())
-        assert set(result) == set(g.edges())
+        result = fuse_all(g, ESTIMATED)
+        assert set(dict(result.per_edge(result.records))) == set(g.edges())
 
     def test_fixed_zero_alpha_kills_all_influence(self):
         g, _ = generate_synthetic(seed=8, n_users=40, n_edges=100)
-        result = fuse_all(g, ReliabilityConfig.fixed(0.0))
-        assert all(r.inf == 0.0 for _, r in result.items())
+        result = fuse_all(g, ReliabilityConfig(0.0))
+        assert all(r.inf == 0.0 for _, r in result.per_edge(result.records))
 
     def test_influence_in_unit_interval(self):
         g, _ = generate_synthetic(seed=12, n_users=60, n_edges=180)
-        for cfg in (ESTIMATED, ReliabilityConfig.fixed(0.2), ReliabilityConfig.fixed(0.7)):
-            for _, r in fuse_all(g, cfg).items():
+        for cfg in (ESTIMATED, ReliabilityConfig(0.2), ReliabilityConfig(0.7)):
+            result = fuse_all(g, cfg)
+            for _, r in result.per_edge(result.records):
                 assert -TOL <= r.inf <= 1.0 + TOL
 
     def test_fully_reliable_contradiction_is_an_error(self):
         # With alpha fixed at 1, the mention and retweet indicators fully
         # contradict on both edges of the two-edge graph.
         with pytest.raises(FusionError) as err:
-            fuse_all(two_edge_graph(), ReliabilityConfig.fixed(1.0))
+            fuse_all(two_edge_graph(), ReliabilityConfig(1.0))
         assert "->" in str(err.value)
 
     def test_estimated_mode_defuses_the_same_contradiction(self):
         result = fuse_all(two_edge_graph(), ESTIMATED)
         assert len(result.column) == 2
-        for _, r in result.items():
+        for _, r in result.per_edge(result.records):
             assert -TOL <= r.inf <= 1.0 + TOL
 
     def test_deterministic(self):
         g, _ = generate_synthetic(seed=15, n_users=50, n_edges=140)
         first = fuse_all(g, ESTIMATED)
         second = fuse_all(g, ESTIMATED)
-        assert [(e, r.inf) for e, r in first.items()] == [
-            (e, r.inf) for e, r in second.items()
+        assert [(e, r.inf) for e, r in first.per_edge(first.records)] == [
+            (e, r.inf) for e, r in second.per_edge(second.records)
         ]
 
     def test_empty_graph(self):
-        assert dict(fuse_all(SocialGraph(), ESTIMATED).items()) == {}
+        result = fuse_all(SocialGraph(), ESTIMATED)
+        assert dict(result.per_edge(result.records)) == {}
 
 
 class TestDiagnosticsRecords:
@@ -468,9 +478,9 @@ class TestDiagnosticsRecords:
                               (("e", "f"), 2**53 + 1), (("g", "h"), 7)]:
             add_count(g.mentions, g, u, v, count)
         low, high = 3, 2**53 + 1
-        result = fuse_all(g, ReliabilityConfig.fixed(0.2))
+        result = fuse_all(g, ReliabilityConfig(0.2))
         assert len(result.records) == 4
-        weights = {edge: record.weights for edge, record in result.items()}
+        weights = {edge: record.weights for edge, record in result.per_edge(result.records)}
         for (u, v), count in g.mentions.items():
             # Fraction to float rounds the exact quotient correctly.
             assert weights[u, v] == (0.0, float(Fraction(count - low, high - low)), 0.0)
@@ -488,7 +498,7 @@ class TestDiagnosticsRecords:
     @pytest.mark.parametrize(
         "cfg",
         [
-            ReliabilityConfig.fixed(0.2),
+            ReliabilityConfig(0.2),
             ESTIMATED,
         ],
         ids=lambda cfg: cfg.name,
@@ -504,7 +514,8 @@ class TestDiagnosticsRecords:
             for edge, vec in values.items()
         }
 
-        records = dict(fuse_all(g, cfg).items())
+        result = fuse_all(g, cfg)
+        records = dict(result.per_edge(result.records))
         assert list(records) == list(values)
         for edge, vec in values.items():
             record = records[edge]
@@ -527,8 +538,8 @@ def reliability_configs(draw):
         alpha = draw(
             st.sampled_from([0.0, 1.0, 1.0 - 1e-13]) | st.floats(0.0, 1.0)
         )
-        return ReliabilityConfig.fixed(alpha)
-    return ReliabilityConfig.estimated(lam=draw(st.floats(0.1, 20.0)))
+        return ReliabilityConfig(alpha)
+    return ReliabilityConfig(lam=draw(st.floats(0.1, 20.0)))
 
 
 def conflicting_graph() -> SocialGraph:
@@ -571,8 +582,8 @@ class TestKernelMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(graph=synthetic_graphs(), cfg=reliability_configs())
     # Total conflict at alpha 1 and just below it.
-    @example(graph=(conflicting_graph(), {}), cfg=ReliabilityConfig.fixed(1.0))
-    @example(graph=(conflicting_graph(), {}), cfg=ReliabilityConfig.fixed(1.0 - 1e-13))
+    @example(graph=(conflicting_graph(), {}), cfg=ReliabilityConfig(1.0))
+    @example(graph=(conflicting_graph(), {}), cfg=ReliabilityConfig(1.0 - 1e-13))
     def test_fuse_all_equals_reference_exactly(self, graph, cfg):
         g, _ = graph
         expected, error = reference_fusion(g, cfg)
@@ -581,7 +592,8 @@ class TestKernelMatchesReference:
                 fuse_all(g, cfg)
             assert str(err.value) == error
             return
-        records = dict(fuse_all(g, cfg).items())
+        result = fuse_all(g, cfg)
+        records = dict(result.per_edge(result.records))
         assert list(records) == list(expected)
         for edge, record in records.items():
             reference = expected[edge]
@@ -592,15 +604,15 @@ class TestKernelMatchesReference:
 
 
 CACHE_CONFIGS = [
-    ReliabilityConfig.fixed(0.0),
-    ReliabilityConfig.fixed(0.2),
-    ReliabilityConfig.fixed(1.0),
+    ReliabilityConfig(0.0),
+    ReliabilityConfig(0.2),
+    ReliabilityConfig(1.0),
     ESTIMATED,
 ]
 
 
 def assert_records_equal(fused_edges, expected):
-    records = dict(fused_edges.items())
+    records = dict(fused_edges.per_edge(fused_edges.records))
     assert list(records) == list(expected)
     for edge, record in records.items():
         reference = expected[edge]
@@ -637,7 +649,8 @@ class TestPerVectorCache:
                 records = next(swept)
                 assert_records_equal(records, expected)
                 # Records of one vector share their tuples.
-                assert len({id(r.weights) for _, r in records.items()}) == len(distinct)
+                edge_records = records.per_edge(records.records)
+                assert len({id(r.weights) for _, r in edge_records}) == len(distinct)
             else:
                 with pytest.raises(FusionError) as err:
                     fuse_all(g, cfg)
@@ -660,13 +673,13 @@ class TestPerVectorCache:
         add_count(g.mentions, g, "e", "f", 5)
         values = indicator_map(g)
         assert values[("a", "b")] == values[("e", "f")] == (0.0, 5.0, 0.0)
-        cfg = ReliabilityConfig.fixed(1.0)
+        cfg = ReliabilityConfig(1.0)
         _, error = reference_fusion(g, cfg)
         assert error == "edge 'a' -> 'b': total conflict between sources (K=1.0)"
         with pytest.raises(FusionError) as err:
             fuse_all(g, cfg)
         assert str(err.value) == error
-        sweep = fuse_configs(g, [ReliabilityConfig.fixed(0.2), cfg])
+        sweep = fuse_configs(g, [ReliabilityConfig(0.2), cfg])
         assert len(next(sweep).column) == 4
         with pytest.raises(FusionError) as err:
             next(sweep)
@@ -679,8 +692,8 @@ class TestSharedRecords:
     @pytest.mark.parametrize(
         "cfg",
         [
-            ReliabilityConfig.fixed(0.0),
-            ReliabilityConfig.fixed(0.2),
+            ReliabilityConfig(0.0),
+            ReliabilityConfig(0.2),
             ESTIMATED,
         ],
         ids=lambda cfg: cfg.name,
@@ -688,7 +701,8 @@ class TestSharedRecords:
     def test_one_record_per_distinct_vector(self, cfg):
         g, _ = generate_synthetic(31, 300, 600)
         values = indicator_map(g)
-        records = dict(fuse_all(g, cfg).items())
+        result = fuse_all(g, cfg)
+        records = dict(result.per_edge(result.records))
         assert len({id(r) for r in records.values()}) == len(set(values.values()))
         first = {}
         for edge, vec in values.items():
@@ -696,7 +710,8 @@ class TestSharedRecords:
 
     def test_records_are_frozen(self):
         g, _ = generate_synthetic(31, 300, 600)
-        _, record = next(iter(fuse_all(g, ESTIMATED).items()))
+        result = fuse_all(g, ESTIMATED)
+        _, record = next(result.per_edge(result.records))
         with pytest.raises(dataclasses.FrozenInstanceError):
             record.inf = 0.5
 
@@ -720,9 +735,9 @@ class TestFusesEachDistinctVectorOnce:
         g, _ = generate_synthetic(31, 300, 600)
         distinct, _ = raw_indicators(g)
         configs = [
-            ReliabilityConfig.fixed(0.2),
+            ReliabilityConfig(0.2),
             ESTIMATED,
-            ReliabilityConfig.estimated(lam=2.0),
+            ReliabilityConfig(lam=2.0),
         ]
         calls = self.count_calls(monkeypatch, "fuse_edge")
         sweeps = [len(result.column) for result in fuse_configs(g, configs)]

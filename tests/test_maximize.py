@@ -175,7 +175,7 @@ class TestCelfOnFusedGraphs:
         # user-built field gets the same weights as an {edge: weight} map.
         g, _ = graph
         fused = fuse_all(g, ReliabilityConfig.parse(token))
-        weights = {edge: record.inf for edge, record in fused.items()}
+        weights = {edge: record.inf for edge, record in fused.per_edge(fused.records)}
         column_field = InfluenceField.from_graph(fused)
         user_field = InfluenceField(g.users, weights)
         assert column_field._out == user_field._out

@@ -96,7 +96,7 @@ class TestInfluenceField:
 
     def test_from_graph_of_a_zero_alpha_fusion_stores_no_edge(self):
         g, _ = generate_synthetic(seed=31, n_users=40, n_edges=100)
-        field = InfluenceField.from_graph(fuse_all(g, ReliabilityConfig.fixed(0.0)))
+        field = InfluenceField.from_graph(fuse_all(g, ReliabilityConfig(0.0)))
         assert list(field.users) == list(g.users)
         g.add_user("late")  # the field shares the graph's users view, not a copy
         assert "late" in field.users and field.num_users() == 41
@@ -104,7 +104,7 @@ class TestInfluenceField:
 
     def test_from_graph_of_a_zero_alpha_fusion_walks_no_edge(self, monkeypatch):
         fused = fuse_all(generate_synthetic(seed=31, n_users=40, n_edges=100)[0],
-                         ReliabilityConfig.fixed(0.0))
+                         ReliabilityConfig(0.0))
 
         def walk(self, values):
             raise AssertionError("edges walked although every inf is 0")
@@ -142,7 +142,9 @@ class TestZeroFreeField:
             g.users, fused.per_edge([record.inf for record in fused.records])
         )
         # Only the users with a nonzero fused out-weight are stored and bounded.
-        stored = dict.fromkeys(u for (u, _), record in fused.items() if record.inf)
+        stored = dict.fromkeys(
+            u for (u, _), record in fused.per_edge(fused.records) if record.inf
+        )
         assert list(field._out) == list(stored) == list(field.singleton_spread_bounds())
         for u in g.users:
             nonzero = [
