@@ -17,8 +17,9 @@ or a fixed alpha shared by every indicator on every edge, with no ``lam``.
 
 One implementation of the pipeline lives here, on ``belief``'s
 ``MassFunction`` operators: ``indicator_bba``, ``estimate_reliabilities`` and
-``fuse_edge`` for one edge, ``edge_bba_sets`` for every edge's inputs, and
-``fuse_configs`` / ``fuse_all`` for every edge's ``EdgeInfluence`` record.
+``fuse_edge(bbas, reliabilities)`` for one edge, ``edge_bba_sets`` for every
+edge's ``(bbas, reliabilities)``, and ``fuse_configs`` / ``fuse_all`` for
+every edge's ``EdgeInfluence`` record.
 ``fuse_configs`` computes the raw indicators and their bounds once for any
 number of configs.  Within one config an edge's record depends only on its
 raw indicator vector, so each distinct vector is fused once, and a config's
@@ -114,24 +115,16 @@ class ReliabilityConfig:
         return f"fixed:{text if float(text) == self.alpha else repr(self.alpha)}"
 
 
-@dataclass(frozen=True)
-class EdgeBBASet:
-    """One edge's normalized indicator values, their BBAs, and reliabilities."""
-
-    weights: tuple[float, ...]
-    bbas: tuple[MassFunction, ...]
-    reliabilities: tuple[float, ...]
-
-
 @dataclass(frozen=True, slots=True)
 class EdgeInfluence:
     """The fused belief state of an edge, its influence, and its inputs.
 
     ``inf``, ``passive`` and ``omega`` are the fused masses on {influencer},
-    {passive} and the whole frame; ``weights`` and ``reliabilities`` are the
-    edge's normalized indicator values and the alphas their BBAs were
-    discounted by.  A record carries no edge: ``fuse_all`` shares one record
-    among all edges with the same indicator vector, through its column.
+    {passive} and the whole frame; ``weights`` are the edge's normalized
+    indicator values, its BBAs' masses on {influencer}, and ``reliabilities``
+    the alphas those BBAs were discounted by.  A record carries no edge:
+    ``fuse_all`` shares one record among all edges with the same indicator
+    vector, through its column.
     """
 
     inf: float
@@ -210,8 +203,13 @@ def estimate_reliabilities(
     )
 
 
-def fuse_edge(ebs: EdgeBBASet) -> EdgeInfluence:
+def fuse_edge(
+    bbas: tuple[MassFunction, ...], reliabilities: tuple[float, ...]
+) -> EdgeInfluence:
     """Discount each indicator BBA by its reliability and fuse them all.
+
+    The record's weights are the BBAs' masses on {influencer}.  Every BBA is
+    discounted before any is combined, so a bad reliability raises first.
 
     Raises:
         TotalConflictError: only reachable when the reliabilities are at or
@@ -220,25 +218,20 @@ def fuse_edge(ebs: EdgeBBASet) -> EdgeInfluence:
             conflict leaves too few digits in Dempster's normalizer for the
             combined masses to still sum to 1.
     """
-    discounted = [
-        discount(m, alpha) for m, alpha in zip(ebs.bbas, ebs.reliabilities)
-    ]
+    discounted = [discount(m, alpha) for m, alpha in zip(bbas, reliabilities)]
     fused = reduce(combine_dempster, discounted)
-    return EdgeInfluence(
-        fused.influencer, fused.passive, fused.omega, ebs.weights, ebs.reliabilities
-    )
+    weights = tuple(m.influencer for m in bbas)
+    return EdgeInfluence(fused.influencer, fused.passive, fused.omega, weights, reliabilities)
 
 
-def _edge_bba_set(
+def _edge_inputs(
     vec: tuple[int, ...],
     bounds: tuple[tuple[int, int], ...],
     cfg: ReliabilityConfig,
-) -> EdgeBBASet:
-    """The ``EdgeBBASet`` of a raw indicator vector."""
+) -> tuple[tuple[MassFunction, ...], tuple[float, ...]]:
+    """The BBAs of a raw indicator vector and their reliabilities: ``fuse_edge``'s arguments."""
     bbas = tuple(indicator_bba(x, low, high) for x, (low, high) in zip(vec, bounds))
-    return EdgeBBASet(
-        tuple(m.influencer for m in bbas), bbas, estimate_reliabilities(bbas, cfg)
-    )
+    return bbas, estimate_reliabilities(bbas, cfg)
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,16 +256,17 @@ class FusedEdges:
 
 def edge_bba_sets(
     g: SocialGraph, cfg: ReliabilityConfig
-) -> Iterator[tuple[tuple[str, str], EdgeBBASet]]:
-    """Each edge with its normalized weights, BBAs, and reliabilities, in edge order.
+) -> Iterator[tuple[tuple[str, str], tuple[tuple[MassFunction, ...], tuple[float, ...]]]]:
+    """Each edge with its ``(bbas, reliabilities)``, in edge order.
 
     Pairs are yielded one at a time, so the edge set is never held twice.
-    A weight is its BBA's mass on {influencer}, 0 for a constant indicator.
+    ``fuse_edge(*inputs)`` fuses an edge's inputs; a BBA's mass on
+    {influencer} is its normalized indicator value, 0 for a constant one.
     """
     vectors, column = raw_indicators(g)
     bounds = _bounds(vectors)
     for edge, i in zip(g.edges(), column):
-        yield edge, _edge_bba_set(vectors[i], bounds, cfg)
+        yield edge, _edge_inputs(vectors[i], bounds, cfg)
 
 
 def fuse_configs(
@@ -302,7 +296,7 @@ def fuse_configs(
         records: list[EdgeInfluence] = []
         for vec in vectors:
             try:
-                records.append(fuse_edge(_edge_bba_set(vec, bounds, cfg)))
+                records.append(fuse_edge(*_edge_inputs(vec, bounds, cfg)))
             except ValueError as exc:  # TotalConflictError is one too
                 u, v = next(islice(g.edges(), column.index(len(records)), None))
                 raise FusionError(f"edge {u!r} -> {v!r}: {exc}") from exc

@@ -19,7 +19,6 @@ from evimax.belief import (
 )
 from evimax.evaluate import compare_configs, quality_curve, received_totals
 from evimax.fusion import (
-    EdgeBBASet,
     ReliabilityConfig,
     estimate_reliabilities,
     fuse_all,
@@ -97,11 +96,8 @@ def test_criterion_2_worked_fusion_numbers():
     checks.append(abs(alphas[0] - 0.999514) <= tol)
 
     fused = fuse_edge(
-        EdgeBBASet(
-            (0.6, 0.5),
-            (MassFunction(0.6, 0.4, 0.0), MassFunction(0.5, 0.5, 0.0)),
-            (1.0, 1.0),
-        )
+        (MassFunction(0.6, 0.4, 0.0), MassFunction(0.5, 0.5, 0.0)),
+        (1.0, 1.0),
     )
     checks.append(abs(fused.inf - 0.6) <= tol)
 
@@ -215,11 +211,7 @@ def test_criterion_6_degenerate_alpha_algebra():
         for m in bba_tuple[1:]:
             plain = combine_dempster(plain, m)
         via_fusion = fused(fuse_edge(
-            EdgeBBASet(
-                tuple(0.0 for _ in bba_tuple),
-                bba_tuple,
-                estimate_reliabilities(bba_tuple, ReliabilityConfig(1.0)),
-            )
+            bba_tuple, estimate_reliabilities(bba_tuple, ReliabilityConfig(1.0))
         ))
         if via_fusion != plain:
             exact_at_full_reliability = False

@@ -15,7 +15,6 @@ from evimax import fusion
 from evimax.belief import MassFunction, combine_dempster, jousselme_distance
 from evimax.fusion import (
     DEFAULT_LAMBDA,
-    EdgeBBASet,
     FusionError,
     OutOfRangeError,
     ReliabilityConfig,
@@ -223,38 +222,25 @@ class TestEstimateReliabilities:
 
 class TestFuseEdge:
     def test_single_source_identity(self):
-        ebs = EdgeBBASet((0.4,), (committed(0.4),), (1.0,))
-        assert fuse_edge(ebs).inf == pytest.approx(0.4, abs=1e-12)
+        assert fuse_edge((committed(0.4),), (1.0,)).inf == pytest.approx(0.4, abs=1e-12)
 
     def test_all_zero_reliability_is_vacuous(self):
-        ebs = EdgeBBASet(
-            (0.4, 0.9),
-            (committed(0.4), committed(0.9)),
-            (0.0, 0.0),
-        )
-        result = fuse_edge(ebs)
+        result = fuse_edge((committed(0.4), committed(0.9)), (0.0, 0.0))
         assert fused(result) == MassFunction.vacuous()
         assert result.inf == 0.0
 
     def test_worked_two_indicator_fusion(self):
         # K = 0.6*0.5 + 0.4*0.5 = 0.5; influence mass = 0.3/0.5 = 0.6.
-        ebs = EdgeBBASet(
-            (0.6, 0.5),
-            (committed(0.6), committed(0.5)),
-            (1.0, 1.0),
-        )
-        assert fuse_edge(ebs).inf == pytest.approx(0.6, abs=1e-6)
+        result = fuse_edge((committed(0.6), committed(0.5)), (1.0, 1.0))
+        assert result.inf == pytest.approx(0.6, abs=1e-6)
 
     def test_near_total_conflict_fails_the_mass_sum_check(self):
         # Alphas within about 1e-8 of 1 on contradicting committed BBAs leave
         # too few digits in Dempster's normalizer for the masses to sum to 1.
-        ebs = EdgeBBASet(
-            (0.0, 1.0, 0.0),
-            (committed(0.0), committed(1.0), committed(0.0)),
-            (0.9999986018879158, 0.9999999892243477, 0.9999999892243477),
-        )
+        bba_tuple = (committed(0.0), committed(1.0), committed(0.0))
+        alphas = (0.9999986018879158, 0.9999999892243477, 0.9999999892243477)
         with pytest.raises(ValueError) as err:
-            fuse_edge(ebs)
+            fuse_edge(bba_tuple, alphas)
         assert str(err.value) == "masses must sum to 1, got 1.0000000031054714"
 
     def test_fused_mass_rounded_above_one_is_stored_as_one(self):
@@ -267,17 +253,23 @@ class TestFuseEdge:
         field = InfluenceField("ab", {("a", "b"): record.inf})
         assert field.seed_contributions("a") == {"b": 2.0}
 
+    @given(
+        inputs=st.lists(
+            st.tuples(bbas(max_commitment=0.95), st.floats(0.0, 1.0)), min_size=1, max_size=5
+        )
+    )
+    def test_weights_are_the_bbas_influencer_masses(self, inputs):
+        bba_tuple, alphas = map(tuple, zip(*inputs))
+        record = fuse_edge(bba_tuple, alphas)
+        assert record.weights == tuple(m.influencer for m in bba_tuple)
+        assert record.reliabilities == alphas
+
     @given(data=st.lists(bbas(max_commitment=0.95), min_size=2, max_size=5))
     def test_permutation_invariant(self, data):
         reference = None
         for perm in itertools.permutations(data):
             perm = tuple(perm)
-            ebs = EdgeBBASet(
-                tuple(0.0 for _ in perm),
-                perm,
-                estimate_reliabilities(perm, ESTIMATED),
-            )
-            inf = fuse_edge(ebs).inf
+            inf = fuse_edge(perm, estimate_reliabilities(perm, ESTIMATED)).inf
             if reference is None:
                 reference = inf
             else:
@@ -286,31 +278,23 @@ class TestFuseEdge:
     @given(data=st.lists(bbas(max_commitment=0.95), min_size=2, max_size=5))
     def test_estimated_fusion_stays_in_unit_interval(self, data):
         bba_tuple = tuple(data)
-        ebs = EdgeBBASet(
-            tuple(0.0 for _ in bba_tuple),
-            bba_tuple,
-            estimate_reliabilities(bba_tuple, ESTIMATED),
-        )
-        assert -TOL <= fuse_edge(ebs).inf <= 1.0 + TOL
+        alphas = estimate_reliabilities(bba_tuple, ESTIMATED)
+        assert -TOL <= fuse_edge(bba_tuple, alphas).inf <= 1.0 + TOL
 
     @given(data=st.lists(bbas(max_commitment=0.9), min_size=2, max_size=4))
     def test_full_reliability_equals_plain_combination(self, data):
         """Fixed alpha=1 must reproduce undiscounted fusion exactly."""
         bba_tuple = tuple(data)
-        ebs = EdgeBBASet(
-            tuple(0.0 for _ in bba_tuple),
-            bba_tuple,
-            estimate_reliabilities(bba_tuple, ReliabilityConfig(1.0)),
-        )
+        alphas = estimate_reliabilities(bba_tuple, ReliabilityConfig(1.0))
         expected = bba_tuple[0]
         for m in bba_tuple[1:]:
             expected = combine_dempster(expected, m)
-        assert fused(fuse_edge(ebs)) == expected
+        assert fused(fuse_edge(bba_tuple, alphas)) == expected
 
 
 def fused_vector(vec, bounds, cfg):
     """The fused record of a raw indicator vector under the given bounds."""
-    return fuse_edge(fusion._edge_bba_set(vec, bounds, cfg))
+    return fuse_edge(*fusion._edge_inputs(vec, bounds, cfg))
 
 
 def stray(record) -> float:
@@ -464,11 +448,12 @@ class TestDiagnosticsRecords:
     def test_edge_bba_sets_expose_normalized_weights(self):
         g = two_edge_graph()
         sets = dict(edge_bba_sets(g, ESTIMATED))
+        bba_ab, bba_cd = sets[("a", "b")][0], sets[("c", "d")][0]
         # Mentions: 5 on (a,b) and 0 on (c,d) normalize to 1 and 0.
-        assert sets[("a", "b")].weights[1] == pytest.approx(1.0)
-        assert sets[("c", "d")].weights[1] == pytest.approx(0.0)
+        assert bba_ab[1].influencer == pytest.approx(1.0)
+        assert bba_cd[1].influencer == pytest.approx(0.0)
         # Degenerate common-neighbors indicator reports weight 0.
-        assert sets[("a", "b")].weights[0] == 0.0
+        assert bba_ab[0].influencer == 0.0
 
     def test_weights_are_correctly_rounded_quotients_of_the_counts(self):
         # Mentions 3, 2**53, 2**53 + 1 and 7 normalize over [3, 2**53 + 1];
@@ -525,7 +510,7 @@ class TestDiagnosticsRecords:
             )
             alphas = estimate_reliabilities(bbas[edge], cfg)
             assert record.reliabilities == alphas
-            reference = fuse_edge(EdgeBBASet(record.weights, bbas[edge], alphas))
+            reference = fuse_edge(bbas[edge], alphas)
             assert record == reference
             assert fused(record) == fused(reference)
             assert record.inf == reference.inf
@@ -570,9 +555,9 @@ def reference_fusion(g, cfg):
     check when near-total conflict leaves too few digits in its normalizer.
     """
     records = {}
-    for edge, ebs in edge_bba_sets(g, cfg):
+    for edge, inputs in edge_bba_sets(g, cfg):
         try:
-            records[edge] = fuse_edge(ebs)
+            records[edge] = fuse_edge(*inputs)
         except ValueError as exc:  # TotalConflictError is a ValueError too
             return None, f"edge {edge[0]!r} -> {edge[1]!r}: {exc}"
     return records, None
