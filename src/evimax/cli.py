@@ -15,14 +15,23 @@ builds one object per user or edge and no reference cycles, so reference
 counting frees all of it, while the collector would re-walk every live
 object each time it ran.  The collector's prior setting is restored on
 return, so in-process callers keep their own.
+
+``main`` returns the exit code, for in-process callers and the tests.  The
+two process entry points, ``python -m evimax.cli`` and the ``evimax``
+console script of ``[project.scripts]``, run ``console`` instead: it calls
+``main``, flushes stdout and stderr, and ends the process with ``os._exit``.
+Every output file is closed by then, so skipping the interpreter's teardown,
+which would free the graph and every record object by object, loses
+nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .evaluate import CURVE_COLUMNS, compare_configs
 from .fusion import DEFAULT_LAMBDA, FusedEdges, ReliabilityConfig, fuse_all
@@ -184,5 +193,13 @@ def _run(argv: Sequence[str] | None) -> int:
         return 2
 
 
+def console() -> NoReturn:
+    """Run ``main`` on ``sys.argv``, flush stdout and stderr, and end the process."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console()

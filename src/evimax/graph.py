@@ -39,11 +39,11 @@ A graph holds each user and each edge once: one ``str`` per user id and one
 tuple per edge, shared by the edge map, the mention/retweet counters and the
 activity map, which maps the graph's id of each user with an activity row
 to the row's ``(tweets, followers)`` pair (a user without a row reads as
-zero counts).  The undirected neighbour sets of the common-neighbour
-indicator exist only during a ``raw_indicators`` call, which returns the
-edges' indicator vectors, the integer count triples, as a list of distinct
-vectors and one vector id per edge, the column that fusion and the
-influence field share.
+zero counts).  The common-neighbour indicator is counted from triangles
+by ``raw_indicators``, which holds each undirected pair once, under its
+smaller id, only during the call.  It returns the edges' indicator vectors,
+the integer count triples, as a list of distinct vectors and one vector id
+per edge, the column that fusion and the influence field share.
 
 Graph construction is single-writer; after loading, instances are treated as
 immutable.
@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import csv
 import sys
+from collections import defaultdict
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -84,9 +85,9 @@ class SocialGraph:
     derived outputs are byte-stable across runs.  Every edge tuple is built
     from the graph's own id objects, and the ``mentions``/``retweets``
     counters are keyed by those edge tuples, so each id is one ``str`` and
-    each edge one tuple however many structures refer to it.  No neighbour
-    sets are kept; ``raw_indicators`` builds them for its own call.  No
-    self-loops, no duplicate edges.
+    each edge one tuple however many structures refer to it.  No adjacency
+    is kept; ``raw_indicators`` holds the undirected pairs for its own call.
+    No self-loops, no duplicate edges.
 
     The counters are plain dicts from an edge to a positive int; an edge
     without activity has no entry.  ``load_graph`` checks every count it
@@ -146,19 +147,41 @@ def raw_indicators(
     by v, and retweets of u's content by v.  ``vectors`` lists each distinct
     vector once, in the order of its first edge in ``g.edges()``, and
     ``column[i]`` is the index into ``vectors`` of the i-th edge's vector.
-    The undirected neighbour sets exist only during this call, and the
-    column is built in the one edge walk that counts common neighbours.
+
+    A common neighbour of u and v closes a triangle with the pair, so the
+    counts come from triangles, each found once (forward triangle listing).
+    During the call each undirected pair is held once, under its smaller id:
+    ``above[x]`` is the set of x's neighbours with a larger id, kept only for
+    a user that has one.  Each triangle x < y < z is found as z in
+    ``above[x] & above[y]`` and adds 1 to each of its three pairs, stored
+    under both orientations, so a mutual pair's two edges read one count.
     """
-    neighbors: dict[str, set[str]] = {user: set() for user in g.users}
+    above: defaultdict[str, set[str]] = defaultdict(set)
     for u, v in g.edges():
-        neighbors[u].add(v)
-        neighbors[v].add(u)
+        if u < v:
+            above[u].add(v)
+        else:
+            above[v].add(u)
+    common: dict[tuple[str, str], int] = {}
+    shared, find = common.get, above.get
+    for x, ys in above.items():
+        # x is a triangle's smallest id only if it has two larger neighbours.
+        if len(ys) > 1:
+            for y in ys:
+                zs = find(y)
+                if zs is not None and not ys.isdisjoint(zs):
+                    for z in ys & zs:
+                        for pair in ((x, y), (x, z), (y, z)):
+                            common[pair] = shared(pair, 0) + 1
+    for (a, b), n in list(common.items()):
+        common[b, a] = n
     mentions, retweets = g.mentions, g.retweets
     ids: dict[tuple[int, int, int], int] = {}
     column: list[int] = []
     for e in g.edges():
-        common = len(neighbors[e[0]] & neighbors[e[1]])
-        column.append(ids.setdefault((common, mentions.get(e, 0), retweets.get(e, 0)), len(ids)))
+        column.append(
+            ids.setdefault((shared(e, 0), mentions.get(e, 0), retweets.get(e, 0)), len(ids))
+        )
     return list(ids), column
 
 

@@ -129,7 +129,7 @@ def common_neighbors(g: SocialGraph, u: str, v: str) -> int:
     """Number of users adjacent (in either direction) to both u and v.
 
     The neighbours are read off the public edge list on each call,
-    independently of the sets ``raw_indicators`` builds.
+    independently of the pairs ``raw_indicators`` holds.
     """
     require_user(g, u)
     require_user(g, v)

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,37 @@ def input_flags(paths) -> list[str]:
         "--retweets", paths["retweets"],
         "--activity", paths["activity"],
     ]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_process(*argv: str, **env: str) -> subprocess.CompletedProcess:
+    """``python -m evimax.cli`` in its own interpreter, stdout and stderr piped.
+
+    PYTHONUNBUFFERED is dropped, so stdout is block-buffered on the pipe as
+    by default, and only ``cli.console``'s flush delivers what is buffered.
+    """
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    inherited = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "evimax.cli", *argv],
+        env=dict(inherited, PYTHONPATH=path, **env), capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+def write_conflict_graph(paths) -> None:
+    """a->b carries the most mentions and no retweets, c->d the reverse:
+    undiscounted at alpha 1, their indicators fully contradict."""
+    for key, text in (
+        ("edges", "src,dst\na,b\nc,d\n"),
+        ("mentions", "mentioner,mentioned,count\nb,a,5\n"),
+        ("retweets", "retweeter,original_author,count\nd,c,3\n"),
+        ("activity", "user,tweets,followers\n"),
+    ):
+        with open(paths[key], "w", encoding="utf-8") as handle:
+            handle.write(text)
 
 
 # The options each command requires.
@@ -232,16 +264,7 @@ class TestSelect:
         assert "alpha" in capsys.readouterr().err
 
     def test_alpha_1_total_conflict_exits_1_naming_edge(self, paths, capsys):
-        # a->b carries the most mentions and no retweets, c->d the reverse:
-        # undiscounted at alpha 1, their indicators fully contradict.
-        for key, text in (
-            ("edges", "src,dst\na,b\nc,d\n"),
-            ("mentions", "mentioner,mentioned,count\nb,a,5\n"),
-            ("retweets", "retweeter,original_author,count\nd,c,3\n"),
-            ("activity", "user,tweets,followers\n"),
-        ):
-            with open(paths[key], "w", encoding="utf-8") as handle:
-                handle.write(text)
+        write_conflict_graph(paths)
         for command in ("select", "dump-edges"):
             code = run(command, *input_flags(paths), "--alpha", "1", "--out", paths["out"])
             assert code == 1
@@ -537,6 +560,31 @@ class TestDumpEdges:
         run("dump-edges", *input_flags(paths), "--out", paths["out"])
         assert Path(paths["out"]).read_bytes() == first
 
+    def test_largest_mention_count_sets_every_edges_weight(self, paths):
+        # Min-max normalization divides by the column's span, so one appended
+        # row above every edge's mention total rescales every edge's w_2.
+        generate(paths, users="60", edges="150")
+        assert run("dump-edges", *input_flags(paths), "--out", paths["out"]) == 0
+        before = {(row[0], row[1]): row[3] for row in read_rows(paths["out"])[1:]}
+        totals = Counter()
+        for mentioner, mentioned, count in read_rows(paths["mentions"])[1:]:
+            totals[mentioned, mentioner] += int(count)
+        target = next(iter(before))
+        large = 2 * max(totals.values()) + 1
+        with open(paths["mentions"], "a", encoding="utf-8") as handle:
+            handle.write(f"{target[1]},{target[0]},{large}\n")
+        totals[target] += large
+        assert run("dump-edges", *input_flags(paths), "--out", paths["out"]) == 0
+        after = {(row[0], row[1]): row[3] for row in read_rows(paths["out"])[1:]}
+        assert after.keys() == before.keys()
+        low = min(totals[edge] for edge in after)
+        high = totals[target]
+        assert after.pop(target) == "1.000000"
+        for edge, w_2 in after.items():
+            assert w_2 == f"{(totals[edge] - low) / (high - low):.6f}"
+        # The maximum more than doubled, so every edge with a mention moved.
+        assert all(after[edge] != before[edge] for edge in after if totals[edge] > low)
+
     def test_negative_zero_alpha_writes_the_zero_alpha_file(self, paths):
         generate(paths, users="30", edges="60")
         assert run("dump-edges", *input_flags(paths), "--alpha", "0", "--out", paths["out"]) == 0
@@ -554,15 +602,8 @@ class TestRowOrder:
     order: it orders the influence sums, so it can still decide near-ties.
     """
 
-    SRC = Path(__file__).resolve().parents[1] / "src"
-
     def run_in_subprocess(self, argv, hash_seed):
-        path = os.pathsep.join(filter(None, (str(self.SRC), os.environ.get("PYTHONPATH"))))
-        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=path)
-        result = subprocess.run(
-            [sys.executable, "-m", "evimax.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        result = run_process(*argv, PYTHONHASHSEED=str(hash_seed))
         assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize(
@@ -806,6 +847,44 @@ class TestUsage:
 
     def test_no_command_exits_1(self):
         assert run() == 1
+
+
+class TestProcessExit:
+    """``python -m evimax.cli`` ends through ``cli.console``: stdout and stderr
+    are flushed, then ``os._exit`` skips the interpreter's teardown."""
+
+    def test_help_reaches_a_pipe(self):
+        result = run_process("--help")
+        assert result.returncode == 0
+        assert result.stdout.startswith("usage: evimax")
+        assert "dump-edges" in result.stdout and result.stderr == ""
+
+    def test_usage_error_reaches_stderr(self):
+        result = run_process("select", "--edges", "e.csv")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: evimax select")
+        assert "the following arguments are required: --out" in result.stderr
+
+    def test_total_conflict_exits_1_with_its_diagnostic(self, paths):
+        write_conflict_graph(paths)
+        result = run_process("select", *input_flags(paths), "--alpha", "1",
+                             "--out", paths["out"])
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "evimax select: error: edge 'a' -> 'b': total conflict between sources (K=1.0)\n"
+        )
+        assert not Path(paths["out"]).exists()
+
+    def test_select_writes_every_row(self, paths, tmp_path):
+        generate(paths, users="120", edges="300")
+        result = run_process("select", *input_flags(paths), "--k", "120", "--out", paths["out"])
+        assert result.returncode == 0 and result.stdout == result.stderr == ""
+        in_process = str(tmp_path / "in-process.csv")
+        assert run("select", *input_flags(paths), "--k", "120", "--out", in_process) == 0
+        assert len(read_rows(paths["out"])) == 121
+        assert Path(paths["out"]).read_bytes() == Path(in_process).read_bytes()
 
 
 class TestErrorClasses:

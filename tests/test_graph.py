@@ -45,6 +45,44 @@ NOT_COUNTS = [
 ]
 
 
+# Ids whose string order differs from any order they are drawn in often:
+# "10" < "9", "B" < "a", and "u10" < "u9" < "ü".
+CLIQUE_IDS = ("b", "a", "10", "9", "1", "B", "aa", "u9", "u10", "ü")
+
+
+@st.composite
+def clique_graphs(draw):
+    """Graphs of planted K4 and K5 cliques, plus random edges and counts.
+
+    Users are inserted in a drawn order, and each clique pair is an edge one
+    way, the other way, or both (mutual).
+    """
+    ids = draw(st.permutations(CLIQUE_IDS))[: draw(st.integers(5, len(CLIQUE_IDS)))]
+    g = SocialGraph()
+    for user in ids:
+        g.add_user(user)
+    cliques = draw(st.lists(st.lists(st.sampled_from(ids), min_size=4, max_size=5, unique=True),
+                            max_size=3))
+    for members in cliques:
+        for i, u in enumerate(members):
+            for v in members[i + 1:]:
+                way = draw(st.sampled_from(("forward", "back", "mutual")))
+                if way != "back":
+                    g.add_edge(u, v)
+                if way != "forward":
+                    g.add_edge(v, u)
+    for u, v in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                              max_size=20)):
+        if u != v:
+            g.add_edge(u, v)
+    edges = list(g.edges())
+    if edges:
+        for counts in (g.mentions, g.retweets):
+            for edge in draw(st.lists(st.sampled_from(edges), max_size=4)):
+                counts[edge] = counts.get(edge, 0) + 1
+    return g
+
+
 @pytest.fixture
 def dataset(tmp_path):
     """A small four-file dataset: a->b->c triangle-ish with activity."""
@@ -722,6 +760,36 @@ class TestRawIndicators:
         assert any(vec[0] for vec in indicators.values())
         for (u, v), vec in indicators.items():
             assert vec[0] == common_neighbors(g, u, v)
+
+    def test_mutual_k5_counts_three_per_edge(self):
+        # Inserted out of string order: "b" before "a", "10" before "9".
+        g = SocialGraph()
+        users = ["b", "a", "10", "9", "c"]
+        for u in users:
+            for v in users:
+                if u != v:
+                    g.add_edge(u, v)
+        assert raw_indicators(g) == raw_indicators_reference(g) == ([(3, 0, 0)], [0] * 20)
+
+    def test_directed_cycles_and_a_planted_k4(self):
+        # Two directed 3-cycles through the mutual pair b <-> a, a K4 on
+        # 10, 9, b, a with mixed directions, and a pendant edge.
+        g = SocialGraph()
+        for edge in [("b", "a"), ("a", "10"), ("10", "b"), ("a", "b"), ("b", "9"),
+                     ("9", "a"), ("10", "9"), ("x", "10")]:
+            g.add_edge(*edge)
+        add_count(g.mentions, g, "a", "b", 4)
+        indicators = indicator_map(g)
+        assert indicators[("b", "a")] == (2, 0, 0)
+        assert indicators[("a", "b")] == (2, 4, 0)
+        assert indicators[("10", "9")] == (2, 0, 0)
+        assert indicators[("x", "10")] == (0, 0, 0)
+        assert raw_indicators(g) == raw_indicators_reference(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=clique_graphs())
+    def test_equals_the_reference_on_planted_cliques(self, graph):
+        assert raw_indicators(graph) == raw_indicators_reference(graph)
 
 
 class TestGenerateSynthetic:
