@@ -23,10 +23,6 @@ _NEGATIVE_TOLERANCE = -1e-12
 _CONFLICT_EPSILON = 1e-12
 
 
-class TotalConflictError(ValueError):
-    """Raised when two fully committed, contradictory BBAs are combined."""
-
-
 @dataclass(frozen=True, slots=True)
 class MassFunction:
     """A normalized BBA over the fixed two-hypothesis frame.
@@ -70,15 +66,13 @@ def combine_dempster(a: MassFunction, b: MassFunction) -> MassFunction:
     mass landing on the empty set (the conflict ``K``) is renormalized away.
 
     Raises:
-        TotalConflictError: if the sources are fully committed to disjoint
-            hypotheses (``K`` indistinguishable from 1), in which case no
-            combined belief state exists and the caller must not proceed.
+        ValueError: "total conflict between sources", if the sources are
+            fully committed to disjoint hypotheses (``K`` indistinguishable
+            from 1), in which case no combined belief state exists.
     """
     conflict = a.influencer * b.passive + a.passive * b.influencer
     if conflict >= 1.0 - _CONFLICT_EPSILON:
-        raise TotalConflictError(
-            f"total conflict between sources (K={conflict!r})"
-        )
+        raise ValueError(f"total conflict between sources (K={conflict!r})")
     norm = 1.0 - conflict
     return MassFunction(
         (a.influencer * b.influencer

@@ -50,14 +50,6 @@ from .graph import SocialGraph, raw_indicators
 DEFAULT_LAMBDA = 5.0
 
 
-class OutOfRangeError(ValueError):
-    """An indicator value fell outside the normalization bounds."""
-
-
-class TooFewIndicatorsError(ValueError):
-    """Distance-based reliability needs at least two indicators."""
-
-
 class FusionError(ValueError):
     """A per-edge fusion failure, annotated with the offending edge."""
 
@@ -148,9 +140,7 @@ def indicator_bba(value: float, low: float, high: float) -> MassFunction:
     vacuous BBA.
     """
     if not low <= value <= high:
-        raise OutOfRangeError(
-            f"value {value!r} outside normalization range [{low!r}, {high!r}]"
-        )
+        raise ValueError(f"value {value!r} outside normalization range [{low!r}, {high!r}]")
     if high == low:
         return MassFunction.vacuous()
     span = high - low
@@ -165,9 +155,7 @@ def average_distances(bbas: tuple[MassFunction, ...]) -> tuple[float, ...]:
     """
     n = len(bbas)
     if n < 2:
-        raise TooFewIndicatorsError(
-            f"need at least 2 indicators to estimate reliability, got {n}"
-        )
+        raise ValueError(f"need at least 2 indicators to estimate reliability, got {n}")
     averages = []
     for j, mj in enumerate(bbas):
         total = 0.0
@@ -212,11 +200,11 @@ def fuse_edge(
     discounted before any is combined, so a bad reliability raises first.
 
     Raises:
-        TotalConflictError: only reachable when the reliabilities are at or
-            very near 1 and the indicators contradict each other.
-        ValueError: from ``MassFunction``'s sum check, when a near-total
-            conflict leaves too few digits in Dempster's normalizer for the
-            combined masses to still sum to 1.
+        ValueError: "total conflict between sources", only reachable when
+            the reliabilities are at or very near 1 and the indicators
+            contradict each other; or "masses must sum to 1", when a
+            near-total conflict leaves too few digits in Dempster's
+            normalizer for the combined masses to still sum to 1.
     """
     discounted = [discount(m, alpha) for m, alpha in zip(bbas, reliabilities)]
     fused = reduce(combine_dempster, discounted)
@@ -297,7 +285,7 @@ def fuse_configs(
         for vec in vectors:
             try:
                 records.append(fuse_edge(*_edge_inputs(vec, bounds, cfg)))
-            except ValueError as exc:  # TotalConflictError is one too
+            except ValueError as exc:
                 u, v = next(islice(g.edges(), column.index(len(records)), None))
                 raise FusionError(f"edge {u!r} -> {v!r}: {exc}") from exc
         yield FusedEdges(g, column, records)

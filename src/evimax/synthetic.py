@@ -29,10 +29,6 @@ MAX_USERS = 10**6
 MAX_EDGES = 2 * 10**6
 
 
-class InvalidParametersError(ValueError):
-    """Synthetic-graph parameters outside the valid domain."""
-
-
 def generate_synthetic(
     seed: int,
     n_users: int,
@@ -44,15 +40,17 @@ def generate_synthetic(
     user's activity is its ``(tweets, followers)`` pair, and its follower
     count equals the number of edges it is the source of (its followers
     under the followee -> follower convention).
+
+    Raises:
+        ValueError: if ``n_users`` or ``n_edges`` lies outside its range, or
+            the edges do not fit in a simple digraph on the users.
     """
     if not 1 <= n_users <= MAX_USERS:
-        raise InvalidParametersError(f"n_users must lie in [1, {MAX_USERS}], got {n_users}")
+        raise ValueError(f"n_users must lie in [1, {MAX_USERS}], got {n_users}")
     if not 0 <= n_edges <= MAX_EDGES:
-        raise InvalidParametersError(f"n_edges must lie in [0, {MAX_EDGES}], got {n_edges}")
+        raise ValueError(f"n_edges must lie in [0, {MAX_EDGES}], got {n_edges}")
     if n_edges > n_users * (n_users - 1):
-        raise InvalidParametersError(
-            f"{n_edges} edges do not fit in a simple digraph on {n_users} users"
-        )
+        raise ValueError(f"{n_edges} edges do not fit in a simple digraph on {n_users} users")
 
     rng = random.Random(seed)
     width = max(4, len(str(n_users - 1)))

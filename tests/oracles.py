@@ -3,16 +3,16 @@
 The package holds only the pipeline that ``select``, ``evaluate`` and
 ``dump-edges`` run.  What exists only to check it lives here: subset-indexed
 views of a mass function, the Jousselme distance with its square root
-rounded exactly once, a builder of mention and retweet counts, graph
-equality and common neighbours read off the public user and edge lists,
-the raw indicators read edge by edge, the fused BBA of a record, a vector's
-fused influence under a fixed alpha in exact arithmetic, the
-literal per-user influence, a field that keeps its zero weights, the
-singleton spread bounds with every zero-weight term added, the naive,
-single-heap and exhaustive seed selections, and the row-by-row CSV loader that
-``load_graph``'s per-file loops replaced.
+rounded exactly once, Dempster's rule in exact arithmetic, a builder of
+mention and retweet counts, graph equality and common neighbours read off
+the public user and edge lists, the raw indicators read edge by edge, the
+fused BBA of a record, a vector's fused influence under a fixed alpha in
+exact arithmetic, the literal per-user influence, a field that keeps its
+zero weights, the singleton spread bounds with every zero-weight term added,
+the naive, exact, single-heap and exhaustive seed selections, and the
+row-by-row CSV loader that ``load_graph``'s per-file loops replaced.
 ``select_greedy_naive`` uses CELF's own ``_SelectionState``, so the two agree
-bit for bit.
+bit for bit; ``select_greedy_exact`` shares none of CELF's code.
 """
 
 from __future__ import annotations
@@ -90,6 +90,29 @@ def jousselme_distance_exact(a: MassFunction, b: MassFunction) -> float:
     if root * root == scaled:
         return float(Fraction(root, 2**600))
     return float(Fraction(2 * root + 1, 2**601))
+
+
+def combine_dempster_exact(
+    a: MassFunction, b: MassFunction
+) -> tuple[Fraction, tuple[Fraction, Fraction, Fraction] | None]:
+    """``combine_dempster``'s formula in exact arithmetic on the stored floats.
+
+    Returns the conflict K and the fused masses on {influencer}, {passive}
+    and the whole frame, or None for the masses when K is at least 1.  Each
+    float step of ``combine_dempster`` rounds a value this computes exactly,
+    so its result can be bounded against these masses.
+    """
+    ai, ap, ao = map(Fraction, (a.influencer, a.passive, a.omega))
+    bi, bp, bo = map(Fraction, (b.influencer, b.passive, b.omega))
+    conflict = ai * bp + ap * bi
+    if conflict >= 1:
+        return conflict, None
+    norm = 1 - conflict
+    return conflict, (
+        (ai * bi + ai * bo + ao * bi) / norm,
+        (ap * bp + ap * bo + ao * bp) / norm,
+        ao * bo / norm,
+    )
 
 
 # -- graph -------------------------------------------------------------------
@@ -404,6 +427,43 @@ def select_greedy_naive(influence_field: InfluenceField, k: int) -> SeedSelectio
         cumulative = state.commit(u, -neg_gain)
         choices.append(SeedChoice(len(choices) + 1, u, -neg_gain, cumulative))
     return SeedSelection(choices, gain_evaluations=state.evaluations)
+
+
+def select_greedy_exact(
+    influence_field: InfluenceField, k: int
+) -> list[tuple[str, Fraction, Fraction | None]]:
+    """The greedy in exact arithmetic on the field's stored weights.
+
+    A gain is sigma(S + w) - sigma(S) for the literal spread of ``spread``'s
+    docstring: |S| plus, over v outside S, seeds u and every user x,
+    I(u, x) * I(x, v), with I(a, a) = 1 and I(a, b) the stored weight read as
+    a ``Fraction``, or 0.  The larger gain wins, then the smaller id.  Each
+    rank gives its seed, its gain and its margin over the runner-up (None
+    with no other candidate left).  It shares nothing with ``select_celf``:
+    neither ``_SelectionState`` nor ``seed_contributions``.
+    """
+    users = list(influence_field.users)
+    weight = {(a, b): Fraction(influence(influence_field, a, b)) for a in users for b in users}
+    two_hop = {
+        (u, v): sum(weight[u, x] * weight[x, v] for x in users) for u in users for v in users
+    }
+
+    def spread(seeds: set[str]) -> Fraction:
+        return len(seeds) + sum(two_hop[u, v] for v in users if v not in seeds for u in seeds)
+
+    ranks: list[tuple[str, Fraction, Fraction | None]] = []
+    seeds: set[str] = set()
+    current = Fraction(0)
+    for _ in range(min(k, len(users))):
+        candidates = sorted(
+            ((spread(seeds | {w}) - current, w) for w in users if w not in seeds),
+            key=lambda candidate: (-candidate[0], candidate[1]),
+        )
+        gain, w = candidates[0]
+        ranks.append((w, gain, gain - candidates[1][0] if len(candidates) > 1 else None))
+        seeds.add(w)
+        current += gain
+    return ranks
 
 
 def select_celf_single_heap(influence_field: InfluenceField, k: int) -> SeedSelection:

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evimax.belief import (
     MassFunction,
-    TotalConflictError,
     combine_dempster,
     discount,
     jousselme_distance,
@@ -23,12 +23,15 @@ from tests.oracles import (
     OMEGA,
     PASSIVE,
     as_vector,
+    combine_dempster_exact,
     is_vacuous,
     jousselme_distance_exact,
     mass,
 )
 
 TOL = 1e-9
+# combine_dempster's total-conflict message; the error is a plain ValueError.
+TOTAL_CONFLICT = r"^total conflict between sources \(K="
 
 unit_floats = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -97,13 +100,13 @@ class TestCombineDempster:
     def test_total_conflict_raises(self):
         a = MassFunction(1.0, 0.0, 0.0)
         b = MassFunction(0.0, 1.0, 0.0)
-        with pytest.raises(TotalConflictError):
+        with pytest.raises(ValueError, match=TOTAL_CONFLICT):
             combine_dempster(a, b)
 
     def test_near_total_conflict_raises(self):
         a = MassFunction(1.0, 0.0, 0.0)
         b = MassFunction(1e-14, 1.0 - 1e-14, 0.0)
-        with pytest.raises(TotalConflictError):
+        with pytest.raises(ValueError, match=TOTAL_CONFLICT):
             combine_dempster(a, b)
 
     @given(a=bbas(max_commitment=0.98), b=bbas(max_commitment=0.98))
@@ -139,11 +142,35 @@ class TestCombineDempster:
             a, b = random_bba(rng), random_bba(rng)
             expected, _ = brute_force_dempster(as_vector(a), as_vector(b))
             if expected is None:
-                with pytest.raises(TotalConflictError):
+                with pytest.raises(ValueError, match=TOTAL_CONFLICT):
                     combine_dempster(a, b)
                 continue
             got = as_vector(combine_dempster(a, b))
             assert max(abs(g - e) for g, e in zip(got, expected)) <= TOL
+
+    @settings(max_examples=300)
+    @given(a=bbas(), b=bbas())
+    # Near-conflicting pairs: K = 1 - 1e-6, just inside the checked range;
+    # K = 1 - 2**-20 at its edge; K = 0.998002; K = 0.99980001 with mass on
+    # the whole frame; and a fused {influencer} mass of 1e-340, a product
+    # that underflows to a subnormal.
+    @example(a=MassFunction(1.0, 0.0, 0.0), b=MassFunction(1e-6, 1.0 - 1e-6, 0.0))
+    @example(a=MassFunction(1.0, 0.0, 0.0), b=MassFunction(2.0**-20, 1.0 - 2.0**-20, 0.0))
+    @example(a=MassFunction(0.999, 0.001, 0.0), b=MassFunction(0.001, 0.999, 0.0))
+    @example(a=MassFunction(0.9999, 0.0, 0.0001), b=MassFunction(0.0, 0.9999, 0.0001))
+    @example(a=MassFunction(1e-170, 1.0, 0.0), b=MassFunction(1e-170, 1.0, 0.0))
+    def test_error_is_bounded_against_the_exact_rule(self, a, b):
+        # Each numerator term passes three roundings, K two, 1 - K one and
+        # the division one; 1 - K carries K's error amplified by K / (1 - K),
+        # the digit loss near total conflict.  2**-1050 covers products that
+        # underflow.
+        conflict, exact = combine_dempster_exact(a, b)
+        if conflict > 1 - Fraction(2) ** -20:
+            return
+        got = combine_dempster(a, b)
+        relative = (6 + 3 * conflict / (1 - conflict)) * Fraction(2) ** -53
+        for value, m in zip((got.influencer, got.passive, got.omega), exact):
+            assert abs(Fraction(value) - m) <= relative * m + Fraction(2) ** -1050
 
 
 class TestDiscount:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import random
+import re
 import sys
 from collections import Counter
 
@@ -20,7 +21,7 @@ from evimax.graph import (
     raw_indicators,
     write_graph,
 )
-from evimax.synthetic import MAX_EDGES, MAX_USERS, InvalidParametersError, generate_synthetic
+from evimax.synthetic import MAX_EDGES, MAX_USERS, generate_synthetic
 from tests.helpers import synthetic_graphs
 from tests.oracles import (
     add_count,
@@ -848,20 +849,24 @@ class TestGenerateSynthetic:
         assert g.num_users() == len(activities) == n_users
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, message",
         [
-            dict(n_users=0, n_edges=0),
-            dict(n_users=3, n_edges=-1),
-            dict(n_users=3, n_edges=7),
+            (dict(n_users=0, n_edges=0), f"n_users must lie in [1, {MAX_USERS}], got 0"),
+            (dict(n_users=3, n_edges=-1), f"n_edges must lie in [0, {MAX_EDGES}], got -1"),
+            (dict(n_users=3, n_edges=7), "7 edges do not fit in a simple digraph on 3 users"),
             # Each size bound alone, and the one-user graph that fits no edge.
-            dict(n_users=-1, n_edges=0),
-            dict(n_users=MAX_USERS + 1, n_edges=0),
-            dict(n_users=MAX_USERS, n_edges=MAX_EDGES + 1),
-            dict(n_users=1, n_edges=1),
+            (dict(n_users=-1, n_edges=0), f"n_users must lie in [1, {MAX_USERS}], got -1"),
+            (dict(n_users=MAX_USERS + 1, n_edges=0),
+             f"n_users must lie in [1, {MAX_USERS}], got {MAX_USERS + 1}"),
+            (dict(n_users=MAX_USERS, n_edges=MAX_EDGES + 1),
+             f"n_edges must lie in [0, {MAX_EDGES}], got {MAX_EDGES + 1}"),
+            (dict(n_users=1, n_edges=1), "1 edges do not fit in a simple digraph on 1 users"),
         ],
+        # Positional ids, so a message does not become part of the test's name.
+        ids=[f"kwargs{i}" for i in range(7)],
     )
-    def test_invalid_parameters(self, kwargs):
-        with pytest.raises(InvalidParametersError):
+    def test_invalid_parameters(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             generate_synthetic(seed=0, **kwargs)
 
     def test_round_trip_through_files(self, tmp_path):

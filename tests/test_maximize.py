@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -25,6 +26,7 @@ from tests.oracles import (
     reordered_sum_tolerance,
     select_celf_single_heap,
     select_exhaustive,
+    select_greedy_exact,
     select_greedy_naive,
 )
 
@@ -141,6 +143,22 @@ class TestCelfAgainstNaive:
         second = select_celf(field, 5)
         assert first.users() == second.users()
         assert [c.gain for c in first.choices] == [c.gain for c in second.choices]
+
+
+class TestCelfAgainstExactGreedy:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9), k=st.integers(1, 4))
+    def test_seeds_and_gains_match_until_a_near_tie(self, seed, n, k):
+        # Up to the first rank whose exact best and runner-up gains lie
+        # within 2**-30, float rounding cannot change the pick, so CELF
+        # chooses the exact greedy's seed with a gain within 2**-40 of it.
+        field = random_field(random.Random(seed), n)
+        exact = select_greedy_exact(field, k)
+        for choice, (user, gain, margin) in zip(select_celf(field, k).choices, exact):
+            if margin is not None and margin <= Fraction(2) ** -30:
+                break
+            assert choice.user == user
+            assert abs(Fraction(choice.gain) - gain) <= Fraction(2) ** -40 * max(1, gain)
 
 
 def fused_field(seed: int, n_users: int, n_edges: int, token: str) -> InfluenceField:

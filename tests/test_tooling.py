@@ -1,6 +1,6 @@
 """Repository tooling: the traced benchmark runner, the suite's warning filters, the
 stdlib-only rule, CPU-count independence, unused helpers, public methods only the
-tests read, and the loader's count fast path."""
+tests read, unused imports, and the loader's count fast path."""
 
 from __future__ import annotations
 
@@ -169,6 +169,53 @@ def test_every_private_helper_is_used_in_the_package():
     assert defined
     assert sorted(f"{module}: {name}" for name, module in defined.items()
                   if name not in used) == []
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """The names in ``node``'s own annotations, quoted ones parsed as code."""
+    if isinstance(node, (ast.arg, ast.AnnAssign)):
+        annotation = node.annotation
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        annotation = node.returns
+    else:
+        return set()
+    names: set[str] = set()
+    for part in ast.walk(annotation) if annotation else ():
+        if isinstance(part, ast.Constant) and isinstance(part.value, str):
+            names |= _code_names(ast.parse(part.value, mode="eval"))
+    return names
+
+
+def test_every_import_in_the_package_is_used():
+    # An imported name that its module never refers to is left over from a
+    # deletion, like an unused private helper.  Annotations count, quoted
+    # ones too, and so does a name listed in ``__all__`` (a re-export).
+    checked = 0
+    unused = []
+    for path in sorted((SRC / "evimax").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound: dict[str, int] = {}
+        used: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+            used |= _annotation_names(node)
+        checked += len(bound)
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in bound.items() if name not in used]
+    assert checked
+    assert unused == []
 
 
 def test_every_public_method_has_a_reader_outside_the_tests():
