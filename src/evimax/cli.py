@@ -36,7 +36,7 @@ from typing import Callable, NoReturn, Sequence
 from .evaluate import CURVE_COLUMNS, compare_configs
 from .fusion import DEFAULT_LAMBDA, FusedEdges, ReliabilityConfig, fuse_all
 from .graph import INDICATOR_NAMES, load_graph, write_csv, write_graph
-from .maximize import select_celf
+from .maximize import _check_k, select_celf
 from .spread import InfluenceField
 from .synthetic import generate_synthetic
 
@@ -110,6 +110,7 @@ def _fused(args: argparse.Namespace) -> FusedEdges:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
+    _check_k(args.k)
     influence_field = InfluenceField.from_graph(_fused(args))
     selection = select_celf(influence_field, args.k)
     write_csv(
@@ -123,6 +124,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_k(args.k)
     # Blocks of the output are told apart by config name, so every token
     # must name a config, and a different one from every token before it.
     configs: list[ReliabilityConfig] = []

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .fusion import ReliabilityConfig, fuse_configs
 from .graph import SocialGraph
-from .maximize import SeedSelection, _effective_k, select_celf
+from .maximize import SeedSelection, _check_k, select_celf
 from .spread import InfluenceField
 
 # The header of each curve row's cells, in the order a row holds them.
@@ -89,7 +89,7 @@ def compare_configs(
     the mentions and retweets received by the ranked users alone, and the
     curves are read off those totals.
     """
-    _effective_k(g.num_users(), k)
+    _check_k(k)
     if not configs:
         raise ValueError("at least one configuration is required")
     selections: list[SeedSelection] = []

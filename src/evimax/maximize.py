@@ -27,9 +27,9 @@ bit-identical to a round 0 that evaluates everyone, and no step costs time
 per user until an idle id can be the top.
 
 A committed gain is fresh, computed against the current seed set, so
-sigma(S + w) = sigma(S) + gain: committing a seed costs one two-hop-frontier
-expansion into the accumulated field and one addition, not a rescan of every
-user (CELF's own bookkeeping, Leskovec et al., KDD 2007).
+sigma(S + w) = sigma(S) + gain: the cumulative spread is the running sum of
+the committed gains, and a commit costs one two-hop-frontier expansion into
+``spread._SelectionState``, not a rescan of every user.
 
 The naive full-rescan greedy and the exhaustive argmax over all size-k
 subsets, the oracles that check the lazy machinery, live in
@@ -41,7 +41,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .spread import InfluenceField
+from .spread import InfluenceField, _SelectionState
 
 
 class InvalidKError(ValueError):
@@ -77,51 +77,18 @@ class SeedSelection:
         return len(self.choices)
 
 
-class _SelectionState:
-    """Incremental spread bookkeeping, shared with the naive greedy oracle.
-
-    Maintains, for the current seed set, the accumulated per-user influence
-    field and the current spread, so a candidate's gain costs one
-    two-hop-frontier expansion instead of a full spread evaluation.
-    """
-
-    def __init__(self, influence_field: InfluenceField) -> None:
-        self.field = influence_field
-        self.seeds: set[str] = set()
-        self.acc: dict[str, float] = {}
-        self.sigma_value = 0.0
-        self.evaluations = 0
-
-    def gain(self, w: str) -> float:
-        """Fresh marginal gain of w against the current seed set."""
-        self.evaluations += 1
-        spread_gain = 0.0
-        for v, c in self.field.seed_contributions(w).items():
-            if v not in self.seeds:
-                spread_gain += c
-        # Adding w turns its own influence-received term into membership.
-        return 1.0 - self.acc.get(w, 0.0) + spread_gain
-
-    def commit(self, w: str, gain: float) -> float:
-        """Add w, whose fresh gain is ``gain``, and return the new spread value."""
-        for v, c in self.field.seed_contributions(w).items():
-            self.acc[v] = self.acc.get(v, 0.0) + c
-        self.seeds.add(w)
-        self.sigma_value += gain
-        return self.sigma_value
-
-
-def _effective_k(num_users: int, k: int) -> int:
-    """The number of seeds a request for k among ``num_users`` users selects."""
+def _check_k(k: int) -> int:
+    """k itself, once checked to be a seed count; it needs no input read."""
     if k < 1:
         raise InvalidKError(f"k must be >= 1, got {k}")
-    return min(k, num_users)
+    return k
 
 
 def select_celf(influence_field: InfluenceField, k: int) -> SeedSelection:
     """Lazy-greedy selection of min(k, number of users) seeds."""
-    k_eff = _effective_k(influence_field.num_users(), k)
+    k_eff = min(_check_k(k), influence_field.num_users())
     state = _SelectionState(influence_field)
+    spread = 0.0
 
     # Stamp -1 marks a bound, evaluated the first time it reaches the top.
     bounds = influence_field.singleton_spread_bounds()
@@ -138,8 +105,9 @@ def select_celf(influence_field: InfluenceField, k: int) -> SeedSelection:
             joined = True
         neg_gain, u, stamp = heapq.heappop(heap)
         if stamp == len(state.seeds):
-            cumulative = state.commit(u, -neg_gain)
-            choices.append(SeedChoice(len(choices) + 1, u, -neg_gain, cumulative))
+            state.add(u)
+            spread += -neg_gain
+            choices.append(SeedChoice(len(choices) + 1, u, -neg_gain, spread))
         else:
             heapq.heappush(heap, (-state.gain(u), u, len(state.seeds)))
     return SeedSelection(choices, gain_evaluations=state.evaluations)

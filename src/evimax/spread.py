@@ -10,7 +10,8 @@ exceed 1, and the objective is maximized exactly as defined.
 ``sigma`` evaluates the double sum by accumulating each seed's contribution
 field over its two-hop out-frontier, which is an exact restructuring (all
 terms outside the frontier are zero); the literal per-user form lives in
-``tests/oracles.py`` as a check on it.  The field stores the graph once, as
+``tests/oracles.py`` as a check on it.  That accumulation, ``_SelectionState``,
+also gives CELF its marginal gains.  The field stores the graph once, as
 out-adjacency keyed by user, holding only the users with a stored out-edge;
 its user list is the graph's own, not a copy, so a field costs memory and
 time per stored edge, not per user.  ``from_graph`` takes fusion's
@@ -173,20 +174,49 @@ class InfluenceField:
         return bounds
 
 
+class _SelectionState:
+    """A seed set and its accumulated field, grown one seed at a time.
+
+    ``acc`` maps each user to the summed contributions of the seeds added so
+    far, so a candidate's gain costs one two-hop-frontier expansion, not a
+    spread evaluation (CELF's bookkeeping, Leskovec et al., KDD 2007).
+    """
+
+    def __init__(self, influence_field: InfluenceField) -> None:
+        self.field = influence_field
+        self.seeds: set[str] = set()
+        self.acc: dict[str, float] = {}
+        self.evaluations = 0
+
+    def gain(self, w: str) -> float:
+        """Fresh marginal gain of w against the current seed set."""
+        self.evaluations += 1
+        spread_gain = 0.0
+        for v, c in self.field.seed_contributions(w).items():
+            if v not in self.seeds:
+                spread_gain += c
+        # Adding w turns its own influence-received term into membership.
+        return 1.0 - self.acc.get(w, 0.0) + spread_gain
+
+    def add(self, w: str) -> None:
+        """Add seed w, after adding its contributions to the accumulated field."""
+        for v, c in self.field.seed_contributions(w).items():
+            self.acc[v] = self.acc.get(v, 0.0) + c
+        self.seeds.add(w)
+
+
 def sigma(field: InfluenceField, seeds: set[str]) -> float:
     """Total influence of the seed set over the whole network.
 
-    Seeds are summed in sorted order, and ``seed_contributions`` checks each
+    Seeds are added in sorted order, and ``seed_contributions`` checks each
     one as it comes, so a set holding unknown ids raises ``UnknownUserError``
     naming the smallest of them, whatever the hash order of the set.
     """
-    acc: dict[str, float] = {}
+    state = _SelectionState(field)
     for u in sorted(seeds):
-        for v, c in field.seed_contributions(u).items():
-            acc[v] = acc.get(v, 0.0) + c
+        state.add(u)
     total = float(len(seeds))
-    for v, value in acc.items():
+    for v, value in state.acc.items():
         if v not in seeds:
             total += value
     return total
-

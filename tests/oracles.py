@@ -11,8 +11,11 @@ exact arithmetic, the literal per-user influence, a field that keeps its
 zero weights, the singleton spread bounds with every zero-weight term added,
 the naive, exact, single-heap and exhaustive seed selections, and the
 row-by-row CSV loader that ``load_graph``'s per-file loops replaced.
-``select_greedy_naive`` uses CELF's own ``_SelectionState``, so the two agree
-bit for bit; ``select_greedy_exact`` shares none of CELF's code.
+``select_greedy_naive`` adds its seeds and reads its gains through
+``spread._SelectionState``, as CELF does, so the two agree bit for bit;
+``select_greedy_exact`` shares none of CELF's code.
+``sigma_accumulated_reference`` is ``sigma``'s accumulation written out in
+loops of its own, which ``sigma`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from evimax.graph import (
     _count,
     raw_indicators,
 )
-from evimax.maximize import SeedChoice, SeedSelection, _effective_k, _SelectionState
-from evimax.spread import InfluenceField, sigma
+from evimax.maximize import SeedChoice, SeedSelection, _check_k
+from evimax.spread import InfluenceField, _SelectionState, sigma
 
 # -- belief ------------------------------------------------------------------
 
@@ -370,6 +373,24 @@ def singleton_spread_bounds_reference(field: InfluenceField) -> dict[str, float]
     return bounds
 
 
+def sigma_accumulated_reference(field: InfluenceField, seeds: set[str]) -> float:
+    """``sigma`` with its accumulation written out, independent of ``_SelectionState``.
+
+    Each seed's ``seed_contributions``, in sorted seed order, is added into one
+    dict, and the entries of the users outside the set are added to |S| in the
+    order each was first reached: the same float operations in the same order.
+    """
+    acc: dict[str, float] = {}
+    for u in sorted(seeds):
+        for v, c in field.seed_contributions(u).items():
+            acc[v] = acc.get(v, 0.0) + c
+    total = float(len(seeds))
+    for v, value in acc.items():
+        if v not in seeds:
+            total += value
+    return total
+
+
 def influence_on(field: InfluenceField, seeds: set[str], v: str) -> float:
     """Influence of the seed set on one user, evaluated literally.
 
@@ -410,9 +431,10 @@ class TooLargeError(ValueError):
 
 def select_greedy_naive(influence_field: InfluenceField, k: int) -> SeedSelection:
     """Plain greedy: every round rescans every remaining candidate."""
-    k_eff = _effective_k(influence_field.num_users(), k)
+    k_eff = min(_check_k(k), influence_field.num_users())
     state = _SelectionState(influence_field)
 
+    spread = 0.0
     choices: list[SeedChoice] = []
     while len(choices) < k_eff:
         best: tuple[float, str] | None = None
@@ -424,8 +446,9 @@ def select_greedy_naive(influence_field: InfluenceField, k: int) -> SeedSelectio
                 best = entry
         assert best is not None
         neg_gain, u = best
-        cumulative = state.commit(u, -neg_gain)
-        choices.append(SeedChoice(len(choices) + 1, u, -neg_gain, cumulative))
+        state.add(u)
+        spread += -neg_gain
+        choices.append(SeedChoice(len(choices) + 1, u, -neg_gain, spread))
     return SeedSelection(choices, gain_evaluations=state.evaluations)
 
 
@@ -474,7 +497,7 @@ def select_celf_single_heap(influence_field: InfluenceField, k: int) -> SeedSele
     its heap only once one of them can be the top, and must pop the same
     entries in the same order.
     """
-    k_eff = _effective_k(influence_field.num_users(), k)
+    k_eff = min(_check_k(k), influence_field.num_users())
     state = _SelectionState(influence_field)
     bounds = influence_field.singleton_spread_bounds()
     heap = [
@@ -483,12 +506,14 @@ def select_celf_single_heap(influence_field: InfluenceField, k: int) -> SeedSele
     ]
     heapq.heapify(heap)
 
+    spread = 0.0
     choices: list[SeedChoice] = []
     while len(choices) < k_eff:
         neg_gain, u, stamp = heapq.heappop(heap)
         if stamp == len(state.seeds):
-            cumulative = state.commit(u, -neg_gain)
-            choices.append(SeedChoice(len(choices) + 1, u, -neg_gain, cumulative))
+            state.add(u)
+            spread += -neg_gain
+            choices.append(SeedChoice(len(choices) + 1, u, -neg_gain, spread))
         else:
             heapq.heappush(heap, (-state.gain(u), u, len(state.seeds)))
     return SeedSelection(choices, gain_evaluations=state.evaluations)
@@ -504,7 +529,7 @@ def select_exhaustive(influence_field: InfluenceField, k: int) -> set[str]:
 
     Ties resolve to the lexicographically first subset in user-id order.
     """
-    k_eff = _effective_k(influence_field.num_users(), k)
+    k_eff = min(_check_k(k), influence_field.num_users())
     n = influence_field.num_users()
     if math.comb(n, k_eff) > 10**6:
         raise TooLargeError(

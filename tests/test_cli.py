@@ -812,7 +812,7 @@ class TestOutputQuoting:
 
 
 class TestConfigBeforeInput:
-    """A bad config option is reported before any input file is read."""
+    """A bad config option or seed count is reported before any input file is read."""
 
     @pytest.mark.parametrize(
         "command, flags, message",
@@ -828,6 +828,8 @@ class TestConfigBeforeInput:
              "lambda must be finite and positive, got -1.0"),
             ("dump-edges", ["--alpha", "0", "--lambda", "inf"],
              "lambda must be finite and positive, got inf"),
+            ("select", ["--k", "0"], "k must be >= 1, got 0"),
+            ("evaluate", ["--k", "-1"], "k must be >= 1, got -1"),
         ],
     )
     def test_missing_edges_file_is_not_read(self, paths, capsys, command, flags, message):

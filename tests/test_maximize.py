@@ -400,7 +400,7 @@ class TestRecordedValues:
             running = 0.0
             for choice in selection.choices:
                 running += choice.gain
-                assert choice.cumulative_sigma == pytest.approx(running, abs=1e-6)
+                assert choice.cumulative_sigma == running
             assert final_sigma(selection) == pytest.approx(
                 sigma(field, set(selection.users())), abs=1e-6
             )

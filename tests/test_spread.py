@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from evimax.fusion import FusedEdges, FusionError, ReliabilityConfig, fuse_all
 from evimax.graph import SocialGraph, UnknownUserError
-from evimax.maximize import _SelectionState
-from evimax.spread import InfluenceField, sigma
+from evimax.spread import InfluenceField, _SelectionState, sigma
 from evimax.synthetic import generate_synthetic
 from tests.helpers import (
     brute_force_influence_on,
@@ -33,6 +32,7 @@ from tests.oracles import (
     influence_on,
     marginal_gain,
     reordered_sum_tolerance,
+    sigma_accumulated_reference,
     singleton_spread_bounds_reference,
 )
 
@@ -288,6 +288,25 @@ class TestSigma:
         seeds = set(data.draw(st.lists(st.sampled_from(users), unique=True)))
         before = sigma(InfluenceField(users, weights), seeds)
         assert sigma(InfluenceField(users, raised), seeds) >= before
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bit_identical_to_the_accumulation_reference(self, data):
+        """``sigma`` adds its seeds through ``_SelectionState``; the
+        reference writes the same additions out in loops of its own, so the
+        bits agree, and so does the error for a set holding unknown ids
+        (``m0`` sorts before every user, ``o0`` after)."""
+        field, _ = data.draw(mixed_weight_fields())
+        candidates = [*field.users, "m0", "o0"]
+        seeds = set(data.draw(st.lists(st.sampled_from(candidates), unique=True)))
+
+        def outcome(spread):
+            try:
+                return spread(field, seeds).hex()
+            except UnknownUserError as exc:
+                return repr(exc)
+
+        assert outcome(sigma) == outcome(sigma_accumulated_reference)
 
 
 class TestMarginalGain:
