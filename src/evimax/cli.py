@@ -1,7 +1,7 @@
 """Command-line pipeline: generate, select, evaluate, dump-edges.
 
 Exit codes: 0 success, 1 usage, input or configuration error (diagnostic on
-stderr naming the offending file or flag), 2 internal error.  ``_run`` alone
+stderr naming the offending file or flag), 2 internal error.  ``main`` alone
 maps outcomes to exit codes: argparse's usage exit becomes 1, and every error
 the pipeline raises on bad input is a ``ValueError`` or, for a file, an
 ``OSError``; anything else is an internal error.  All real-valued output
@@ -42,13 +42,16 @@ from .synthetic import generate_synthetic
 
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every command; ``args.run(args)`` runs the one given."""
-    parser = argparse.ArgumentParser(prog="evimax", description=__doc__.splitlines()[0])
+    # An option is read only when spelled in full, so an option added later
+    # cannot change what an abbreviation in a script means.
+    parser = argparse.ArgumentParser(prog="evimax", description=__doc__.splitlines()[0],
+                                     allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(
-        name: str, help: str, run: Callable[[argparse.Namespace], int], outputs: bool = False
+        name: str, help: str, run: Callable[[argparse.Namespace], None], outputs: bool = False
     ) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(run=run)
         role = "output" if outputs else "input"
         # generate writes all four files; the other commands read the edges
@@ -95,10 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> None:
     g, activities = generate_synthetic(seed=args.seed, n_users=args.users, n_edges=args.n_edges)
     write_graph(g, activities, args.edges, args.mentions, args.retweets, args.activity)
-    return 0
 
 
 def _fused(args: argparse.Namespace) -> FusedEdges:
@@ -109,7 +111,7 @@ def _fused(args: argparse.Namespace) -> FusedEdges:
     return fuse_all(g, cfg)
 
 
-def _cmd_select(args: argparse.Namespace) -> int:
+def _cmd_select(args: argparse.Namespace) -> None:
     _check_k(args.k)
     influence_field = InfluenceField.from_graph(_fused(args))
     selection = select_celf(influence_field, args.k)
@@ -120,10 +122,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
           f"{choice.gain:.6f}", f"{choice.cumulative_sigma:.6f}")
          for choice in selection.choices),
     )
-    return 0
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> None:
     _check_k(args.k)
     # Blocks of the output are told apart by config name, so every token
     # must name a config, and a different one from every token before it.
@@ -144,10 +145,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
          for entry in entries
          for choice, row in zip(entry.selection.choices, entry.curve)),
     )
-    return 0
 
 
-def _cmd_dump_edges(args: argparse.Namespace) -> int:
+def _cmd_dump_edges(args: argparse.Namespace) -> None:
     fused = _fused(args)
     # Every edge of one indicator vector prints the same numbers, so each
     # record's cells are formatted once.
@@ -166,33 +166,29 @@ def _cmd_dump_edges(args: argparse.Namespace) -> int:
         + ("inf",),
         (edge + row for edge, row in fused.per_edge(cells)),
     )
-    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _run(argv)
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on a usage error and 0 after --help.
+            return 1 if exc.code else 0
+        try:
+            args.run(args)
+        except (ValueError, OSError) as exc:
+            print(f"evimax {args.command}: error: {exc}", file=sys.stderr)
+            return 1
+        except Exception as exc:  # pragma: no cover - defensive
+            print(f"evimax {args.command}: internal error: {exc}", file=sys.stderr)
+            return 2
+        return 0
     finally:
         if collecting:
             gc.enable()
-
-
-def _run(argv: Sequence[str] | None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on a usage error and 0 after --help.
-        return 1 if exc.code else 0
-    try:
-        return args.run(args)
-    except (ValueError, OSError) as exc:
-        print(f"evimax {args.command}: error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"evimax {args.command}: internal error: {exc}", file=sys.stderr)
-        return 2
 
 
 def console() -> NoReturn:

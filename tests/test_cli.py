@@ -911,10 +911,12 @@ class TestErrorClasses:
 
 
 class TestConfigFileKeys:
-    """A command accepts only its own options: the keys a run is configured by.
+    """A command accepts only its own options, each spelled in full: the keys
+    a run is configured by.
 
     Run settings come from flags alone (there is no config file), so an
-    option of another command is an unrecognized argument.
+    option of another command, or a prefix of one of its own, is an
+    unrecognized argument.
     """
 
     @pytest.mark.parametrize(
@@ -930,6 +932,8 @@ class TestConfigFileKeys:
             ("dump-edges", "configs", "estimated"),
             # No command reads a config file.
             ("select", "config", "run.json"),
+            # A prefix of --configs is not --configs.
+            ("evaluate", "config", "fixed:0.2"),
         ],
     )
     def test_key_of_another_command_exits_1_naming_it(
@@ -1024,6 +1028,39 @@ class TestOneOptionPath:
         assert set(re.findall(r"--([a-z][a-z-]*)", text)) == {*OPTIONS[command], "help"}
         for option, default in DEFAULTS[command].items():
             assert re.search(rf"--{option} \S+ (?:(?!--).)*\(default: {re.escape(default)}\)", text)
+
+
+class TestOptionSpelling:
+    """An option is read only when spelled in full.
+
+    Its name minus the last character, given with every required option,
+    exits 1 as an unrecognized argument before any file is written, so an
+    option added later cannot change what an abbreviation means.
+    """
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [(command, option) for command, options in OPTIONS.items()
+         for option in sorted(options) if len(option) > 1],
+    )
+    def test_prefix_exits_1_unrecognized(self, paths, capsys, command, option):
+        generate(paths, users="30", edges="60")
+        values = {key: paths[key] for key in ("edges", "mentions", "retweets", "activity", "out")}
+        if command == "generate":
+            # Files generate would create, so that a run shows in the directory.
+            values.update((key, str(paths["dir"] / f"new-{key}.csv")) for key in REQUIRED[command])
+        values.update({"lambda": "5.0", "alpha": "0.2", "configs": "estimated",
+                       "users": "10", "n-edges": "12", "seed": "3"})
+        before = {path.name: path.read_bytes() for path in paths["dir"].iterdir()}
+        capsys.readouterr()
+        prefix = f"--{option[:-1]}"
+        required = [arg for key in REQUIRED[command] for arg in (f"--{key}", values[key])]
+        code = run(command, *required, prefix, values[option])
+        assert code == 1
+        assert f"error: unrecognized arguments: {prefix} {values[option]}" in (
+            capsys.readouterr().err
+        )
+        assert {path.name: path.read_bytes() for path in paths["dir"].iterdir()} == before
 
 
 class TestCollectorPause:
