@@ -23,8 +23,8 @@ distinct indicator vector for the edges of the graph it was given;
 needs nothing else.  This package exports that pipeline, the results it
 returns, ``compare_configs`` and the errors these raise; everything else
 (the belief operators, the per-edge fusion steps, ``SocialGraph``, the
-synthetic generator) is imported from its submodule.  The brute-force and
-naive oracles that check the pipeline live in ``tests/oracles.py``.
+synthetic generator) is imported from its submodule.  The oracles that check
+the pipeline live in ``tests/oracles.py`` and ``tests/helpers.py``.
 """
 
 from .evaluate import EvaluationError, compare_configs

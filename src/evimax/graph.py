@@ -131,9 +131,6 @@ class SocialGraph:
     def has_edge(self, src: str, dst: str) -> bool:
         return (src, dst) in self._edges
 
-    def num_users(self) -> int:
-        return len(self._users)
-
 
 INDICATOR_NAMES = ("common_neighbors", "mentions", "retweets")
 

@@ -512,7 +512,7 @@ class TestIntegerFlagGrammar:
         generate(paths, users="1_00", edges="200")
         g = load_graph(paths["edges"], paths["mentions"], paths["retweets"],
                        paths["activity"])[0]
-        assert g.num_users() == 100
+        assert len(g.users) == 100
 
 
 class TestActivityReachesOnlyIds:

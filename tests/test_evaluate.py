@@ -135,8 +135,8 @@ class TestCompareConfigs:
         entries = compare_configs(g, activities, SWEEP, k=25)
         assert len(entries) == len(SWEEP)
         for entry in entries:
-            assert len(entry.selection) == g.num_users()
-            assert len(entry.curve) == g.num_users()
+            assert len(entry.selection) == len(g.users)
+            assert len(entry.curve) == len(g.users)
             # Every user is ranked, so the last row sums every user's statistics.
             assert entry.curve[-1] == (
                 sum(followers for _, followers in activities.values()),

@@ -99,7 +99,7 @@ class TestSocialGraph:
         edges = write(tmp_path / "e.csv", "src,dst\na,b\na,b\nb,c\n")
         g, _ = load_graph(edges)
         assert num_edges(g) == 2
-        assert g.num_users() == 3
+        assert len(g.users) == 3
         assert g.has_edge("a", "b") and g.has_edge("b", "c")
 
     def test_rejects_self_loop(self):
@@ -386,7 +386,7 @@ class TestLoadGraph:
         edges = write(tmp_path / "e.csv", "src,dst\n")
         g, activities = load_graph(edges)
         assert num_edges(g) == 0
-        assert g.num_users() == 0
+        assert len(g.users) == 0
         assert activities == {}
 
     def test_round_trip(self, dataset, tmp_path):
@@ -807,7 +807,7 @@ class TestGenerateSynthetic:
 
     def test_requested_shape(self):
         g, activities = generate_synthetic(seed=1, n_users=80, n_edges=200)
-        assert g.num_users() == 80
+        assert len(g.users) == 80
         assert num_edges(g) == 200
         assert len(activities) == 80
 
@@ -846,7 +846,7 @@ class TestGenerateSynthetic:
         edges = list(g.edges())
         assert len(set(edges)) == len(edges) == n_edges
         assert all(src != dst for src, dst in edges)
-        assert g.num_users() == len(activities) == n_users
+        assert len(g.users) == len(activities) == n_users
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -891,6 +891,6 @@ class TestGenerateSynthetic:
         started = time.perf_counter()
         g2, _ = load_graph(*paths)
         elapsed = time.perf_counter() - started
-        assert g2.num_users() == 36274
+        assert len(g2.users) == 36274
         assert num_edges(g2) >= 71027
         assert elapsed < 5.0

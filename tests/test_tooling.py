@@ -1,20 +1,24 @@
 """Repository tooling: the traced benchmark runner, the suite's warning filters, the
 stdlib-only rule, CPU-count independence, unused helpers, public methods only the
-tests read, unused imports, and the loader's count fast path."""
+tests read, public callables no command runs, unused imports, and the loader's count
+fast path."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
-from evimax import graph
+from evimax import cli, graph
 from evimax.graph import load_graph, raw_indicators, write_graph
 from evimax.synthetic import generate_synthetic
 
@@ -246,6 +250,74 @@ def test_every_public_method_has_a_reader_outside_the_tests():
                 used.update(node.value.split("."))
     assert methods
     assert sorted(where for name, where in methods.items() if name not in used) == []
+
+
+# Public callables that no command runs, each kept for a reader outside the CLI.
+NOT_RUN_BY_A_COMMAND = {
+    # The process entry point; TestProcessExit runs it in a child process.
+    "cli.console",
+    # perfbench/traced.py wraps it (ROADMAP item 13).
+    "fusion.edge_bba_sets",
+    # The README's library API (ROADMAP item 10).
+    "spread.sigma",
+}
+
+
+def _public_callables() -> dict[types.CodeType, str]:
+    """Every public function, method and property defined in the package, by code object."""
+    codes: dict[types.CodeType, str] = {}
+    for path in sorted((SRC / "evimax").glob("*.py")):
+        module = importlib.import_module(
+            "evimax" if path.stem == "__init__" else f"evimax.{path.stem}"
+        )
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if isinstance(obj, type) else [(name, obj)]
+            for key, member in members:
+                # A property runs its getter; a classmethod its function.
+                function = getattr(member, "fget", None) or getattr(member, "__func__", member)
+                if not key.startswith("_") and inspect.isfunction(function):
+                    codes[function.__code__] = f"{path.stem}.{function.__qualname__}"
+    return codes
+
+
+def test_every_public_callable_runs_in_a_command(tmp_path):
+    # A name-based reader check credits any attribute of the same name, so
+    # this one runs the four commands and requires every public function,
+    # method and property of the package to have run.  Code objects are
+    # matched, so no ``co_qualname`` (Python 3.11+) is needed.  The graph is
+    # large enough for ``generate`` to densify (``has_edge``), and
+    # ``dump-edges`` without ``--retweets`` fuses a constant indicator
+    # (``MassFunction.vacuous``).
+    csvs = [str(tmp_path / name) for name in ("e.csv", "m.csv", "r.csv", "a.csv")]
+    inputs = ["--edges", csvs[0], "--mentions", csvs[1], "--retweets", csvs[2],
+              "--activity", csvs[3]]
+    out = ["--out", str(tmp_path / "out.csv")]
+    commands = [
+        ["generate", *inputs, "--users", "30", "--n-edges", "60", "--seed", "3"],
+        ["select", *inputs, "--k", "5", *out],
+        ["evaluate", *inputs, "--k", "5", *out],
+        ["dump-edges", *inputs, *out],
+        ["dump-edges", "--edges", csvs[0], "--mentions", csvs[1], *out],
+    ]
+    called: set[types.CodeType] = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        codes = [cli.main(command) for command in commands]
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0] * len(commands)
+    not_run = {name for code, name in _public_callables().items() if code not in called}
+    assert sorted(not_run - NOT_RUN_BY_A_COMMAND) == []
+    # An exemption that now runs, or names nothing, is stale.
+    assert sorted(NOT_RUN_BY_A_COMMAND - not_run) == []
 
 
 def test_loader_reads_plain_counts_without_the_count_parser(tmp_path, monkeypatch):
