@@ -35,7 +35,7 @@ from typing import Callable, NoReturn, Sequence
 
 from .evaluate import CURVE_COLUMNS, compare_configs
 from .fusion import DEFAULT_LAMBDA, FusedEdges, ReliabilityConfig, fuse_all
-from .graph import INDICATOR_NAMES, load_graph, write_csv, write_graph
+from .graph import load_graph, write_csv, write_graph
 from .maximize import _check_k, select_celf
 from .spread import InfluenceField
 from .synthetic import generate_synthetic
@@ -157,13 +157,9 @@ def _cmd_dump_edges(args: argparse.Namespace) -> None:
         + (f"{record.inf:.6f}",)
         for record in fused.records
     ]
-    n = len(INDICATOR_NAMES)
     write_csv(
         args.out,
-        ("src", "dst")
-        + tuple(f"w_{j + 1}" for j in range(n))
-        + tuple(f"alpha_{j + 1}" for j in range(n))
-        + ("inf",),
+        ("src", "dst", "w_1", "w_2", "w_3", "alpha_1", "alpha_2", "alpha_3", "inf"),
         (edge + row for edge, row in fused.per_edge(cells)),
     )
 

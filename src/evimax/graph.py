@@ -56,7 +56,7 @@ import sys
 from collections import defaultdict
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, KeysView
 
 # The largest count or summed total a graph holds (see the module docstring).
 _LARGEST_COUNT = int(sys.float_info.max)
@@ -122,7 +122,7 @@ class SocialGraph:
     # -- queries -----------------------------------------------------------
 
     @property
-    def users(self) -> Iterable[str]:
+    def users(self) -> KeysView[str]:
         return self._users.keys()
 
     def edges(self) -> Iterator[tuple[str, str]]:
@@ -130,9 +130,6 @@ class SocialGraph:
 
     def has_edge(self, src: str, dst: str) -> bool:
         return (src, dst) in self._edges
-
-
-INDICATOR_NAMES = ("common_neighbors", "mentions", "retweets")
 
 
 def raw_indicators(

@@ -101,7 +101,7 @@ class InfluenceField:
         return field
 
     @property
-    def users(self) -> Iterable[str]:
+    def users(self) -> KeysView[str]:
         return self._users
 
     def num_users(self) -> int:

@@ -129,6 +129,15 @@ class TestGenerate:
         )
         assert code == 1
         assert "n_users" in capsys.readouterr().err
+        # Three users hold at most 3 * 2 = 6 distinct edges.
+        code = run(
+            "generate", "--users", "3", "--n-edges", "7",
+            "--edges", paths["edges"], "--mentions", paths["mentions"],
+            "--retweets", paths["retweets"], "--activity", paths["activity"],
+        )
+        assert code == 1
+        assert "7 edges do not fit in a simple digraph on 3 users" in capsys.readouterr().err
+        assert not any(paths["dir"].iterdir())
 
     def test_ci_graph_bytes_are_pinned(self, paths):
         # The benchmark's inputs are built by this generator, so a change to
@@ -231,11 +240,6 @@ class TestSelect:
         assert code == 1
         assert "edges.csv" in capsys.readouterr().err
 
-    def test_missing_edges_flag_exits_1(self, paths, capsys):
-        code = run("select", "--out", paths["out"])
-        assert code == 1
-        assert "--edges" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "command, option",
         [(command, option) for command, required in REQUIRED.items() for option in required],
@@ -249,27 +253,18 @@ class TestSelect:
                 in capsys.readouterr().err)
         assert not any(paths["dir"].iterdir())  # neither --out nor a generated file
 
-    def test_bad_k_exits_1(self, paths, capsys):
-        generate(paths)
-        code = run("select", *input_flags(paths), "--k", "0", "--out", paths["out"])
-        assert code == 1
-        assert "k" in capsys.readouterr().err
-
-    def test_bad_alpha_exits_1(self, paths, capsys):
-        generate(paths)
-        code = run(
-            "select", *input_flags(paths), "--alpha", "1.5", "--out", paths["out"]
-        )
-        assert code == 1
-        assert "alpha" in capsys.readouterr().err
-
     def test_alpha_1_total_conflict_exits_1_naming_edge(self, paths, capsys):
         write_conflict_graph(paths)
-        for command in ("select", "dump-edges"):
-            code = run(command, *input_flags(paths), "--alpha", "1", "--out", paths["out"])
+        for command, flags, config in (
+            ("select", ["--alpha", "1"], ""),
+            ("dump-edges", ["--alpha", "1"], ""),
+            # evaluate names the config whose fusion failed.
+            ("evaluate", ["--configs", "fixed:0.2,fixed:1"], "config fixed:1: "),
+        ):
+            code = run(command, *input_flags(paths), *flags, "--out", paths["out"])
             assert code == 1
             err = capsys.readouterr().err
-            assert "edge 'a' -> 'b': total conflict between sources (K=1.0)" in err
+            assert f"{config}edge 'a' -> 'b': total conflict between sources (K=1.0)" in err
             # Fusion fails before the output file is opened.
             assert not (paths["dir"] / "out.csv").exists()
 
@@ -292,14 +287,6 @@ class TestSelect:
             assert code == 1
             assert f"edge 'u0026' -> 'u0002': {problem}" in err
             assert not (paths["dir"] / "out.csv").exists()
-
-    def test_bad_threads_exits_1(self, paths, capsys):
-        generate(paths)
-        code = run(
-            "select", *input_flags(paths), "--threads", "0", "--out", paths["out"]
-        )
-        assert code == 1
-        assert "threads" in capsys.readouterr().err
 
     def test_malformed_input_reports_file_and_line(self, paths, capsys):
         generate(paths)
@@ -547,7 +534,8 @@ class TestDumpEdges:
         assert run("dump-edges", *input_flags(paths), "--out", paths["out"]) == 0
         lines = Path(paths["out"]).read_text().splitlines()
         assert lines[0] == "src,dst,w_1,w_2,w_3,alpha_1,alpha_2,alpha_3,inf"
-        assert len(lines) >= 61  # every edge appears (activity may add edges)
+        # One row per edge: no generated mention or retweet row adds an edge.
+        assert len(lines) == 61
         sample = lines[1].split(",")
         for cell in sample[2:]:
             whole, frac = cell.split(".")
@@ -838,6 +826,7 @@ class TestConfigBeforeInput:
         error = capsys.readouterr().err
         assert f"evimax {command}: error: {message}" in error
         assert "edges.csv" not in error
+        assert not Path(paths["out"]).exists()
 
 
 class TestUsage:
@@ -927,6 +916,8 @@ class TestConfigFileKeys:
             ("generate", "configs", "estimated"),
             ("generate", "intensity", 2.0),
             ("select", "configs", "estimated"),
+            # Every command runs in one process; none takes a thread count.
+            ("select", "threads", 0),
             ("evaluate", "alpha", 0.2),
             ("dump-edges", "k", 5),
             ("dump-edges", "configs", "estimated"),

@@ -27,7 +27,7 @@ from evimax.fusion import (
     indicator_bba,
     reliability_from_distance,
 )
-from evimax.graph import INDICATOR_NAMES, SocialGraph, raw_indicators
+from evimax.graph import SocialGraph, raw_indicators
 from evimax.spread import InfluenceField
 from evimax.synthetic import generate_synthetic
 from tests.helpers import bbas, synthetic_graph, synthetic_graphs
@@ -311,7 +311,7 @@ def count_steps(draw):
     """Bounds up to 10**6, a vector within them, and that vector with one
     indicator one count higher, still within its bound."""
     bounds = []
-    for _ in INDICATOR_NAMES:
+    for _ in range(3):
         low = draw(st.integers(0, 10**6))
         bounds.append((low, draw(st.integers(low, 10**6))))
     vec = [draw(st.integers(low, high)) for low, high in bounds]
@@ -495,7 +495,7 @@ class TestDiagnosticsRecords:
     def test_fuse_all_records_match_per_edge_reference(self, graph_args, cfg):
         g, _ = synthetic_graph(**graph_args)
         values = indicator_map(g)
-        n = len(INDICATOR_NAMES)
+        n = 3
         lows = [min(vec[j] for vec in values.values()) for j in range(n)]
         highs = [max(vec[j] for vec in values.values()) for j in range(n)]
         bbas = {

@@ -1,7 +1,7 @@
 """Repository tooling: the traced benchmark runner, the suite's warning filters, the
-stdlib-only rule, CPU-count independence, unused helpers, public methods only the
-tests read, public callables no command runs, unused imports, and the loader's count
-fast path."""
+stdlib-only rule, CPU-count independence, unused helpers, unused imports, public
+callables (private classes' public methods too) that no command runs, and the
+loader's count fast path."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import importlib
 import inspect
 import json
 import os
-import re
 import subprocess
 import sys
 import types
@@ -19,11 +18,34 @@ from pathlib import Path
 import pytest
 
 from evimax import cli, graph
-from evimax.graph import load_graph, raw_indicators, write_graph
+from evimax.graph import SocialGraph, load_graph, raw_indicators, write_graph
 from evimax.synthetic import generate_synthetic
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+
+
+def _run_traced(
+    tmp_path: Path, command: list[str]
+) -> tuple[SocialGraph, subprocess.CompletedProcess, Path]:
+    """Run ``command`` through perfbench/traced.py on a generated 30-user graph.
+
+    Returns the graph, the finished child process and the trace file's path.
+    """
+    g, activities = generate_synthetic(seed=3, n_users=30, n_edges=60)
+    csvs = [str(tmp_path / name) for name in ("e.csv", "m.csv", "r.csv", "a.csv")]
+    write_graph(g, activities, *csvs)
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
+    ))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(trace), *command,
+         "--edges", csvs[0], "--mentions", csvs[1], "--retweets", csvs[2],
+         "--activity", csvs[3], "--out", str(tmp_path / "out.csv")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    return g, result, trace
 
 
 @pytest.mark.parametrize(
@@ -40,19 +62,7 @@ SRC = ROOT / "src"
 def test_traced_runner_records_layer_spans(tmp_path, command, spans):
     # perfbench/traced.py looks up every wrapped name in its module, so a
     # renamed or deleted function stops the traced run.
-    g, activities = generate_synthetic(seed=3, n_users=30, n_edges=60)
-    csvs = [str(tmp_path / name) for name in ("e.csv", "m.csv", "r.csv", "a.csv")]
-    write_graph(g, activities, *csvs)
-    trace = tmp_path / "trace.json"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
-    ))
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(trace), *command,
-         "--edges", csvs[0], "--mentions", csvs[1], "--retweets", csvs[2],
-         "--activity", csvs[3], "--out", str(tmp_path / "out.csv")],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
+    _, result, trace = _run_traced(tmp_path, command)
     assert result.returncode == 0, result.stderr
     names = {span["name"] for span in json.loads(trace.read_text())["spans"]}
     assert {"cli.main", "graph.load_graph", "graph.raw_indicators"} | spans <= names
@@ -61,19 +71,7 @@ def test_traced_runner_records_layer_spans(tmp_path, command, spans):
 def test_traced_select_counts_the_fusion_it_runs(tmp_path):
     # Fusion runs fuse_edge and the belief operators once per distinct raw
     # indicator vector, so the traced counts show the fusion work done.
-    g, activities = generate_synthetic(seed=3, n_users=30, n_edges=60)
-    csvs = [str(tmp_path / name) for name in ("e.csv", "m.csv", "r.csv", "a.csv")]
-    write_graph(g, activities, *csvs)
-    trace = tmp_path / "trace.json"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
-    ))
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(trace), "select",
-         "--edges", csvs[0], "--mentions", csvs[1], "--retweets", csvs[2],
-         "--activity", csvs[3], "--k", "5", "--out", str(tmp_path / "seeds.csv")],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
+    g, result, trace = _run_traced(tmp_path, ["select", "--k", "5"])
     assert result.returncode == 0, result.stderr
     calls = json.loads(trace.read_text())["calls"]
     distinct, _ = raw_indicators(g)
@@ -222,36 +220,6 @@ def test_every_import_in_the_package_is_used():
     assert unused == []
 
 
-def test_every_public_method_has_a_reader_outside_the_tests():
-    # A public method or property that only the tests call belongs in
-    # tests/oracles.py or inline in a test.  Only code counts as a reader:
-    # a name or attribute in the package or in perfbench/*.py, or a
-    # perfbench/*.py string that is a dotted identifier, split on "." (the
-    # way traced.py names what it wraps, e.g. "InfluenceField.from_graph").
-    # Prose such as the README does not count.  A method named like a dict
-    # or list method (``items``, ``get``) still passes through any such call.
-    methods: dict[str, str] = {}
-    used: set[str] = set()
-    for path in sorted((SRC / "evimax").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef):
-                for node in cls.body:
-                    if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                            and not node.name.startswith("_")):
-                        methods[node.name] = f"{path.name}: {cls.name}.{node.name}"
-        used |= _code_names(tree)
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        used |= _code_names(tree)
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                    and re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", node.value)):
-                used.update(node.value.split("."))
-    assert methods
-    assert sorted(where for name, where in methods.items() if name not in used) == []
-
-
 # Public callables that no command runs, each kept for a reader outside the CLI.
 NOT_RUN_BY_A_COMMAND = {
     # The process entry point; TestProcessExit runs it in a child process.
@@ -271,8 +239,9 @@ def _public_callables() -> dict[types.CodeType, str]:
             "evimax" if path.stem == "__init__" else f"evimax.{path.stem}"
         )
         for name, obj in vars(module).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            if getattr(obj, "__module__", None) != module.__name__:
                 continue
+            # A private class's public methods count too: the package calls them.
             members = vars(obj).items() if isinstance(obj, type) else [(name, obj)]
             for key, member in members:
                 # A property runs its getter; a classmethod its function.
@@ -283,9 +252,10 @@ def _public_callables() -> dict[types.CodeType, str]:
 
 
 def test_every_public_callable_runs_in_a_command(tmp_path):
-    # A name-based reader check credits any attribute of the same name, so
-    # this one runs the four commands and requires every public function,
-    # method and property of the package to have run.  Code objects are
+    # A public callable that only the tests run belongs in tests/oracles.py
+    # or inline in a test.  This runs the four commands and requires every
+    # public function, method and property of the package to have run; a
+    # reader of the same name elsewhere does not count.  Code objects are
     # matched, so no ``co_qualname`` (Python 3.11+) is needed.  The graph is
     # large enough for ``generate`` to densify (``has_edge``), and
     # ``dump-edges`` without ``--retweets`` fuses a constant indicator
