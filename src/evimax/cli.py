@@ -31,6 +31,7 @@ import argparse
 import gc
 import os
 import sys
+from itertools import accumulate, count
 from typing import Callable, NoReturn, Sequence
 
 from .evaluate import CURVE_COLUMNS, compare_configs
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         name: str, help: str, run: Callable[[argparse.Namespace], None], outputs: bool = False
     ) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help, allow_abbrev=False)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, parser=p)
         role = "output" if outputs else "input"
         # generate writes all four files; the other commands read the edges
         # file and any of the other three that is given.
@@ -118,9 +119,9 @@ def _cmd_select(args: argparse.Namespace) -> None:
     write_csv(
         args.out,
         ("rank", "user", "marginal_gain", "cumulative_sigma"),
-        ((str(choice.rank), choice.user,
-          f"{choice.gain:.6f}", f"{choice.cumulative_sigma:.6f}")
-         for choice in selection.choices),
+        ((str(rank), user, f"{gain:.6f}", f"{spread:.6f}")
+         for rank, user, gain, spread in zip(
+             count(1), selection.users, selection.gains, accumulate(selection.gains))),
     )
 
 
@@ -141,9 +142,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     write_csv(
         args.out,
         ("config", "rank", "user", *CURVE_COLUMNS),
-        ((entry.name, str(choice.rank), choice.user, *map(str, row))
+        ((entry.name, str(rank), user, *map(str, row))
          for entry in entries
-         for choice, row in zip(entry.selection.choices, entry.curve)),
+         for rank, user, row in zip(count(1), entry.selection.users, entry.curve)),
     )
 
 
@@ -169,7 +170,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     gc.disable()
     try:
         try:
-            args = _build_parser().parse_args(argv)
+            args, unknown = _build_parser().parse_known_args(argv)
+            # What the command does not take is reported with its own usage.
+            if unknown:
+                args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         except SystemExit as exc:
             # argparse exits 2 on a usage error and 0 after --help.
             return 1 if exc.code else 0

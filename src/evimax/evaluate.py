@@ -99,8 +99,8 @@ def compare_configs(
             selections.append(select_celf(InfluenceField.from_graph(next(stream)), k))
         except ValueError as exc:
             raise EvaluationError(f"config {cfg.name}: {exc}") from exc
-    received = received_totals(g, {u for selection in selections for u in selection.users()})
+    received = received_totals(g, {u for selection in selections for u in selection.users})
     return [
-        ReportEntry(cfg.name, selection, quality_curve(selection.users(), activities, received))
+        ReportEntry(cfg.name, selection, quality_curve(selection.users, activities, received))
         for cfg, selection in zip(configs, selections)
     ]

@@ -22,14 +22,15 @@ its user's gain in the current round, because float gains never grow as
 seeds are added (the accumulated field only gains nonnegative terms, the
 spread sum only loses them, and float addition is monotone in each operand),
 so no entry below the committed one can hold a larger gain, or an equal one
-with a smaller user id.  Seeds, gains and cumulative spreads are
-bit-identical to a round 0 that evaluates everyone, and no step costs time
-per user until an idle id can be the top.
+with a smaller user id.  Seeds and gains are bit-identical to a round 0
+that evaluates everyone, and no step costs time per user until an idle id
+can be the top.
 
 A committed gain is fresh, computed against the current seed set, so
-sigma(S + w) = sigma(S) + gain: the cumulative spread is the running sum of
-the committed gains, and a commit costs one two-hop-frontier expansion into
-``spread._SelectionState``, not a rescan of every user.
+sigma(S + w) = sigma(S) + gain: a running sum of the committed gains is each
+prefix's spread, which ``select`` writes as ``cumulative_sigma``, and a
+commit costs one two-hop-frontier expansion into ``spread._SelectionState``,
+not a rescan of every user.
 
 The naive full-rescan greedy and the exhaustive argmax over all size-k
 subsets, the oracles that check the lazy machinery, live in
@@ -48,33 +49,25 @@ class InvalidKError(ValueError):
     """Requested seed count is not a positive integer."""
 
 
-@dataclass(frozen=True)
-class SeedChoice:
-    rank: int
-    user: str
-    gain: float
-    cumulative_sigma: float
-
-
 @dataclass
 class SeedSelection:
-    """Ranked seed list with per-rank gains and cumulative spread values.
+    """Seeds in rank order with the marginal gain each was committed at.
 
-    ``gain_evaluations`` counts fresh marginal-gain computations.  In
-    ``select_celf`` a user without a stored out-edge, whose singleton spread
-    is exactly 1, is not evaluated in round 0: it joins the heap at 1.0 the
-    first time the top gain falls to 1.0.  No user is evaluated before its
-    bound, or an idle id's 1.0, reaches the top of the heap.
+    A running sum of ``gains`` is each prefix's spread, which ``select``
+    writes as ``cumulative_sigma``.  ``gain_evaluations`` counts fresh
+    marginal-gain computations.  In ``select_celf`` a user without a stored
+    out-edge, whose singleton spread is exactly 1, is not evaluated in round
+    0: it joins the heap at 1.0 the first time the top gain falls to 1.0.
+    No user is evaluated before its bound, or an idle id's 1.0, reaches the
+    top of the heap.
     """
 
-    choices: list[SeedChoice]
-    gain_evaluations: int = 0
-
-    def users(self) -> list[str]:
-        return [c.user for c in self.choices]
+    users: list[str]
+    gains: list[float]
+    gain_evaluations: int
 
     def __len__(self) -> int:
-        return len(self.choices)
+        return len(self.users)
 
 
 def _check_k(k: int) -> int:
@@ -88,7 +81,6 @@ def select_celf(influence_field: InfluenceField, k: int) -> SeedSelection:
     """Lazy-greedy selection of min(k, number of users) seeds."""
     k_eff = min(_check_k(k), influence_field.num_users())
     state = _SelectionState(influence_field)
-    spread = 0.0
 
     # Stamp -1 marks a bound, evaluated the first time it reaches the top.
     bounds = influence_field.singleton_spread_bounds()
@@ -97,8 +89,9 @@ def select_celf(influence_field: InfluenceField, k: int) -> SeedSelection:
     # The ids without a bound join as (-1.0, id, 0) once one can be the top.
     joined = False
 
-    choices: list[SeedChoice] = []
-    while len(choices) < k_eff:
+    users: list[str] = []
+    gains: list[float] = []
+    while len(users) < k_eff:
         if not joined and (not heap or heap[0][0] >= -1.0):
             heap += [(-1.0, u, 0) for u in influence_field.users if u not in bounds]
             heapq.heapify(heap)
@@ -106,9 +99,9 @@ def select_celf(influence_field: InfluenceField, k: int) -> SeedSelection:
         neg_gain, u, stamp = heapq.heappop(heap)
         if stamp == len(state.seeds):
             state.add(u)
-            spread += -neg_gain
-            choices.append(SeedChoice(len(choices) + 1, u, -neg_gain, spread))
+            users.append(u)
+            gains.append(-neg_gain)
         else:
             heapq.heappush(heap, (-state.gain(u), u, len(state.seeds)))
-    return SeedSelection(choices, gain_evaluations=state.evaluations)
+    return SeedSelection(users, gains, state.evaluations)
 

@@ -9,8 +9,9 @@ the public user and edge lists, the raw indicators read edge by edge, the
 fused BBA of a record, a vector's fused influence under a fixed alpha in
 exact arithmetic, the literal per-user influence, a field that keeps its
 zero weights, the singleton spread bounds with every zero-weight term added,
-the naive, exact, single-heap and exhaustive seed selections, and the
-row-by-row CSV loader that ``load_graph``'s per-file loops replaced.
+the spread in exact arithmetic, the naive, exact, single-heap and
+exhaustive seed selections, and the row-by-row CSV loader that
+``load_graph``'s per-file loops replaced.
 ``select_greedy_naive`` adds its seeds and reads its gains through
 ``spread._SelectionState``, as CELF does, so the two agree bit for bit;
 ``select_greedy_exact`` shares none of CELF's code.
@@ -27,18 +28,12 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from evimax.belief import MassFunction
 from evimax.fusion import EdgeInfluence
-from evimax.graph import (
-    ParseError,
-    SocialGraph,
-    UnknownUserError,
-    _count,
-    raw_indicators,
-)
-from evimax.maximize import SeedChoice, SeedSelection, _check_k
+from evimax.graph import ParseError, SocialGraph, _count, raw_indicators
+from evimax.maximize import SeedSelection, _check_k
 from evimax.spread import InfluenceField, _SelectionState, sigma
 
 # -- belief ------------------------------------------------------------------
@@ -121,11 +116,6 @@ def combine_dempster_exact(
 # -- graph -------------------------------------------------------------------
 
 
-def require_user(g: SocialGraph, user: str) -> None:
-    if user not in g.users:
-        raise UnknownUserError(f"unknown user: {user!r}")
-
-
 def num_edges(g: SocialGraph) -> int:
     return sum(1 for _ in g.edges())
 
@@ -157,9 +147,6 @@ def common_neighbors(g: SocialGraph, u: str, v: str) -> int:
     The neighbours are read off the public edge list on each call,
     independently of the pairs ``raw_indicators`` holds.
     """
-    require_user(g, u)
-    require_user(g, v)
-
     def neighbors(x: str) -> set[str]:
         return {b if a == x else a for a, b in g.edges() if x in (a, b)}
 
@@ -306,10 +293,6 @@ def fixed_alpha_inf_exact(
 # -- spread ------------------------------------------------------------------
 
 
-class AlreadyInSetError(ValueError):
-    """Marginal gain was requested for a user already in the seed set."""
-
-
 def influence(field: InfluenceField, a: str, b: str) -> float:
     """Pairwise influence: 1 on the diagonal, edge weight or 0 elsewhere."""
     if a == b:
@@ -397,9 +380,6 @@ def influence_on(field: InfluenceField, seeds: set[str], v: str) -> float:
     v's in-edges are read off the out-adjacency, so this route and
     ``sigma``'s frontier expansion can check each other.
     """
-    for u in [*sorted(seeds), v]:
-        if u not in field.users:
-            raise UnknownUserError(f"unknown user: {u!r}")
     if v in seeds:
         return 1.0
     in_edges = [(x, w) for x, out in field._out.items() for y, w in out if y == v]
@@ -415,10 +395,6 @@ def influence_on(field: InfluenceField, seeds: set[str], v: str) -> float:
 
 def marginal_gain(field: InfluenceField, seeds: set[str], w: str) -> float:
     """Spread increase from adding w to the seed set."""
-    if w not in field.users:
-        raise UnknownUserError(f"unknown user: {w!r}")
-    if w in seeds:
-        raise AlreadyInSetError(f"user {w!r} is already a seed")
     return sigma(field, seeds | {w}) - sigma(field, seeds)
 
 
@@ -434,9 +410,9 @@ def select_greedy_naive(influence_field: InfluenceField, k: int) -> SeedSelectio
     k_eff = min(_check_k(k), influence_field.num_users())
     state = _SelectionState(influence_field)
 
-    spread = 0.0
-    choices: list[SeedChoice] = []
-    while len(choices) < k_eff:
+    users: list[str] = []
+    gains: list[float] = []
+    while len(users) < k_eff:
         best: tuple[float, str] | None = None
         for u in influence_field.users:
             if u in state.seeds:
@@ -447,23 +423,18 @@ def select_greedy_naive(influence_field: InfluenceField, k: int) -> SeedSelectio
         assert best is not None
         neg_gain, u = best
         state.add(u)
-        spread += -neg_gain
-        choices.append(SeedChoice(len(choices) + 1, u, -neg_gain, spread))
-    return SeedSelection(choices, gain_evaluations=state.evaluations)
+        users.append(u)
+        gains.append(-neg_gain)
+    return SeedSelection(users, gains, state.evaluations)
 
 
-def select_greedy_exact(
-    influence_field: InfluenceField, k: int
-) -> list[tuple[str, Fraction, Fraction | None]]:
-    """The greedy in exact arithmetic on the field's stored weights.
+def exact_spread(influence_field: InfluenceField) -> Callable[[set[str]], Fraction]:
+    """The literal spread of ``spread``'s docstring in exact arithmetic.
 
-    A gain is sigma(S + w) - sigma(S) for the literal spread of ``spread``'s
-    docstring: |S| plus, over v outside S, seeds u and every user x,
+    The spread of S is |S| plus, over v outside S, seeds u and every user x,
     I(u, x) * I(x, v), with I(a, a) = 1 and I(a, b) the stored weight read as
-    a ``Fraction``, or 0.  The larger gain wins, then the smaller id.  Each
-    rank gives its seed, its gain and its margin over the runner-up (None
-    with no other candidate left).  It shares nothing with ``select_celf``:
-    neither ``_SelectionState`` nor ``seed_contributions``.
+    a ``Fraction``, or 0.  It shares nothing with ``sigma``: neither
+    ``_SelectionState`` nor ``seed_contributions``.
     """
     users = list(influence_field.users)
     weight = {(a, b): Fraction(influence(influence_field, a, b)) for a in users for b in users}
@@ -474,6 +445,20 @@ def select_greedy_exact(
     def spread(seeds: set[str]) -> Fraction:
         return len(seeds) + sum(two_hop[u, v] for v in users if v not in seeds for u in seeds)
 
+    return spread
+
+
+def select_greedy_exact(
+    influence_field: InfluenceField, k: int
+) -> list[tuple[str, Fraction, Fraction | None]]:
+    """The greedy on ``exact_spread``: gains sigma(S + w) - sigma(S), exactly.
+
+    The larger gain wins, then the smaller id.  Each rank gives its seed,
+    its gain and its margin over the runner-up (None with no other candidate
+    left).  It shares no code with ``select_celf``.
+    """
+    users = list(influence_field.users)
+    spread = exact_spread(influence_field)
     ranks: list[tuple[str, Fraction, Fraction | None]] = []
     seeds: set[str] = set()
     current = Fraction(0)
@@ -506,22 +491,17 @@ def select_celf_single_heap(influence_field: InfluenceField, k: int) -> SeedSele
     ]
     heapq.heapify(heap)
 
-    spread = 0.0
-    choices: list[SeedChoice] = []
-    while len(choices) < k_eff:
+    users: list[str] = []
+    gains: list[float] = []
+    while len(users) < k_eff:
         neg_gain, u, stamp = heapq.heappop(heap)
         if stamp == len(state.seeds):
             state.add(u)
-            spread += -neg_gain
-            choices.append(SeedChoice(len(choices) + 1, u, -neg_gain, spread))
+            users.append(u)
+            gains.append(-neg_gain)
         else:
             heapq.heappush(heap, (-state.gain(u), u, len(state.seeds)))
-    return SeedSelection(choices, gain_evaluations=state.evaluations)
-
-
-def final_sigma(selection: SeedSelection) -> float:
-    """The spread of the whole selection: the last cumulative sigma, 0 for none."""
-    return selection.choices[-1].cumulative_sigma if selection.choices else 0.0
+    return SeedSelection(users, gains, state.evaluations)
 
 
 def select_exhaustive(influence_field: InfluenceField, k: int) -> set[str]:

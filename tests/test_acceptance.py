@@ -165,7 +165,7 @@ def test_criterion_5_optimization_oracles():
         n = rng.randint(2, 30)
         field = random_field(rng, n, rng.uniform(0.05, 0.5), 1.0)
         k = rng.randint(1, 5)
-        if select_celf(field, k).users() != select_greedy_naive(field, k).users():
+        if select_celf(field, k).users != select_greedy_naive(field, k).users:
             mismatches += 1
 
     bound = 1.0 - 1.0 / math.e
@@ -174,7 +174,7 @@ def test_criterion_5_optimization_oracles():
         n = rng.randint(2, 10)
         field = random_field(rng, n, 0.4, safe_weight_bound(n))
         k = rng.randint(1, min(3, n))
-        greedy_value = sigma(field, set(select_celf(field, k).users()))
+        greedy_value = sigma(field, set(select_celf(field, k).users))
         optimum = sigma(field, select_exhaustive(field, k))
         if greedy_value < bound * optimum - 1e-9:
             bound_failures += 1
@@ -230,7 +230,7 @@ def test_criterion_7_worked_spread_chain():
     report(
         7,
         "chain a->b(0.5), b->c(0.4): sigma({a}) = 2.2 and CELF picks a",
-        abs(spread_value - 2.2) <= 1e-12 and selection.users() == ["a"],
+        abs(spread_value - 2.2) <= 1e-12 and selection.users == ["a"],
         f"sigma {spread_value!r}",
     )
 
@@ -241,7 +241,7 @@ def test_criterion_8_scale_check():
     influences = fuse_all(g, ReliabilityConfig(lam=5.0))
     field = InfluenceField.from_graph(influences)
     selection = select_celf(field, 50)
-    curve = quality_curve(selection.users(), activities, received_totals(g, selection.users()))
+    curve = quality_curve(selection.users, activities, received_totals(g, selection.users))
     elapsed = time.perf_counter() - started
     monotone = all(
         all(a <= b for a, b in zip(series, series[1:]))

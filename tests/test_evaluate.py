@@ -94,7 +94,7 @@ class TestReceivedTotals:
         entries = compare_configs(g, activities, SWEEP, k=10)
         for entry in entries:
             mentions = retweets = 0
-            for i, user in enumerate(entry.selection.users()):
+            for i, user in enumerate(entry.selection.users):
                 mentions += sum(n for (u, _), n in g.mentions.items() if u == user)
                 retweets += sum(n for (u, _), n in g.retweets.items() if u == user)
                 assert entry.curve[i][1:3] == (mentions, retweets)
@@ -110,7 +110,7 @@ class TestCompareConfigs:
             g, activities, [ReliabilityConfig(0.0)], k=5
         )
         expected = sorted(g.users)[:5]
-        assert entry.selection.users() == expected
+        assert entry.selection.users == expected
         follows = [activities[u][1] for u in expected]
         assert [row[0] for row in entry.curve] == [
             sum(follows[: i + 1]) for i in range(5)
@@ -120,7 +120,7 @@ class TestCompareConfigs:
         g, activities = generate_synthetic(seed=23, n_users=40, n_edges=110)
         cfgs = [ReliabilityConfig(), ReliabilityConfig()]
         first, second = compare_configs(g, activities, cfgs, k=8)
-        assert first.selection.users() == second.selection.users()
+        assert first.selection.users == second.selection.users
         assert first.curve == second.curve
 
     def test_k_is_honored(self):
@@ -183,7 +183,7 @@ class TestCompareConfigs:
         g, activities = generate_synthetic(seed=26, n_users=40, n_edges=100)
         r1 = compare_configs(g, activities, SWEEP, k=6)
         r2 = compare_configs(g, activities, SWEEP, k=6)
-        assert [e.selection.users() for e in r1] == [e.selection.users() for e in r2]
+        assert [e.selection.users for e in r1] == [e.selection.users for e in r2]
         assert [e.curve for e in r1] == [e.curve for e in r2]
 
 

@@ -158,7 +158,7 @@ class TestIndicatorBBA:
             indicator_bba(-1.0, 0.0, 10.0)
 
 
-class TestNormalizationStats:
+class TestBounds:
     """Per-indicator normalization bounds, as built by ``_bounds``."""
 
     def test_from_values(self):
@@ -567,7 +567,10 @@ def reference_fusion(g, cfg):
     return records, None
 
 
-class TestKernelMatchesReference:
+class TestFuseAllMatchesPerEdgeFusion:
+    """``fuse_all`` fuses once per distinct vector; every edge's record is
+    the one ``edge_bba_sets`` + ``fuse_edge`` build for that edge alone."""
+
     @settings(max_examples=150, deadline=None)
     @given(graph=synthetic_graphs(), cfg=reliability_configs())
     # Total conflict at alpha 1 and just below it.

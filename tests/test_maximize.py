@@ -6,6 +6,7 @@ import heapq
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate, count
 from types import SimpleNamespace
 
 import pytest
@@ -21,7 +22,6 @@ from tests.helpers import random_field, safe_weight_bound, synthetic_graphs
 from tests.oracles import (
     TooLargeError,
     field_with_zeros,
-    final_sigma,
     marginal_gain,
     reordered_sum_tolerance,
     select_celf_single_heap,
@@ -53,35 +53,22 @@ class TestSeedSelection:
     def test_rejects_duplicate_users(self, case):
         field, k = case
         for selection in (select_celf(field, k), select_greedy_naive(field, k)):
-            users = selection.users()
+            users = selection.users
             assert len(set(users)) == len(users)
             assert set(users) <= set(field.users)
-
-    @settings(max_examples=60, deadline=None)
-    @given(case=fields_and_k())
-    def test_rejects_gapped_ranks(self, case):
-        field, k = case
-        for selection in (select_celf(field, k), select_greedy_naive(field, k)):
-            assert [c.rank for c in selection.choices] == list(
-                range(1, min(k, field.num_users()) + 1)
-            )
-
-    def test_final_sigma_of_empty(self):
-        assert final_sigma(SeedSelection([])) == 0.0
 
 
 class TestWorkedExamples:
     def test_chain_k1_selects_head(self, chain):
         selection = select_celf(chain, 1)
-        assert selection.users() == ["a"]
-        assert selection.choices[0].gain == pytest.approx(2.2, abs=1e-12)
-        assert selection.choices[0].cumulative_sigma == pytest.approx(2.2, abs=1e-12)
+        assert selection.users == ["a"]
+        assert selection.gains == [pytest.approx(2.2, abs=1e-12)]
 
     def test_k_equals_user_count_exhausts(self, chain):
         selection = select_celf(chain, 3)
-        assert sorted(selection.users()) == ["a", "b", "c"]
+        assert sorted(selection.users) == ["a", "b", "c"]
         # With every user selected, each spread term is the membership case.
-        assert final_sigma(selection) == pytest.approx(3.0, abs=1e-12)
+        assert [*accumulate(selection.gains)][-1] == pytest.approx(3.0, abs=1e-12)
 
     def test_k_larger_than_user_count_caps(self, chain):
         assert len(select_celf(chain, 50)) == 3
@@ -89,8 +76,8 @@ class TestWorkedExamples:
 
     def test_symmetric_tie_breaks_to_smaller_id(self):
         field = InfluenceField("ab", {("a", "b"): 0.3, ("b", "a"): 0.3})
-        assert select_celf(field, 1).users() == ["a"]
-        assert select_greedy_naive(field, 1).users() == ["a"]
+        assert select_celf(field, 1).users == ["a"]
+        assert select_greedy_naive(field, 1).users == ["a"]
 
     def test_k1_matches_argmax_of_single_sigmas(self):
         rng = random.Random(17)
@@ -99,7 +86,7 @@ class TestWorkedExamples:
             best = min(
                 ((-sigma(field, {u}), u) for u in field.users),
             )[1]
-            assert select_celf(field, 1).users() == [best]
+            assert select_celf(field, 1).users == [best]
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_invalid_k(self, chain, k):
@@ -121,10 +108,8 @@ class TestCelfAgainstNaive:
             k = rng.randint(1, 5)
             celf = select_celf(field, k)
             naive = select_greedy_naive(field, k)
-            assert celf.users() == naive.users()
-            for c, g in zip(celf.choices, naive.choices):
-                assert c.gain == g.gain
-                assert c.cumulative_sigma == g.cumulative_sigma
+            assert celf.users == naive.users
+            assert [g.hex() for g in celf.gains] == [g.hex() for g in naive.gains]
 
     def test_lazy_never_evaluates_more_gains(self):
         rng = random.Random(988)
@@ -141,8 +126,8 @@ class TestCelfAgainstNaive:
         field = random_field(rng, 20, 0.3, 1.0)
         first = select_celf(field, 5)
         second = select_celf(field, 5)
-        assert first.users() == second.users()
-        assert [c.gain for c in first.choices] == [c.gain for c in second.choices]
+        assert first.users == second.users
+        assert first.gains == second.gains
 
 
 class TestCelfAgainstExactGreedy:
@@ -154,11 +139,14 @@ class TestCelfAgainstExactGreedy:
         # chooses the exact greedy's seed with a gain within 2**-40 of it.
         field = random_field(random.Random(seed), n)
         exact = select_greedy_exact(field, k)
-        for choice, (user, gain, margin) in zip(select_celf(field, k).choices, exact):
+        selection = select_celf(field, k)
+        for got_user, got_gain, (user, gain, margin) in zip(
+            selection.users, selection.gains, exact
+        ):
             if margin is not None and margin <= Fraction(2) ** -30:
                 break
-            assert choice.user == user
-            assert abs(Fraction(choice.gain) - gain) <= Fraction(2) ** -40 * max(1, gain)
+            assert got_user == user
+            assert abs(Fraction(got_gain) - gain) <= Fraction(2) ** -40 * max(1, gain)
 
 
 def fused_field(seed: int, n_users: int, n_edges: int, token: str) -> InfluenceField:
@@ -176,11 +164,8 @@ class TestCelfOnFusedGraphs:
             k = min(12, field.num_users())
             celf = select_celf(field, k)
             naive = select_greedy_naive(field, k)
-            assert celf.users() == naive.users()
-            assert [c.gain for c in celf.choices] == [c.gain for c in naive.choices]
-            assert [c.cumulative_sigma for c in celf.choices] == [
-                c.cumulative_sigma for c in naive.choices
-            ]
+            assert celf.users == naive.users
+            assert [g.hex() for g in celf.gains] == [g.hex() for g in naive.gains]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -198,10 +183,7 @@ class TestCelfOnFusedGraphs:
         user_field = InfluenceField(g.users, weights)
         assert column_field._out == user_field._out
         got, expected = select_celf(column_field, k), select_celf(user_field, k)
-        assert [(c.rank, c.user, c.gain, c.cumulative_sigma) for c in got.choices] == [
-            (c.rank, c.user, c.gain, c.cumulative_sigma) for c in expected.choices
-        ]
-        assert got.gain_evaluations == expected.gain_evaluations
+        same_selection(got, expected)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -220,24 +202,28 @@ class TestCelfOnFusedGraphs:
         except FusionError:  # fixed:1 can meet total conflict
             assume(False)
         field = InfluenceField.from_graph(fused)
-        got = select_celf(field, k).choices
+        got = select_celf(field, k)
         expected = select_celf(field_with_zeros(
             g.users, fused.per_edge([record.inf for record in fused.records])
-        ), k).choices
+        ), k)
         assert len(got) == len(expected)
+        got_sigma, expected_sigma = [*accumulate(got.gains)], [*accumulate(expected.gains)]
         # A gain's sum over the candidate's contributions is at most its
         # singleton spread, and the influence it loses to the seeds at most
         # the spread so far: this bounds every value the two runs round.
         scale = (
             1.0 + max(field.singleton_spread_bounds().values(), default=1.0)
-            + max(c.cumulative_sigma for c in got + expected)
+            + max(got_sigma + expected_sigma)
         )
         gain_tolerance = reordered_sum_tolerance(len(g.users) + 1, scale)
-        for a, b in zip(got, expected):
-            assert abs(a.gain - b.gain) <= gain_tolerance
-            if a.user != b.user:
+        for rank, a, b, a_gain, b_gain, a_sigma, b_sigma in zip(
+            count(1), got.users, expected.users, got.gains, expected.gains,
+            got_sigma, expected_sigma,
+        ):
+            assert abs(a_gain - b_gain) <= gain_tolerance
+            if a != b:
                 break
-            assert abs(a.cumulative_sigma - b.cumulative_sigma) <= a.rank * (
+            assert abs(a_sigma - b_sigma) <= rank * (
                 gain_tolerance + reordered_sum_tolerance(2, scale)
             )
 
@@ -246,8 +232,8 @@ class TestCelfOnFusedGraphs:
         k = 10
         selection = select_celf(field, k)
         assert selection.gain_evaluations <= k - 1
-        assert selection.users() == sorted(field.users)[:k]
-        assert [c.gain for c in selection.choices] == [1.0] * k
+        assert selection.users == sorted(field.users)[:k]
+        assert selection.gains == [1.0] * k
 
     def test_bounds_spare_most_initial_evaluations(self):
         field = fused_field(43, 2000, 4000, "estimated")
@@ -274,10 +260,9 @@ def heapify_calls(monkeypatch) -> list[int]:
 
 
 def same_selection(got: SeedSelection, expected: SeedSelection) -> None:
-    """Identical users, gains and cumulative spreads to the bit, and evaluations."""
-    assert [(c.rank, c.user, c.gain.hex(), c.cumulative_sigma.hex()) for c in got.choices] == [
-        (c.rank, c.user, c.gain.hex(), c.cumulative_sigma.hex()) for c in expected.choices
-    ]
+    """Identical users, gains to the bit, and evaluations."""
+    assert got.users == expected.users
+    assert [g.hex() for g in got.gains] == [g.hex() for g in expected.gains]
     assert got.gain_evaluations == expected.gain_evaluations
 
 
@@ -334,8 +319,8 @@ class TestIdleIdHeap:
             ["b0", "c", "b", "a0", "a"], {("a", "b"): 0.25, ("b", "c"): 0.25}
         )
         selection = select_celf(field, 10)
-        assert selection.users() == ["a", "a0", "b", "b0", "c"]
-        assert [c.gain for c in selection.choices] == [1.5625, 1.0, 1.0, 1.0, 0.4375]
+        assert selection.users == ["a", "a0", "b", "b0", "c"]
+        assert selection.gains == [1.5625, 1.0, 1.0, 1.0, 0.4375]
         same_selection(selection, select_celf_single_heap(field, 10))
 
     def test_idle_ids_join_the_stored_entries_after_round_0(self, monkeypatch):
@@ -355,7 +340,7 @@ class TestIdleIdHeap:
         field = fused_field(41, 60, 150, "fixed:0")
         selection = select_celf(field, 70)
         assert sizes == [0, 60]
-        assert selection.users() == sorted(field.users)
+        assert selection.users == sorted(field.users)
         same_selection(selection, select_celf_single_heap(field, 70))
 
     def test_estimated_k50_never_builds_the_idle_heap(self, monkeypatch):
@@ -375,10 +360,10 @@ class TestRecordedValues:
             field = random_field(rng, rng.randint(2, 15), 0.35, 1.0)
             selection = select_celf(field, min(4, field.num_users()))
             prefix: set[str] = set()
-            for choice in selection.choices:
-                fresh = marginal_gain(field, prefix, choice.user)
-                assert choice.gain == pytest.approx(fresh, abs=1e-9)
-                prefix.add(choice.user)
+            for user, gain in zip(selection.users, selection.gains):
+                fresh = marginal_gain(field, prefix, user)
+                assert gain == pytest.approx(fresh, abs=1e-9)
+                prefix.add(user)
 
     @settings(max_examples=80, deadline=None)
     @given(case=fields_and_k())
@@ -387,23 +372,10 @@ class TestRecordedValues:
         field, k = case
         for selection in (select_celf(field, k), select_greedy_naive(field, k)):
             prefix: set[str] = set()
-            for choice in selection.choices:
-                prefix.add(choice.user)
+            for user, spread in zip(selection.users, accumulate(selection.gains)):
+                prefix.add(user)
                 exact = sigma(field, prefix)
-                assert abs(choice.cumulative_sigma - exact) <= 1e-9 * max(1.0, exact)
-
-    def test_cumulative_sigma_telescopes(self):
-        rng = random.Random(991)
-        for _ in range(25):
-            field = random_field(rng, rng.randint(2, 15), 0.35, 1.0)
-            selection = select_celf(field, min(5, field.num_users()))
-            running = 0.0
-            for choice in selection.choices:
-                running += choice.gain
-                assert choice.cumulative_sigma == running
-            assert final_sigma(selection) == pytest.approx(
-                sigma(field, set(selection.users())), abs=1e-6
-            )
+                assert abs(spread - exact) <= 1e-9 * max(1.0, exact)
 
 
 class TestExhaustiveOracle:
@@ -429,6 +401,6 @@ class TestExhaustiveOracle:
             n = rng.randint(2, 10)
             field = random_field(rng, n, 0.4, safe_weight_bound(n))
             k = rng.randint(1, min(3, n))
-            greedy_value = sigma(field, set(select_celf(field, k).users()))
+            greedy_value = sigma(field, set(select_celf(field, k).users))
             optimal_value = sigma(field, select_exhaustive(field, k))
             assert greedy_value >= bound * optimal_value - 1e-9
